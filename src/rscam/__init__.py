@@ -7,7 +7,7 @@ from .geometry import (CameraIntrinsics, MotionState, Pose, camera_matrix_at,
 from .shutter import (RsProjection, ScanTimeCase, ShutterParams, classify_case,
                       constraint_residual, correction_magnitude, drift_per_row,
                       invert_fronto_parallel, limit_line, normalized_scan,
-                      project_rolling_shutter, solve_scan_time)
+                      project_rolling_shutter, solve_scan_time, solve_scan_times)
 from .xslit import Line3D, SlitPair, backproject, compute_slits, line_line_distance
 from .flow import (FlowVector, flow_finite_difference, flow_perspective,
                    flow_rolling_shutter)
@@ -24,7 +24,8 @@ __all__ = [
     "CameraIntrinsics", "MotionState", "Pose", "hat", "rotation_exp",
     "rotation_log", "camera_matrix_at", "project_perspective",
     "ShutterParams", "ScanTimeCase", "RsProjection", "classify_case",
-    "constraint_residual", "solve_scan_time", "project_rolling_shutter",
+    "constraint_residual", "solve_scan_time", "solve_scan_times",
+    "project_rolling_shutter",
     "correction_magnitude", "limit_line", "drift_per_row", "normalized_scan",
     "invert_fronto_parallel",
     "Line3D", "SlitPair", "compute_slits", "backproject", "line_line_distance",

@@ -215,6 +215,7 @@ def write_pgm(path, values: np.ndarray, comment: str = "") -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Binary PGM as [0, 1] intensities; maxval > 255 means 16-bit big-endian."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = []
@@ -234,5 +235,6 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError("only binary (P5) PGM files are supported")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     pos += 1
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+    pixels = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
     return pixels.reshape(height, width).astype(float) / float(maxval)

@@ -24,7 +24,7 @@ from .errors import (ConfigError, DegenerateSlits, NegativeDepth, NoPeak,
                      NoScanTime, Singularity)
 from .geometry import CameraIntrinsics, MotionState, Pose, project_perspective
 from .shutter import (ShutterParams, drift_per_row, limit_line, normalized_scan,
-                      project_rolling_shutter, validate_frame_timing)
+                      solve_scan_times, validate_frame_timing)
 from .xslit import backproject, compute_slits, line_line_distance
 from .flow import flow_finite_difference, flow_rolling_shutter
 
@@ -120,7 +120,10 @@ class RunConfig:
             raise ConfigError(f"{section}.{key} must be a number") from None
 
     def get_int(self, section: str, key: str) -> int:
-        return int(round(self.get_float(section, key)))
+        value = self.get_float(section, key)
+        if not value.is_integer():
+            raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        return int(value)
 
     def get_floats(self, section: str, key: str) -> list[float]:
         text = self.get(section, key).replace(",", " ")
@@ -212,9 +215,9 @@ def cmd_project(config: RunConfig, args) -> int:
     lines.append(f"# limit_line_z_min_m = {z_min:.10g}")
     lines.append("x,y,z,u_perspective,v_perspective,u_rs,v_rs,scan_time_s,"
                  "correction_px,drift_px_per_row,safe")
-    for point in points:
-        rs = project_rolling_shutter(point, motion, intrinsics, shutter,
-                                     exact=args.exact)
+    result = solve_scan_times(points, motion, intrinsics, shutter, exact=args.exact)
+    for i, point in enumerate(points):
+        rs = result.projection(i, intrinsics)
         persp = project_perspective(point, intrinsics.K @ np.column_stack(
             [motion.pose0.rotation, motion.pose0.translation]))
         drift = drift_per_row(point, motion, intrinsics, shutter)
@@ -468,12 +471,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(args.config, args.set)
         return args.func(config, args)
+    except (NoScanTime, NegativeDepth, Singularity, DegenerateSlits, NoPeak,
+            np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NoScanTime, NegativeDepth, Singularity, DegenerateSlits, NoPeak) as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

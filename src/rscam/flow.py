@@ -41,9 +41,7 @@ class FlowVector:
 
 
 def _require_fronto_parallel(motion: MotionState) -> None:
-    v = motion.linear_velocity
-    w = motion.angular_velocity
-    if v[2] != 0.0 or w[0] != 0.0 or w[1] != 0.0:
+    if not motion.is_fronto_parallel:
         raise ValueError("flow is defined for fronto-parallel motion only")
 
 

@@ -179,6 +179,12 @@ class MotionState:
                 and np.all(np.isfinite(self.angular_velocity))):
             raise ValueError("velocities must be finite")
 
+    @property
+    def is_fronto_parallel(self) -> bool:
+        """v_z = 0 and rotation only about the optical axis."""
+        v, w = self.linear_velocity, self.angular_velocity
+        return bool(v[2] == 0.0 and w[0] == 0.0 and w[1] == 0.0)
+
     def pose_at(self, t: float, linearized: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(R(t), T(t)); linearized replaces exp(hat(w) t) with I + t*hat(w)."""
         r0 = self.pose0.rotation

@@ -15,9 +15,8 @@ import math
 
 import numpy as np
 
-from .errors import NoScanTime, Singularity
 from .geometry import CameraIntrinsics, MotionState, Pose
-from .shutter import ShutterParams, project_rolling_shutter
+from .shutter import NO_SCAN_TIME, SINGULARITY, ShutterParams, solve_scan_times
 
 
 def spin_motion(omega_z_rev_s: float) -> MotionState:
@@ -70,46 +69,37 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     motion = spin_motion(omega_z_rev_s)
     half = 0.5 * squares * square_size
     coords = np.linspace(-half, half, squares + 1)
-
-    def project(x, y):
-        try:
-            rs = project_rolling_shutter((x, y, plane_depth), motion, intrinsics,
-                                         shutter, exact=True)
-            return rs.pixel
-        except (NoScanTime, Singularity):
-            return None
-
-    corners = []
-    for gy in coords:
-        for gx in coords:
-            pixel = project(gx, gy)
-            if pixel is not None:
-                corners.append(pixel)
-
-    polylines = []
-    max_deflection = 0.0
-    ts = np.linspace(0.0, 1.0, samples_per_edge)
+    ts = -half + 2 * half * np.linspace(0.0, 1.0, samples_per_edge)
+    # Corners row by row, then each grid line sampled along its length.
+    board = [(gx, gy) for gy in coords for gx in coords]
+    lines = []
     for fixed in coords:
         for horizontal in (True, False):
-            line = []
-            for t in ts:
-                x = -half + 2 * half * t if horizontal else fixed
-                y = fixed if horizontal else -half + 2 * half * t
-                pixel = project(x, y)
-                if pixel is not None:
-                    line.append(pixel)
-            if len(line) < 3:
-                continue
-            pts = np.array(line)
-            polylines.append(pts)
-            a, b = pts[0], pts[-1]
-            chord = b - a
-            norm = np.linalg.norm(chord)
-            if norm < 1e-9:
-                continue
-            normal = np.array([-chord[1], chord[0]]) / norm
-            deflection = float(np.max(np.abs((pts - a) @ normal)))
-            max_deflection = max(max_deflection, deflection)
+            lines.append(range(len(board), len(board) + len(ts)))
+            board.extend((t, fixed) if horizontal else (fixed, t) for t in ts)
+    points = np.column_stack([np.array(board), np.full(len(board), plane_depth)])
+    result = solve_scan_times(points, motion, intrinsics, shutter, exact=True)
+    # Points the frame misses are left out; a point behind the camera raises.
+    missed = np.isin(result.reason, (NO_SCAN_TIME, SINGULARITY))
+    pixels = [None if missed[i] else result.projection(i, intrinsics).pixel
+              for i in range(len(board))]
+    corners = [p for p in pixels[:len(coords) ** 2] if p is not None]
+    polylines = []
+    max_deflection = 0.0
+    for indices in lines:
+        line = [pixels[i] for i in indices if pixels[i] is not None]
+        if len(line) < 3:
+            continue
+        pts = np.array(line)
+        polylines.append(pts)
+        a, b = pts[0], pts[-1]
+        chord = b - a
+        norm = np.linalg.norm(chord)
+        if norm < 1e-9:
+            continue
+        normal = np.array([-chord[1], chord[0]]) / norm
+        deflection = float(np.max(np.abs((pts - a) @ normal)))
+        max_deflection = max(max_deflection, deflection)
     return np.array(corners), polylines, max_deflection
 
 

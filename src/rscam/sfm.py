@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import (CameraIntrinsics, MotionState, Pose, rotation_exp,
                        rotation_log)
-from .shutter import ShutterParams, project_rolling_shutter
+from .shutter import ShutterParams, solve_scan_times
 
 RS_MODEL = "rolling_shutter"
 PERSPECTIVE_MODEL = "perspective"
@@ -121,65 +121,19 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
-def _fronto_parallel(motion: MotionState) -> bool:
-    v, w = motion.linear_velocity, motion.angular_velocity
-    return v[2] == 0.0 and w[0] == 0.0 and w[1] == 0.0
-
-
 def _rs_pixels(points: np.ndarray, motion: MotionState, intrinsics: CameraIntrinsics,
                shutter: ShutterParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized closed-form rolling-shutter projection (linearized motion).
 
-    Returns (pixels (N,2), scan times (N,), finite-and-in-front mask).
-    Fronto-parallel motion takes the linear branch; any other constant
-    velocity solves the per-point quadratic, keeping the smallest valid
-    root.  Scan times are not clipped to the frame window; callers that need
+    Returns (pixels (N,2), scan times (N,), imaged mask).  Scan times come
+    from `solve_scan_times` without the frame window: callers that need
     in-frame visibility must test the window themselves.
     """
-    pose = motion.pose0
-    rx = points @ pose.rotation.T
-    y = rx + pose.translation
-    vel = motion.linear_velocity
-    omega = motion.angular_velocity
-    w = np.cross(omega, rx) + vel
-    fy, cy = intrinsics.focal_y, intrinsics.center_y
-    r, v0 = shutter.scan_rate, shutter.first_row
-    # Scan-time constraint a t^2 + b t + c = 0 per point.
-    a = r * w[:, 2]
-    b = r * y[:, 2] - v0 * w[:, 2] - (fy * w[:, 1] + cy * w[:, 2])
-    c = -(v0 * y[:, 2] + fy * y[:, 1] + cy * y[:, 2])
-    ok = y[:, 2] > 1e-9
-    if np.all(a == 0.0):
-        ok &= np.abs(b) > 1e-9 * fy
-        t_c = -c / np.where(ok, b, 1.0)
-    else:
-        disc = b * b - 4.0 * a * c
-        linear = np.abs(a) < 1e-12 * np.maximum(1.0, np.abs(b))
-        ok &= linear | (disc >= 0.0)
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        sign_b = np.where(b >= 0.0, 1.0, -1.0)
-        q = -0.5 * (b + sign_b * sq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root1 = np.where(a != 0.0, q / np.where(a != 0.0, a, 1.0), np.inf)
-            root2 = np.where(q != 0.0, c / np.where(q != 0.0, q, 1.0), np.inf)
-            t_lin = -c / np.where(b != 0.0, b, 1.0)
-        lo = np.minimum(root1, root2)
-        hi = np.maximum(root1, root2)
-        # Smallest nonnegative root with positive capture depth, matching the
-        # scalar solver's choice; else the other root.
-        slack = 1e-12
-        lo_valid = (lo >= -slack) & (y[:, 2] + lo * w[:, 2] > 1e-9) & np.isfinite(lo)
-        hi_valid = (hi >= -slack) & (y[:, 2] + hi * w[:, 2] > 1e-9) & np.isfinite(hi)
-        t_quad = np.where(lo_valid, lo, hi)
-        ok &= linear | lo_valid | hi_valid
-        t_c = np.where(linear, t_lin, t_quad)
-        ok &= np.isfinite(t_c)
-        t_c = np.where(ok, t_c, 0.0)
-    p = y + t_c[:, None] * w
-    ok &= p[:, 2] > 1e-9
-    q_px = p @ intrinsics.K.T
+    result = solve_scan_times(points, motion, intrinsics, shutter, windowed=False)
+    ok = result.ok
+    q_px = result.capture @ intrinsics.K.T
     depth = np.where(ok, q_px[:, 2], 1.0)
-    return q_px[:, :2] / depth[:, None], t_c, ok
+    return q_px[:, :2] / depth[:, None], result.t, ok
 
 
 def _perspective_pixels(points: np.ndarray, pose: Pose,

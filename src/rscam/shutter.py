@@ -1,4 +1,4 @@
-"""Rolling-shutter projection: scan-time constraint, solvers, and closed forms.
+"""Rolling-shutter projection: the scan-time constraint and its one solver.
 
 A rolling-shutter sensor exposes one pixel row at a time.  For a frame whose
 exposure starts at t0, the row being scanned at frame-local time t is
@@ -13,7 +13,10 @@ the scanline, i.e. at the scan time t_c solving
 
 where P(t) = K [R(t) | T(t)].  Depending on the motion and on whether P(t) is
 linearized in t, this constraint is linear, quadratic, or fully nonlinear in
-t_c; `classify_case` picks the branch and `solve_scan_time` solves it.
+t_c (`classify_case`).  One batched kernel, `solve_scan_times`, solves it for
+N points: linearized, in closed form; exact, by brackets on a fixed sample
+grid over the frame window, refined together by the Illinois method.  The
+scalar `solve_scan_time` and `project_rolling_shutter` are a batch of one.
 
 For fronto-parallel motion (v_z = 0, omega about the optical axis only) the
 constraint is linear and the captured image point has a closed form equal to
@@ -35,10 +38,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeDepth, NoScanTime, Singularity
-from .geometry import CameraIntrinsics, MotionState, hat, rotation_exp
+from .geometry import CameraIntrinsics, MotionState, hat
 
-DEPTH_EPS = 1e-12
-SINGULARITY_EPS = 1e-12
+DEPTH_EPS = 1e-9            # depth at or below which a point is behind the camera
+SINGULARITY_EPS = 1e-9      # |b| / f_y at or below which a linear constraint is singular
+EXACT_SAMPLES = 129         # bracketing grid of the exact model over the frame window
+EXACT_BLOCK = 64            # points per block of that grid, to bound its memory
+EXACT_MAX_STEPS = 100       # Illinois steps per bracket
+
+_UNIT_SAMPLES = np.linspace(0.0, 1.0, EXACT_SAMPLES)
+
+# Reason codes of ScanTimes.reason; REASONS gives each failure's error type.
+IMAGED, NO_SCAN_TIME, NEGATIVE_DEPTH, SINGULARITY = range(4)
+REASONS = (None, NoScanTime, NegativeDepth, Singularity)
 
 
 @dataclass(frozen=True)
@@ -133,31 +145,52 @@ def classify_case(motion: MotionState, exact: bool = False) -> ScanTimeCase:
     """
     if exact:
         return ScanTimeCase.EXACT_NONLINEAR
+    if motion.is_fronto_parallel:
+        return ScanTimeCase.FRONTO_PARALLEL_LINEAR
     v = motion.linear_velocity
     w = motion.angular_velocity
-    if v[2] == 0.0 and w[0] == 0.0 and w[1] == 0.0:
-        return ScanTimeCase.FRONTO_PARALLEL_LINEAR
     if v[0] == 0.0 and v[1] == 0.0 and np.all(w == 0.0):
         return ScanTimeCase.AXIAL_QUADRATIC
     return ScanTimeCase.GENERAL_QUADRATIC
 
 
-def _linear_motion(point, motion: MotionState) -> tuple[np.ndarray, np.ndarray]:
-    """Camera-frame path p(tau) = Y + tau * W of a static point, linearized."""
-    x = np.asarray(point, dtype=float).reshape(-1)[:3]
+def _linear_path(x: np.ndarray, motion: MotionState,
+                 frame_start: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized camera-frame path y + t w of points (N, 3), y at frame_start."""
     pose = motion.pose0
-    rx = pose.rotation @ x
-    y = rx + pose.translation
-    w = np.cross(motion.angular_velocity, rx) + motion.linear_velocity
-    return y, w
+    rx = x @ pose.rotation.T
+    w = rx @ hat(motion.angular_velocity).T + motion.linear_velocity
+    return rx + pose.translation + frame_start * w, w
 
 
-def _exact_point(point, motion: MotionState, tau: float) -> np.ndarray:
-    """Camera-frame position at absolute time tau under the exact model."""
-    x = np.asarray(point, dtype=float).reshape(-1)[:3]
-    rx = motion.pose0.rotation @ x
-    return rotation_exp(motion.angular_velocity, tau) @ rx \
-        + motion.pose0.translation + motion.linear_velocity * tau
+def _exact_path(x: np.ndarray, motion: MotionState):
+    """at(tau, rows, cols): exact camera-frame positions of static points (N, 3).
+
+    The camera turns about a fixed axis n, so R(tau) R0 x = rx + sin(theta) k1
+    + (1 - cos theta) k2 with theta = |omega| tau, k1 = n x rx, k2 = n x k1.
+    tau broadcasts against the selected rows and coordinate columns.
+    """
+    rx = x @ motion.pose0.rotation.T
+    base = rx + motion.pose0.translation
+    v = motion.linear_velocity
+    speed = float(np.linalg.norm(motion.angular_velocity))
+    axis = hat(motion.angular_velocity / speed) if speed > 0.0 else np.zeros((3, 3))
+    k1 = rx @ axis.T
+    k2 = k1 @ axis.T
+
+    def at(tau, rows=slice(None), cols=slice(None)):
+        p = base[rows, cols] + tau * v[cols]
+        if speed == 0.0:
+            return p
+        theta = speed * tau
+        return (p + np.sin(theta) * k1[rows, cols]
+                + (1.0 - np.cos(theta)) * k2[rows, cols])
+
+    return at
+
+
+def _points(points) -> np.ndarray:
+    return np.atleast_2d(np.asarray(points, dtype=float))[:, :3]
 
 
 def constraint_residual(point, motion: MotionState, intrinsics: CameraIntrinsics,
@@ -167,171 +200,12 @@ def constraint_residual(point, motion: MotionState, intrinsics: CameraIntrinsics
 
     A root in t is a valid scan time for the frame starting at t0.
     """
-    tau = frame_start + t
-    if linearized:
-        y, w = _linear_motion(point, motion)
-        p = y + tau * w
-    else:
-        p = _exact_point(point, motion, tau)
+    x, tau = _points(point), frame_start + t
+    p = _linear_path(x, motion, tau)[0][0] if linearized else _exact_path(x, motion)(tau)[0]
     if p[2] <= DEPTH_EPS:
         raise NegativeDepth(f"point depth {p[2]:.3e} at t={t:.6e}")
     row = (intrinsics.focal_y * p[1] + intrinsics.center_y * p[2]) / p[2]
     return row - (shutter.scan_rate * t - shutter.first_row)
-
-
-def _quadratic_coeffs(point, motion, intrinsics, shutter, frame_start):
-    """Coefficients (a, b, c) of the scan-time constraint a t^2 + b t + c = 0."""
-    y, w = _linear_motion(point, motion)
-    fy, cy = intrinsics.focal_y, intrinsics.center_y
-    r, v0, t0 = shutter.scan_rate, shutter.first_row, frame_start
-    g = fy * w[1] + cy * w[2]
-    l0 = fy * y[1] + cy * y[2]
-    a = r * w[2]
-    b = r * y[2] + (r * t0 - v0) * w[2] - g
-    c = -(v0 * y[2] + v0 * t0 * w[2] + l0 + t0 * g)
-    return a, b, c, y, w
-
-
-def _in_window(t: float, t_max: float) -> bool:
-    slack = 1e-12 * max(1.0, t_max)
-    return -slack <= t <= t_max + slack
-
-
-def _check_window_depth(y, w, t_max, t0):
-    """Raise NegativeDepth when the point reaches the camera plane in-window."""
-    depth_start = y[2] + t0 * w[2]
-    depth_end = y[2] + (t0 + t_max) * w[2]
-    if min(depth_start, depth_end) <= DEPTH_EPS:
-        raise NegativeDepth("point crosses the camera plane inside the frame window")
-
-
-def _solve_linear(a, b, c, y, w, t_max, t0, fy, singularity_eps, windowed=True):
-    den_normalized = b / fy
-    if abs(den_normalized) < singularity_eps:
-        raise Singularity("point moves with the scanline (vanishing denominator)")
-    t_c = -c / b
-    if windowed:
-        if not _in_window(t_c, t_max):
-            _check_window_depth(y, w, t_max, t0)
-            raise NoScanTime(f"scan time {t_c:.6e} outside frame window [0, {t_max:.6e}]")
-        t_c = max(0.0, min(t_c, t_max))
-    depth = y[2] + (t0 + t_c) * w[2]
-    if depth <= DEPTH_EPS:
-        raise NegativeDepth(f"depth {depth:.3e} at scan time")
-    return t_c, False
-
-
-def _solve_quadratic(a, b, c, y, w, t_max, t0, fy, singularity_eps):
-    if a == 0.0:
-        return _solve_linear(a, b, c, y, w, t_max, t0, fy, singularity_eps)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        _check_window_depth(y, w, t_max, t0)
-        raise NoScanTime("scanline never meets the point (negative discriminant)")
-    sq = math.sqrt(disc)
-    # Cancellation-free quadratic roots.
-    q = -0.5 * (b + math.copysign(sq, b if b != 0.0 else 1.0))
-    roots = [q / a, c / q] if q != 0.0 else [0.0, 0.0]
-    candidates = sorted(t for t in roots if _in_window(t, t_max))
-    valid = [t for t in candidates if y[2] + (t0 + t) * w[2] > DEPTH_EPS]
-    if not valid:
-        if candidates:
-            raise NegativeDepth("point is behind the camera at every in-window root")
-        _check_window_depth(y, w, t_max, t0)
-        raise NoScanTime(f"no root inside frame window [0, {t_max:.6e}]")
-    second = len(valid) > 1 and abs(valid[1] - valid[0]) > 1e-12 * max(1.0, t_max)
-    t_c = valid[0]
-    return max(0.0, min(t_c, t_max)), second
-
-
-def _solve_nonlinear(point, motion, intrinsics, shutter, t_max, frame_start,
-                     n_samples: int = 129, max_bisect: int = 100):
-    """Bracket the exact-model residual over the frame window and bisect."""
-
-    def residual_or_none(t):
-        p = _exact_point(point, motion, frame_start + t)
-        if p[2] <= DEPTH_EPS:
-            return None
-        row = (intrinsics.focal_y * p[1] + intrinsics.center_y * p[2]) / p[2]
-        return row - (shutter.scan_rate * t - shutter.first_row)
-
-    ts = np.linspace(0.0, t_max, n_samples)
-    values = [residual_or_none(t) for t in ts]
-    saw_bad_depth = any(v is None for v in values)
-
-    roots = []
-    for i in range(n_samples - 1):
-        f_lo, f_hi = values[i], values[i + 1]
-        if f_lo is None or f_hi is None:
-            continue
-        if f_lo == 0.0:
-            roots.append(float(ts[i]))
-            continue
-        if f_lo * f_hi > 0.0:
-            continue
-        lo, hi = float(ts[i]), float(ts[i + 1])
-        depth_failed = False
-        for _ in range(max_bisect):
-            mid = 0.5 * (lo + hi)
-            f_mid = residual_or_none(mid)
-            if f_mid is None:
-                saw_bad_depth = depth_failed = True
-                break
-            if f_mid == 0.0 or hi - lo < 1e-18 * max(1.0, t_max):
-                lo = hi = mid
-                break
-            if f_lo * f_mid < 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        if not depth_failed:
-            roots.append(0.5 * (lo + hi))
-    if values[-1] == 0.0:
-        roots.append(float(ts[-1]))
-
-    roots = sorted(set(roots))
-    if not roots:
-        if saw_bad_depth:
-            raise NegativeDepth("point crosses the camera plane inside the frame window")
-        raise NoScanTime(f"no root inside frame window [0, {t_max:.6e}]")
-    merged = [roots[0]]
-    for t in roots[1:]:
-        if t - merged[-1] > 1e-9 * max(1.0, t_max):
-            merged.append(t)
-    return merged[0], len(merged) > 1
-
-
-def _solve(point, motion, intrinsics, shutter, case, frame_start, singularity_eps,
-           windowed=True):
-    t_max = shutter.scan_duration(intrinsics.height)
-    if case is ScanTimeCase.EXACT_NONLINEAR:
-        return _solve_nonlinear(point, motion, intrinsics, shutter, t_max, frame_start)
-    a, b, c, y, w = _quadratic_coeffs(point, motion, intrinsics, shutter, frame_start)
-    fy = intrinsics.focal_y
-    if case is ScanTimeCase.FRONTO_PARALLEL_LINEAR:
-        return _solve_linear(a, b, c, y, w, t_max, frame_start, fy, singularity_eps,
-                             windowed=windowed)
-    if not windowed:
-        raise ValueError("unwindowed scan times are supported only for the "
-                         "fronto-parallel closed form")
-    return _solve_quadratic(a, b, c, y, w, t_max, frame_start, fy, singularity_eps)
-
-
-def solve_scan_time(point, motion: MotionState, intrinsics: CameraIntrinsics,
-                    shutter: ShutterParams, case: ScanTimeCase | None = None,
-                    frame_start: float = 0.0,
-                    singularity_eps: float = SINGULARITY_EPS) -> float:
-    """Scan time of a world point inside the frame window [0, n_rows/|r|].
-
-    The quadratic branches return the smallest in-window root.  Raises
-    NoScanTime when the point is not imaged this frame, NegativeDepth when it
-    sits at or behind the camera plane, and Singularity when it moves with
-    the scanline.
-    """
-    if case is None:
-        case = classify_case(motion)
-    t_c, _ = _solve(point, motion, intrinsics, shutter, case, frame_start, singularity_eps)
-    return t_c
 
 
 def _project(p: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -341,45 +215,212 @@ def _project(p: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     return q[:2] / q[2]
 
 
+@dataclass(frozen=True)
+class ScanTimes:
+    """Per-point result of `solve_scan_times` for N points.
+
+    reason[i] indexes REASONS, the error a scalar call raises for point i
+    (IMAGED: none; t[i] is 0 otherwise).  start and capture are camera-frame
+    positions (N, 3) at the frame start and at the scan time.
+    """
+
+    t: np.ndarray
+    reason: np.ndarray
+    caught_twice: np.ndarray
+    start: np.ndarray
+    capture: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.reason == IMAGED
+
+    def check(self, i: int) -> None:
+        """Raise the documented error of point i, if it is not imaged."""
+        error = REASONS[self.reason[i]]
+        if error is not None:
+            raise error(error.__doc__)
+
+    def projection(self, i: int, intrinsics: CameraIntrinsics) -> RsProjection:
+        """Image of point i, or its documented error."""
+        self.check(i)
+        pixel = _project(self.capture[i], intrinsics)
+        reference = _project(self.start[i], intrinsics)
+        return RsProjection(pixel=pixel, scan_time=float(self.t[i]),
+                            perspective_part=reference, correction=pixel - reference,
+                            caught_twice=bool(self.caught_twice[i]))
+
+
+def solve_scan_times(points, motion: MotionState, intrinsics: CameraIntrinsics,
+                     shutter: ShutterParams, exact: bool = False,
+                     frame_start: float = 0.0, windowed: bool = True) -> ScanTimes:
+    """Scan times of N world points (N, 3) in the frame starting at frame_start.
+
+    The one scan-time kernel: the smallest root inside the frame window
+    [0, n_rows/|r|] at which the point is in front of the camera, from the
+    linearized constraint in closed form or, with exact=True, from the exact
+    one.  windowed=False (closed form only) drops the window's upper end and
+    asks that the point be in front of the camera at the frame start; a
+    linear root then counts wherever it falls, since the zero-offset row
+    convention of the flow equations scans rows above the principal point at
+    negative times.
+    """
+    x = _points(points)
+    t_max = shutter.scan_duration(intrinsics.height)
+    if exact:
+        at = _exact_path(x, motion)
+        t, reason, twice = _exact_roots(at, len(x), intrinsics, shutter,
+                                        frame_start, t_max)
+        start = at(frame_start)
+        capture = at((frame_start + t)[:, None])
+    else:
+        start, w = _linear_path(x, motion, frame_start)
+        t, reason, twice = _closed_form_roots(start, w, intrinsics, shutter,
+                                              t_max, windowed)
+        capture = start + t[:, None] * w
+    return ScanTimes(t, reason, twice, start, capture)
+
+
+def _closed_form_roots(y, w, intrinsics, shutter, t_max, windowed):
+    """Scan times of the linearized paths y + t w: (t, reason, caught_twice)."""
+    fy, cy = intrinsics.focal_y, intrinsics.center_y
+    r, v0 = shutter.scan_rate, shutter.first_row
+    # The row (fy p_y + cy p_z) / p_z of p = y + t w meets r t - v0 where
+    # a t^2 + b t + c = 0.
+    a = r * w[:, 2]
+    b = r * y[:, 2] - v0 * w[:, 2] - (fy * w[:, 1] + cy * w[:, 2])
+    c = -(v0 * y[:, 2] + fy * y[:, 1] + cy * y[:, 2])
+    linear = a == 0.0
+    singular = linear & (np.abs(b) <= SINGULARITY_EPS * fy)
+    # A root that does not exist (singular, or complex) is NaN.
+    t_lin = -c / np.where(singular, np.nan, b)
+    if linear.all():
+        lo = hi = t_lin
+    else:
+        disc = b * b - 4.0 * a * c
+        # Cancellation-free roots; a linear constraint has its one root twice.
+        q = -0.5 * (b + np.copysign(np.sqrt(np.where(disc >= 0.0, disc, np.nan)),
+                                    np.where(b != 0.0, b, 1.0)))
+        r1 = np.where(linear, t_lin, q / np.where(linear, 1.0, a))
+        r2 = np.where(linear | (q == 0.0), r1, c / np.where(q == 0.0, 1.0, q))
+        lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+
+    # Without the window a linear root counts wherever it falls, a quadratic
+    # one from the frame start on.
+    slack = 1e-12 * max(1.0, t_max)
+    lower = -slack if windowed else np.where(linear, -np.inf, -slack)
+    upper = t_max + slack if windowed else np.inf
+
+    def usable(t):
+        inside = (t >= lower) & (t <= upper)
+        return inside, inside & (y[:, 2] + t * w[:, 2] > DEPTH_EPS)
+
+    in_any, found = usable(lo)
+    t, twice = lo, np.zeros_like(found)
+    if hi is not lo:
+        in_hi, ok_hi = usable(hi)
+        twice = found & ok_hi & (hi - lo > 1e-12 * max(1.0, t_max))
+        t = np.where(found, lo, hi)
+        in_any, found = in_any | in_hi, found | ok_hi
+    front = y[:, 2] > DEPTH_EPS
+    if windowed:
+        front &= y[:, 2] + t_max * w[:, 2] > DEPTH_EPS
+        t = np.clip(t, 0.0, t_max)
+    else:
+        found &= front
+    reason = np.where(found, IMAGED, np.where(
+        singular, SINGULARITY, np.where(in_any | ~front, NEGATIVE_DEPTH, NO_SCAN_TIME)))
+    return np.where(found, t, 0.0), reason, twice
+
+
+def _exact_roots(at, n, intrinsics, shutter, frame_start, t_max):
+    """Scan times of the exact paths at(tau): (t, reason, caught_twice)."""
+    fy, cy = intrinsics.focal_y, intrinsics.center_y
+    r, v0 = shutter.scan_rate, shutter.first_row
+
+    def residual(t, rows):
+        p = at((frame_start + t)[..., None], rows, slice(1, 3))
+        front = p[..., 1] > DEPTH_EPS
+        row = (fy * p[..., 0] + cy * p[..., 1]) / np.where(front, p[..., 1], 1.0)
+        return row - (r * t - v0), front
+
+    # Bracket the roots on the sample grid, a block of points at a time and
+    # from the y and z coordinates only; a sample that is a root is its own
+    # bracket [a, b] with f_b = 0.
+    ts = t_max * _UNIT_SAMPLES
+    behind = np.zeros(n, dtype=bool)
+    brackets = []
+    for first in range(0, n, EXACT_BLOCK):
+        rows = slice(first, first + EXACT_BLOCK)
+        f, front = residual(ts[:, None], rows)
+        behind[rows] = ~front.all(axis=0)
+        f[~front] = np.nan
+        s, k = np.nonzero(f == 0.0)
+        brackets.append((first + k, ts[s], ts[s], f[s, k], f[s, k]))
+        s, k = np.nonzero(f[:-1] * f[1:] < 0.0)
+        brackets.append((first + k, ts[s], ts[s + 1], f[s, k], f[s + 1, k]))
+    owner, a, b, f_a, f_b = (np.concatenate(parts) for parts in zip(*brackets))
+
+    # Refine every bracket together: regula falsi with the Illinois halving of
+    # a retained end, and the midpoint when the secant point is not strictly
+    # inside.  A bracket whose path goes behind the camera is dropped.
+    alive = np.ones(len(a), dtype=bool)
+    active = f_b != 0.0
+    for _ in range(EXACT_MAX_STEPS):
+        k = np.flatnonzero(active)
+        if k.size == 0:
+            break
+        ak, bk, fak, fbk = a[k], b[k], f_a[k], f_b[k]
+        t = bk - fbk * (bk - ak) / (fbk - fak)
+        t = np.where((t - ak) * (t - bk) < 0.0, t, 0.5 * (ak + bk))
+        ft, alive[k] = residual(t, owner[k])
+        swap = ft * fbk < 0.0
+        a[k], f_a[k] = np.where(swap, bk, ak), np.where(swap, fbk, 0.5 * fak)
+        b[k], f_b[k] = t, ft
+        active[k] = alive[k] & (ft != 0.0) & (np.abs(t - a[k]) > 1e-14 * t_max)
+    behind[owner[~alive]] = True
+
+    earliest = np.full(n, np.inf)
+    latest = np.full(n, -np.inf)
+    np.minimum.at(earliest, owner[alive], b[alive])
+    np.maximum.at(latest, owner[alive], b[alive])
+    found = earliest < np.inf
+    twice = found & (latest - earliest > 1e-9 * max(1.0, t_max))
+    reason = np.where(found, IMAGED, np.where(behind, NEGATIVE_DEPTH, NO_SCAN_TIME))
+    return np.where(found, earliest, 0.0), reason, twice
+
+
+def solve_scan_time(point, motion: MotionState, intrinsics: CameraIntrinsics,
+                    shutter: ShutterParams, exact: bool = False,
+                    frame_start: float = 0.0) -> float:
+    """Scan time of a world point inside the frame window [0, n_rows/|r|].
+
+    A batch of one for `solve_scan_times`.  Raises NoScanTime when the point
+    is not imaged this frame, NegativeDepth when it sits at or behind the
+    camera plane, and Singularity when it moves with the scanline.
+    """
+    result = solve_scan_times(point, motion, intrinsics, shutter, exact=exact,
+                              frame_start=frame_start)
+    result.check(0)
+    return float(result.t[0])
+
+
 def project_rolling_shutter(point, motion: MotionState, intrinsics: CameraIntrinsics,
                             shutter: ShutterParams, exact: bool = False,
                             frame_start: float = 0.0,
-                            singularity_eps: float = SINGULARITY_EPS,
                             enforce_window: bool = True) -> RsProjection:
     """Image of a static world point in one frame of a rolling-shutter camera.
 
     Solves for the scan time, then evaluates the projection at that instant.
     Non-exact mode uses the linearized motion model, whose fronto-parallel
     branch reproduces the closed-form projection (exact whenever omega = 0);
-    exact=True keeps the full rotation exponential and a bracketing root
-    finder.  The result carries the pin-hole projection at frame start and
-    the correction that the rolling shutter adds to it.
-
-    enforce_window=False (closed form only) also returns scan times outside
-    [0, n_rows/|r|]; the zero-offset row convention used by the optical-flow
-    equations places row 0 at the principal point, so rows above it scan at
-    negative times.
+    exact=True keeps the full rotation exponential.  The result carries the
+    pin-hole projection at frame start and the correction that the rolling
+    shutter adds to it.  A batch of one for `solve_scan_times`, whose
+    windowed argument is enforce_window here.
     """
-    case = classify_case(motion, exact=exact)
-    t_c, caught_twice = _solve(point, motion, intrinsics, shutter, case,
-                               frame_start, singularity_eps,
-                               windowed=enforce_window)
-    if exact:
-        p_capture = _exact_point(point, motion, frame_start + t_c)
-        p_start = _exact_point(point, motion, frame_start)
-    else:
-        y, w = _linear_motion(point, motion)
-        p_capture = y + (frame_start + t_c) * w
-        p_start = y + frame_start * w
-    pixel = _project(p_capture, intrinsics)
-    reference = _project(p_start, intrinsics)
-    return RsProjection(
-        pixel=pixel,
-        scan_time=t_c,
-        perspective_part=reference,
-        correction=pixel - reference,
-        caught_twice=caught_twice,
-    )
+    return solve_scan_times(point, motion, intrinsics, shutter, exact=exact,
+                            frame_start=frame_start,
+                            windowed=enforce_window).projection(0, intrinsics)
 
 
 def invert_fronto_parallel(pixel, depth: float, motion: MotionState,
@@ -392,9 +433,7 @@ def invert_fronto_parallel(pixel, depth: float, motion: MotionState,
     unknown depth.  Uses the linearized motion model; the scan time is not
     clipped to the frame window, so rows outside the sensor extrapolate.
     """
-    v = motion.linear_velocity
-    w = motion.angular_velocity
-    if v[2] != 0.0 or w[0] != 0.0 or w[1] != 0.0:
+    if not motion.is_fronto_parallel:
         raise ValueError("inversion requires fronto-parallel motion")
     q = np.asarray(pixel, dtype=float).reshape(2)
     t_c = (q[1] + shutter.first_row) / shutter.scan_rate
@@ -402,8 +441,9 @@ def invert_fronto_parallel(pixel, depth: float, motion: MotionState,
     ray = np.linalg.solve(intrinsics.K, np.array([q[0], q[1], 1.0]))
     p_capture = depth * ray / ray[2]
     pose = motion.pose0
-    v_eff = v - np.cross(w, pose.translation)
-    y = np.linalg.solve(np.eye(3) + tau * hat(w), p_capture - tau * v_eff)
+    w_hat = hat(motion.angular_velocity)
+    v_eff = motion.linear_velocity - w_hat @ pose.translation
+    y = np.linalg.solve(np.eye(3) + tau * w_hat, p_capture - tau * v_eff)
     return pose.rotation.T @ (y - pose.translation)
 
 
@@ -434,7 +474,7 @@ def drift_per_row(point, motion: MotionState, intrinsics: CameraIntrinsics,
     This is |pixel optical flow| / |scan rate|; the safe region of
     `limit_line` is exactly where it stays below one pixel.
     """
-    y, w = _linear_motion(point, motion)
+    (y,), (w,) = _linear_path(_points(point), motion, 0.0)
     if y[2] <= DEPTH_EPS:
         raise NegativeDepth(f"depth {y[2]:.3e} is not positive")
     kp = intrinsics.K @ y

@@ -56,10 +56,9 @@ def compute_slits(motion: MotionState, shutter: ShutterParams) -> SlitPair:
     slits coincide as the velocity shrinks to zero, and the construction is
     undefined (DegenerateSlits) for a stationary camera, which is a pin-hole.
     """
-    v = motion.linear_velocity
-    w = motion.angular_velocity
-    if v[2] != 0.0 or np.any(w != 0.0):
+    if not motion.is_fronto_parallel or motion.angular_velocity[2] != 0.0:
         raise ValueError("slits exist only for translation parallel to the image plane")
+    v = motion.linear_velocity
     if v[0] == 0.0 and v[1] == 0.0:
         raise DegenerateSlits("stationary camera: both slits collapse to the origin")
     r = shutter.scan_rate

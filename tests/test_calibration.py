@@ -144,6 +144,14 @@ class TestFileFormats:
         assert recovered.shape == values.shape
         assert np.abs(recovered - values).max() <= 0.5 / 255.0 + 1e-12
 
+    def test_pgm_reads_16_bit_samples(self, tmp_path):
+        """maxval > 255 means two big-endian bytes per sample."""
+        samples = np.array([[0, 258, 1000], [4660, 65535, 32768]])
+        path = tmp_path / "deep.pgm"
+        path.write_bytes(b"P5\n# 16-bit\n3 2\n65535\n"
+                         + samples.astype(">u2").tobytes())
+        np.testing.assert_array_equal(read_pgm(path), samples / 65535.0)
+
     def test_estimation_survives_pgm_quantization(self, tmp_path):
         s = ShutterParams.ideal(7.5, 240)
         img = synthesize_led_image(s, 240, 48, led_hz=30.0, exposure_gradient=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rscam import cli
 from rscam.cli import main
 
 
@@ -203,3 +204,21 @@ class TestDeterminism:
         assert run_cli(capsys, "sfm-grid", "--out-dir", str(dir_b), *args)[0] == 0
         for name in ("results.csv", "plot_rotation.svg", "config_resolved.txt"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+class TestExitCodes:
+    def test_non_integral_count_is_config_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sfm-grid", "--out-dir", str(tmp_path),
+                               "--set", "sfm.trials=2.6")
+        assert code == 1
+        assert "sfm.trials must be an integer" in err
+
+    def test_singular_solve_is_numerical_failure(self, capsys, monkeypatch):
+        """LinAlgError subclasses ValueError but is a numerical failure."""
+        def singular(config, args):
+            np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+        monkeypatch.setattr(cli, "cmd_flow", singular)
+        code, _, err = run_cli(capsys, "flow")
+        assert code == 2
+        assert "LinAlgError" in err

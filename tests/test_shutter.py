@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rscam.errors import NegativeDepth, NoScanTime, Singularity
-from rscam.geometry import CameraIntrinsics, MotionState, Pose, rotation_exp
-from rscam.shutter import (RsProjection, ScanTimeCase, ShutterParams, classify_case,
-                           constraint_residual, correction_magnitude, drift_per_row,
-                           invert_fronto_parallel, limit_line, normalized_scan,
-                           project_rolling_shutter, solve_scan_time,
-                           validate_frame_timing)
+from rscam.geometry import (CameraIntrinsics, MotionState, Pose, camera_matrix_at,
+                            rotation_exp)
+from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
+                           ShutterParams, classify_case, constraint_residual,
+                           correction_magnitude, drift_per_row, invert_fronto_parallel,
+                           limit_line, normalized_scan, project_rolling_shutter,
+                           solve_scan_time, solve_scan_times, validate_frame_timing)
 
 from conftest import bisect_scan_time, scanline_residual
 
@@ -175,8 +177,7 @@ class TestSolveScanTime:
                             rng.uniform(-1, 1, 3))
             x = [rng.uniform(-0.2, 0.2), rng.uniform(0.1, 0.5), rng.uniform(1.0, 3.0)]
             try:
-                t_c = solve_scan_time(x, m, normalized_camera, shutter10,
-                                      case=ScanTimeCase.EXACT_NONLINEAR)
+                t_c = solve_scan_time(x, m, normalized_camera, shutter10, exact=True)
             except NoScanTime:
                 continue
             oracle = bisect_scan_time(x, m, normalized_camera, shutter10,
@@ -196,9 +197,8 @@ class TestSolveScanTime:
                 m = MotionState(Pose.identity(), rng.uniform(-1, 1, 3),
                                 rng.uniform(-1, 1, 3))
             x = [rng.uniform(-0.3, 0.3), rng.uniform(0.05, 0.6), rng.uniform(0.5, 4)]
-            case = classify_case(m)
             try:
-                t_c = solve_scan_time(x, m, normalized_camera, shutter10, case=case)
+                t_c = solve_scan_time(x, m, normalized_camera, shutter10)
             except (NoScanTime, NegativeDepth, Singularity):
                 continue
             solved += 1
@@ -470,3 +470,120 @@ class TestSafeRegion:
         z_min = limit_line(s, k, 1.0)
         drift = drift_per_row([0.0, 0.0, z_min], m, k, s)
         assert abs(drift - 1.0) < 0.1
+
+
+# Property tests of the batched kernel.  derandomize keeps every run on the
+# same examples, so the suite stays deterministic.
+KERNEL_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+KERNEL_CAMERA = CameraIntrinsics.from_fov(50.0, 64, 48)
+KERNEL_SHUTTER = ShutterParams(scan_rate=48 * 30.0, first_row=3.0, framerate=30.0)
+KERNEL_T_MAX = KERNEL_SHUTTER.scan_duration(48)
+
+speeds = st.floats(-2.0, 2.0)
+velocity3 = st.tuples(speeds, speeds, speeds)
+
+
+def kernel_motion(case: ScanTimeCase, v, w) -> MotionState:
+    """A motion of the given case from velocity draws."""
+    pose = Pose(rotation_exp([0.05, -0.1, 0.02]), [0.1, -0.2, 0.3])
+    if case is ScanTimeCase.FRONTO_PARALLEL_LINEAR:
+        v, w = [v[0], v[1], 0.0], [0.0, 0.0, w[2]]
+    elif case is ScanTimeCase.AXIAL_QUADRATIC:
+        v, w = [0.0, 0.0, v[2] or 1.0], [0.0, 0.0, 0.0]
+    else:
+        v, w = [v[0], v[1], v[2] or 1.0], [w[0] or 0.5, w[1], w[2]]
+    motion = MotionState(pose, v, w)
+    if case is not ScanTimeCase.EXACT_NONLINEAR:
+        assert classify_case(motion) is case
+    return motion
+
+
+class TestScanTimeKernel:
+    @KERNEL_SETTINGS
+    @given(case=st.sampled_from(list(ScanTimeCase)), v=velocity3, w=velocity3,
+           points=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                                     st.floats(-0.5, 4.0)), min_size=1, max_size=8))
+    def test_batch_matches_single_points(self, case, v, w, points):
+        """Each point of a batch gets the result it gets alone, and the scalar
+        API raises the error its reason code names.  The batch repeats the
+        points past one block of the exact model's bracketing grid."""
+        motion = kernel_motion(case, v, w)
+        exact = case is ScanTimeCase.EXACT_NONLINEAR
+        repeats = EXACT_BLOCK // len(points) + 1
+        batch = solve_scan_times(points * repeats, motion, KERNEL_CAMERA,
+                                 KERNEL_SHUTTER, exact=exact)
+        assert batch.t.shape == batch.reason.shape == (len(points) * repeats,)
+        for i, point in enumerate(points):
+            one = solve_scan_times(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
+                                   exact=exact)
+            copies = slice(i, None, len(points))
+            assert np.all(batch.reason[copies] == one.reason[0])
+            assert np.all(batch.caught_twice[copies] == one.caught_twice[0])
+            assert np.all(np.abs(batch.t[copies] - one.t[0]) <= 1e-12 * KERNEL_T_MAX)
+            if one.ok[0]:
+                t_c = solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
+                                      exact=exact)
+                assert t_c == one.t[0]
+            else:
+                with pytest.raises(REASONS[one.reason[0]]):
+                    solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
+                                    exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_batch_carries_every_reason(self, exact):
+        """Imaged, singular, behind-the-camera and out-of-window points, and a
+        point caught twice, keep their single-point results inside a batch."""
+        k = CameraIntrinsics.normalized(width=2, height=1)
+        s = ShutterParams(scan_rate=10.0, framerate=10.0)
+        batches = [
+            (MotionState(Pose.identity(), [0, 10.0, 0], [0, 0, 0]),
+             [[0, 0.1, 2.0], [0, 0.5, 1.0], [0, 0.1, -1.0], [0, 1.5, 2.0]]),
+            (MotionState(Pose.identity(), [0, 0, -50.0], [0, 0, 0]),
+             [[0, 0.1, 3.0], [0, 0.1, 1.0]]),
+        ]
+        seen = set()
+        for motion, points in batches:
+            batch = solve_scan_times(points, motion, k, s, exact=exact)
+            for i, point in enumerate(points):
+                one = solve_scan_times(point, motion, k, s, exact=exact)
+                assert (one.reason[0], one.caught_twice[0], one.t[0]) == \
+                    (batch.reason[i], batch.caught_twice[i], batch.t[i])
+                seen.add((REASONS[batch.reason[i]], bool(batch.caught_twice[i])))
+        expected = {(None, False), (None, True), (NegativeDepth, False),
+                    (NoScanTime, False)}
+        # The exact model has no vanishing denominator.
+        assert seen == expected | ({(NoScanTime, False)} if exact else
+                                   {(Singularity, False)})
+
+    def test_unwindowed_roots(self, normalized_camera, shutter10):
+        """Without the window a linear root may fall before the frame start; a
+        quadratic one needs the point in front of the camera at the start."""
+        above = solve_scan_times([0, -0.2, 1.0], MotionState(), normalized_camera,
+                                 shutter10, windowed=False)
+        assert above.ok[0] and abs(above.t[0] + 0.02) < 1e-15
+        approaching = MotionState(Pose.identity(), [0, 0, 20.0], [0, 0, 0])
+        behind = [0, 0.1, -0.5]
+        assert solve_scan_times(behind, approaching, normalized_camera, shutter10).ok[0]
+        unwindowed = solve_scan_times(behind, approaching, normalized_camera, shutter10,
+                                      windowed=False)
+        assert REASONS[unwindowed.reason[0]] is NegativeDepth
+
+    @pytest.mark.parametrize("case", list(ScanTimeCase))
+    @KERNEL_SETTINGS
+    @given(v=velocity3, w=velocity3, column=st.floats(0.0, 64.0),
+           depth=st.floats(1.0, 5.0),
+           when=st.one_of(st.sampled_from([1e-9, 1.0 - 1e-9]), st.floats(1e-9, 1.0 - 1e-9)))
+    def test_matches_bisection_oracle(self, case, v, w, column, depth, when):
+        """A point placed on the scanline at time t* (window edges included)
+        gets the oracle's scan time, under both models."""
+        motion = kernel_motion(case, v, w)
+        linearized = case is not ScanTimeCase.EXACT_NONLINEAR
+        t_star = when * KERNEL_T_MAX
+        row = KERNEL_SHUTTER.scan_rate * t_star - KERNEL_SHUTTER.first_row
+        p = camera_matrix_at(motion, KERNEL_CAMERA, t_star, linearized=linearized)
+        point = np.linalg.solve(p[:, :3], depth * np.array([column, row, 1.0]) - p[:, 3])
+        oracle = bisect_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
+                                  linearized=linearized, n_scan=500)
+        t_c = solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
+                              exact=not linearized)
+        assert abs(t_c - oracle) <= 1e-10 * KERNEL_T_MAX
