@@ -44,6 +44,15 @@ def rotation_exp(omega, t: float = 1.0) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
 
 
+def rotation_left_jacobian(omega) -> np.ndarray:
+    """Left Jacobian J of SO(3): exp(omega + d) ~ exp(J d) exp(omega) for small d."""
+    theta = float(np.linalg.norm(omega))
+    k = hat(omega)
+    a, b = (0.5, 1.0 / 6.0) if theta < 1e-4 else (  # series, exact to O(theta^2)
+        (1.0 - math.cos(theta)) / theta ** 2, (theta - math.sin(theta)) / theta ** 3)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
 def rotation_log(rotation) -> np.ndarray:
     """Axis-angle vector of a rotation matrix (inverse of rotation_exp at t=1).
 

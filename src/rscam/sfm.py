@@ -12,7 +12,9 @@ the scan spanning the full frame period, camera row-velocity given in km/h,
 and i.i.d. Gaussian pixel noise.  Bundle adjustment is Levenberg-Marquardt
 on all reprojection residuals with camera 1 frozen and the baseline length
 held at the problem's value (gauge); the translation metric is
-direction-only, matching that gauge.
+direction-only, matching that gauge.  The Jacobian is analytic, and each
+step solves the reduced camera system, 6x6 (18x18 with velocities), left
+after eliminating the 3x3 point blocks, then back-substitutes the points.
 
 Every random quantity is drawn from a generator seeded by the caller, and
 per-trial streams in the experiment grid derive from (seed, cell, trial), so
@@ -23,15 +25,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (CameraIntrinsics, MotionState, Pose, rotation_exp,
-                       rotation_log)
-from .shutter import ShutterParams, solve_scan_times
+from .geometry import (CameraIntrinsics, MotionState, Pose, hat, rotation_exp,
+                       rotation_left_jacobian, rotation_log)
+from .shutter import ScanTimes, ShutterParams, scan_time_gradient, solve_scan_times
 
 RS_MODEL = "rolling_shutter"
 PERSPECTIVE_MODEL = "perspective"
@@ -122,18 +124,16 @@ def _seed_tuple(seed) -> tuple[int, ...]:
 
 
 def _rs_pixels(points: np.ndarray, motion: MotionState, intrinsics: CameraIntrinsics,
-               shutter: ShutterParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               shutter: ShutterParams) -> tuple[np.ndarray, ScanTimes]:
     """Vectorized closed-form rolling-shutter projection (linearized motion).
 
-    Returns (pixels (N,2), scan times (N,), imaged mask).  Scan times come
-    from `solve_scan_times` without the frame window: callers that need
-    in-frame visibility must test the window themselves.
+    Returns (pixels (N,2), the `solve_scan_times` result without the frame
+    window): callers that need in-frame visibility must test the window.
     """
     result = solve_scan_times(points, motion, intrinsics, shutter, windowed=False)
-    ok = result.ok
     q_px = result.capture @ intrinsics.K.T
-    depth = np.where(ok, q_px[:, 2], 1.0)
-    return q_px[:, :2] / depth[:, None], result.t, ok
+    depth = np.where(result.ok, q_px[:, 2], 1.0)
+    return q_px[:, :2] / depth[:, None], result
 
 
 def _perspective_pixels(points: np.ndarray, pose: Pose,
@@ -207,8 +207,8 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
     t_window = shutter.scan_duration(config.height)
     pixels, masks = [], []
     for cam in cameras:
-        uv, t_c, ok = _rs_pixels(points, cam.motion, cam.intrinsics, cam.shutter)
-        ok &= (t_c >= 0.0) & (t_c <= t_window)
+        uv, times = _rs_pixels(points, cam.motion, cam.intrinsics, cam.shutter)
+        ok = times.ok & (times.t >= 0.0) & (times.t <= t_window)
         ok &= (uv[:, 0] >= 0) & (uv[:, 0] <= config.width)
         ok &= (uv[:, 1] >= 0) & (uv[:, 1] <= config.height)
         pixels.append(uv)
@@ -293,13 +293,16 @@ class _Parametrization:
         self.baseline_norm = float(np.linalg.norm(
             problem.cameras[1].motion.pose0.translation))
 
-    def _translation(self, direction: np.ndarray) -> np.ndarray:
+    def _translation(self, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Camera 2's translation and its derivative, b / |d| (I - n n^T), by d."""
         if self.baseline_norm < 1e-12:
-            return direction
+            return direction, np.eye(3)
         norm = np.linalg.norm(direction)
         if norm < 1e-12:
-            return np.array([0.0, 0.0, self.baseline_norm])
-        return self.baseline_norm * direction / norm
+            return np.array([0.0, 0.0, self.baseline_norm]), np.zeros((3, 3))
+        n = direction / norm
+        return (self.baseline_norm * direction / norm,
+                (self.baseline_norm / norm) * (np.eye(3) - np.outer(n, n)))
 
     def pack(self, pose2: Pose, points: np.ndarray, velocities=None) -> np.ndarray:
         translation = pose2.translation
@@ -312,100 +315,135 @@ class _Parametrization:
         return np.concatenate([*head, points.ravel()])
 
     def unpack(self, x: np.ndarray):
-        pose2 = Pose(rotation_exp(x[:3]), self._translation(x[3:6]))
-        cursor = 6
+        pose2 = Pose(rotation_exp(x[:3]), self._translation(x[3:6])[0])
         velocities = None
         if self.estimate_velocities:
-            velocities = []
-            for _ in range(2):
-                velocities.append((x[cursor:cursor + 3], x[cursor + 3:cursor + 6]))
-                cursor += 6
-        points = x[cursor:].reshape(self.n_points, 3)
-        return pose2, points, velocities
+            velocities = [(x[c:c + 3], x[c + 3:c + 6]) for c in (6, 12)]
+        return pose2, x[self.n_cam:].reshape(self.n_points, 3), velocities
 
 
-def _residuals(problem: SfmProblem, model: str, pose2: Pose, points: np.ndarray,
-               velocities=None) -> np.ndarray:
+def _residuals(par: _Parametrization, model: str, x: np.ndarray):
+    """Reprojection residuals at x and their blocks: (residuals, cam_jac, point_jac).
+
+    cam_jac[k] (2 x n_cam) and point_jac[k] (2 x 3) differentiate pair k,
+    observation k (camera 1's first).  Along p = y + t w, with y = R x + T and
+    w = omega x R x + v, dp = (I + w g^T)(dy + t dw), g = dt/dy from
+    `scan_time_gradient`; the pin-hole model has t = 0.
+    """
+    problem = par.problem
+    pose2, points, velocities = par.unpack(x)
     poses = (problem.cameras[0].motion.pose0, pose2)
-    chunks = []
-    for j, cam in enumerate(problem.cameras):
+    chunks, cam_blocks, point_blocks = [], [], []
+    for j, (cam, pose) in enumerate(zip(problem.cameras, poses)):
         indices, observed = problem.observations[j]
         pts = points[indices]
         if model == PERSPECTIVE_MODEL:
-            uv, ok = _perspective_pixels(pts, poses[j], cam.intrinsics)
+            uv, ok = _perspective_pixels(pts, pose, cam.intrinsics)
         else:
-            if velocities is not None:
-                v, w = velocities[j]
-                motion = MotionState(poses[j], v, w)
-            else:
-                motion = MotionState(poses[j], cam.motion.linear_velocity,
-                                     cam.motion.angular_velocity)
-            uv, _, ok = _rs_pixels(pts, motion, cam.intrinsics, cam.shutter)
+            v, w = velocities[j] if velocities else (cam.motion.linear_velocity,
+                                                     cam.motion.angular_velocity)
+            motion = MotionState(pose, v, w)
+            uv, times = _rs_pixels(pts, motion, cam.intrinsics, cam.shutter)
+            ok = times.ok
         residual = uv - observed
-        # A point that wandered behind the camera contributes a large finite
-        # penalty instead of NaN so the optimizer can back out.
+        # A point that wandered behind the camera gets a large constant
+        # penalty instead of NaN (so the optimizer can back out) and zero rows.
         residual[~ok] = 1e4
         chunks.append(residual.ravel())
-    return np.concatenate(chunks)
+        rx = pts @ pose.rotation.T
+        if model == PERSPECTIVE_MODEL:
+            p, t, spin, chain = rx + pose.translation, np.zeros(len(pts)), np.zeros(3), np.eye(3)
+        else:
+            p, t, spin = times.capture, times.t, motion.angular_velocity
+            grad = scan_time_gradient(times, cam.intrinsics, cam.shutter)
+            chain = np.eye(3) + times.velocity[:, :, None] * grad[:, None, :]
+        k = cam.intrinsics.K
+        depth = np.where(ok, p @ k[2], 1.0)
+        pixel = (k[:2] - uv[:, :, None] * k[2]) / depth[:, None, None]
+        a = np.where(ok[:, None, None], pixel @ chain, 0.0)        # dr / d(y + t w)
+        b = a + t[:, None, None] * (a @ hat(spin))                  # dr / d(R x)
+        point_blocks.append(b @ pose.rotation)
+        cam_jac = np.zeros((len(pts), 2, par.n_cam))
+        if j == 1:
+            # d(R x) = -hat(R x) J_l(phi) d(phi), J_l the SO(3) left Jacobian.
+            cam_jac[:, :, :3] = np.cross(rx[:, None, :], b) @ rotation_left_jacobian(x[:3])
+            cam_jac[:, :, 3:6] = a @ par._translation(x[3:6])[1]
+        if par.estimate_velocities:
+            col = 6 + 6 * j     # dw = dv - hat(R x) d(omega)
+            cam_jac[:, :, col:col + 3] = t[:, None, None] * a
+            cam_jac[:, :, col + 3:col + 6] = t[:, None, None] * np.cross(rx[:, None, :], a)
+        cam_blocks.append(cam_jac)
+    return np.concatenate(chunks), np.concatenate(cam_blocks), np.concatenate(point_blocks)
 
 
-def _grouped_jacobian(fun, x: np.ndarray, n_cam: int, point_cols: np.ndarray,
-                      n_residuals: int, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian exploiting the point-block sparsity.
-
-    Camera parameters are perturbed one at a time; all points share three
-    grouped perturbations (one per coordinate) because each residual depends
-    on a single point.  point_cols[k] is the parameter column of the point
-    behind residual row k.
+class _NormalEquations:
+    """J^T J and J^T r in blocks: with Jc and Jp the camera and point columns
+    of J, cam = Jc^T [Jc | r] = [U | g_c], and point[i] = [W_i^T | g_i | V_i]
+    sums Jp^T [Jc | r | Jp] over point i's observations.
     """
-    jac = np.zeros((n_residuals, len(x)))
-    rows = np.arange(n_residuals)
-    for j in range(n_cam):
-        h = step * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
-    scale = max(1.0, float(np.max(np.abs(x[n_cam:]))) if len(x) > n_cam else 1.0)
-    h = step * scale
-    for c in range(3):
-        xp, xm = x.copy(), x.copy()
-        xp[n_cam + c::3] += h
-        xm[n_cam + c::3] -= h
-        delta = (fun(xp) - fun(xm)) / (2.0 * h)
-        jac[rows, point_cols + c] = delta
-    return jac
+
+    def __init__(self, cam_jac, point_jac, point_index, residual, n_points):
+        n_cam = cam_jac.shape[2]
+        rows = np.concatenate([cam_jac, residual.reshape(-1, 2, 1), point_jac], axis=2)
+        flat = rows.reshape(-1, n_cam + 4)
+        self.cam = flat[:, :n_cam].T @ flat[:, :n_cam + 1]
+        self.point = np.zeros((n_points, 3, n_cam + 4))
+        np.add.at(self.point, point_index, point_jac.transpose(0, 2, 1) @ rows)
+        self.gradient = np.concatenate([self.cam[:, n_cam], self.point[:, :, n_cam].ravel()])
+        self.diag = np.maximum(np.concatenate([
+            np.diag(self.cam), np.einsum("nii->ni", self.point[:, :, n_cam + 1:]).ravel()]),
+            1e-12)
+
+    def step(self, lam: float) -> np.ndarray:
+        """Solution of (J^T J + lam diag(J^T J)) delta = -g.
+
+        Eliminating the damped V_i leaves the reduced camera system
+        (U - sum W_i V_i^-1 W_i^T) d_c = -(g_c - sum W_i V_i^-1 g_i), with U
+        damped; the points follow by back-substitution.
+        """
+        n_cam = len(self.cam)
+        damping = lam * self.diag
+        v = self.point[:, :, n_cam + 1:] + damping[n_cam:].reshape(-1, 3, 1) * np.eye(3)
+        solved = np.linalg.solve(v, self.point[:, :, :n_cam + 1])   # V_i^-1 [W_i^T | g_i]
+        reduced = self.cam - np.einsum("nji,njk->ik", self.point[:, :, :n_cam], solved)
+        d_cam = np.linalg.solve(reduced[:, :n_cam] + np.diag(damping[:n_cam]),
+                                -reduced[:, n_cam])
+        d_point = -(solved[:, :, n_cam] + solved[:, :, :n_cam] @ d_cam)
+        return np.concatenate([d_cam, d_point.ravel()])
 
 
-def _levenberg_marquardt(fun, x0: np.ndarray, n_cam: int, point_cols: np.ndarray,
-                         options: BundleOptions) -> tuple[np.ndarray, int, bool, list[float]]:
+def _levenberg_marquardt(fun, x0: np.ndarray, n_cam: int, point_index: np.ndarray,
+                         options: BundleOptions):
+    """(x, residuals at x, iterations, converged, cost history) of an LM run.
+
+    fun(x) gives the residuals and their blocks (see `_residuals`), so that
+    an accepted trial point brings its Jacobian; each step solves the reduced
+    camera system.
+    """
     x = x0.copy()
-    r = fun(x)
+    r, *blocks = fun(x)
     cost = 0.5 * float(r @ r)
     history = [cost]
-    lam = None
-    nu = 2.0
-    converged = False
-    iterations = 0
+    lam, nu, converged, iterations = None, 2.0, False, 0
+    n_points = (len(x) - n_cam) // 3
     for iterations in range(1, options.max_iterations + 1):
-        jac = _grouped_jacobian(fun, x, n_cam, point_cols, len(r))
-        jtj = jac.T @ jac
-        g = jac.T @ r
+        system = _NormalEquations(*blocks, point_index, r, n_points)
+        g = system.gradient
         if float(np.max(np.abs(g))) < options.gradient_tolerance:
             converged = True
             break
-        diag = np.maximum(np.diag(jtj), 1e-12)
+        diag = system.diag
         if lam is None:
             lam = 1e-3 * float(diag.max())
         accepted = False
         while not accepted:
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -g)
+                delta = system.step(lam)
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None:
                 x_new = x + delta
-                r_new = fun(x_new)
+                r_new, *blocks_new = fun(x_new)
                 cost_new = 0.5 * float(r_new @ r_new)
                 predicted = 0.5 * float(delta @ (lam * diag * delta - g))
                 rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
@@ -414,7 +452,7 @@ def _levenberg_marquardt(fun, x0: np.ndarray, n_cam: int, point_cols: np.ndarray
             if rho > 0:
                 accepted = True
                 rel_decrease = (cost - cost_new) / max(cost, 1e-300)
-                x, r, cost = x_new, r_new, cost_new
+                x, r, blocks, cost = x_new, r_new, blocks_new, cost_new
                 history.append(cost)
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
@@ -426,10 +464,10 @@ def _levenberg_marquardt(fun, x0: np.ndarray, n_cam: int, point_cols: np.ndarray
                 if lam > 1e16:
                     # No step of any length decreases the cost: the relative
                     # decrease criterion is met with zero decrease.
-                    return x, iterations, True, history
+                    return x, r, iterations, True, history
         if converged:
             break
-    return x, iterations, converged, history
+    return x, r, iterations, converged, history
 
 
 def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,
@@ -478,20 +516,14 @@ def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,
     x0 = par.pack(pose2_init, points_init, velocities0)
 
     def fun(x):
-        pose2, points, velocities = par.unpack(x)
-        return _residuals(problem, model, pose2, points, velocities)
+        return _residuals(par, model, x)
 
-    point_cols = np.concatenate([
-        par.n_cam + 3 * np.repeat(indices, 2)
-        for indices, _ in problem.observations
-    ])
-    x_opt, iterations, converged, history = _levenberg_marquardt(
-        fun, x0, par.n_cam, point_cols, opts)
+    point_index = np.concatenate([indices for indices, _ in problem.observations])
+    x_opt, residual, iterations, converged, history = _levenberg_marquardt(
+        fun, x0, par.n_cam, point_index, opts)
 
     pose2, points, velocities = par.unpack(x_opt)
-    residual = fun(x_opt)
-    n_obs = sum(len(indices) for indices, _ in problem.observations)
-    rms = math.sqrt(float(residual @ residual) / n_obs)
+    rms = math.sqrt(float(residual @ residual) / len(point_index))
 
     rot_err, trans_err = _pose_errors(pose2_true, pose2)
     return SfmSolution(

@@ -229,6 +229,7 @@ class ScanTimes:
     caught_twice: np.ndarray
     start: np.ndarray
     capture: np.ndarray
+    velocity: np.ndarray | None = None  # w of the closed form's paths start + t w
 
     @property
     def ok(self) -> np.ndarray:
@@ -266,18 +267,32 @@ def solve_scan_times(points, motion: MotionState, intrinsics: CameraIntrinsics,
     """
     x = _points(points)
     t_max = shutter.scan_duration(intrinsics.height)
-    if exact:
-        at = _exact_path(x, motion)
-        t, reason, twice = _exact_roots(at, len(x), intrinsics, shutter,
-                                        frame_start, t_max)
-        start = at(frame_start)
-        capture = at((frame_start + t)[:, None])
-    else:
+    if not exact:
         start, w = _linear_path(x, motion, frame_start)
         t, reason, twice = _closed_form_roots(start, w, intrinsics, shutter,
                                               t_max, windowed)
-        capture = start + t[:, None] * w
-    return ScanTimes(t, reason, twice, start, capture)
+        return ScanTimes(t, reason, twice, start, start + t[:, None] * w, w)
+    at = _exact_path(x, motion)
+    t, reason, twice = _exact_roots(at, len(x), intrinsics, shutter,
+                                    frame_start, t_max)
+    return ScanTimes(t, reason, twice, at(frame_start), at((frame_start + t)[:, None]))
+
+
+def scan_time_gradient(times: ScanTimes, intrinsics: CameraIntrinsics,
+                       shutter: ShutterParams) -> np.ndarray:
+    """Gradient (N, 3) of closed-form scan times by the path starts y; t times
+    it is the gradient by the path velocities w.  Points not imaged get 0.
+
+    `_closed_form_roots` solves n(t) . (y + t w) = 0 as a t^2 + b t + c = 0,
+    with n(t) = (0, fy, cy + v0 - r t) normal to the scanline's plane, so
+    dt = -(t^2 da + t db + dc) / (2 a t + b) = n . (dy + t dw) / (r p_z - n . w).
+    """
+    t = times.t
+    normal = np.column_stack([np.zeros_like(t), np.full_like(t, intrinsics.focal_y),
+                              intrinsics.center_y + shutter.first_row - shutter.scan_rate * t])
+    slope = (shutter.scan_rate * times.capture[:, 2]
+             - np.einsum("ij,ij->i", normal, times.velocity))
+    return normal / np.where(times.ok, slope, np.inf)[:, None]
 
 
 def _closed_form_roots(y, w, intrinsics, shutter, t_max, windowed):

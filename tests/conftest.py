@@ -2,7 +2,8 @@
 
 The scan-time oracle here is deliberately independent of the solver under
 test: it evaluates the scanline-crossing residual through the generic camera
-matrix machinery and finds the root by dense scan plus plain bisection.
+matrix machinery and finds the root by dense scan plus plain bisection.  The
+Jacobian oracle takes central differences of the bundle-adjustment residuals.
 """
 
 from __future__ import annotations
@@ -47,6 +48,34 @@ def bisect_scan_time(point, motion, intrinsics, shutter, linearized=True,
                 lo, f_lo = mid, f_mid
         return 0.5 * (lo + hi)
     raise AssertionError("oracle found no scan time in the frame window")
+
+
+def grouped_jacobian(fun, x: np.ndarray, n_cam: int, point_cols: np.ndarray,
+                     n_residuals: int, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian exploiting the point-block sparsity.
+
+    Camera parameters are perturbed one at a time; all points share three
+    grouped perturbations (one per coordinate) because each residual depends
+    on a single point.  point_cols[k] is the parameter column of the point
+    behind residual row k.
+    """
+    jac = np.zeros((n_residuals, len(x)))
+    rows = np.arange(n_residuals)
+    for j in range(n_cam):
+        h = step * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(x[n_cam:]))) if len(x) > n_cam else 1.0)
+    h = step * scale
+    for c in range(3):
+        xp, xm = x.copy(), x.copy()
+        xp[n_cam + c::3] += h
+        xm[n_cam + c::3] -= h
+        delta = (fun(xp) - fun(xm)) / (2.0 * h)
+        jac[rows, point_cols + c] = delta
+    return jac
 
 
 @pytest.fixture

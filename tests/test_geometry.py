@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rscam.geometry import (CameraIntrinsics, MotionState, Pose, camera_matrix_at,
-                            hat, project_perspective, rotation_exp, rotation_log)
+                            hat, project_perspective, rotation_exp,
+                            rotation_left_jacobian, rotation_log)
 
 
 class TestHat:
@@ -47,6 +48,22 @@ class TestRotationExp:
             r = rotation_exp(rng.normal(size=3) * rng.uniform(0, 3))
             np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
+
+
+class TestRotationLeftJacobian:
+    @pytest.mark.parametrize("angle", [0.0, 3e-5, 2e-4, 0.3, 2.5])
+    def test_matches_central_differences(self, rng, angle):
+        """Columns of J are d/dd log(exp(omega + d) exp(omega)^T) at d = 0,
+        on both sides of the series threshold."""
+        axis = rng.normal(size=3)
+        omega = angle * axis / np.linalg.norm(axis)
+        base_t = rotation_exp(omega).T
+        h = 1e-6
+        numeric = np.column_stack([
+            (rotation_log(rotation_exp(omega + h * e) @ base_t)
+             - rotation_log(rotation_exp(omega - h * e) @ base_t)) / (2 * h)
+            for e in np.eye(3)])
+        np.testing.assert_allclose(rotation_left_jacobian(omega), numeric, atol=1e-8)
 
 
 class TestRotationLog:

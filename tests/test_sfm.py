@@ -1,21 +1,80 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import grouped_jacobian
+from rscam import sfm
 from rscam.errors import ConfigError
-from rscam.geometry import Pose, rotation_exp
-from rscam.sfm import (GRID_CSV_COLUMNS, PERSPECTIVE_MODEL, RS_MODEL,
+from rscam.geometry import MotionState, Pose, rotation_exp
+from rscam.sfm import (GRID_CSV_COLUMNS, MODELS, PERSPECTIVE_MODEL, RS_MODEL,
                        BundleOptions, SceneConfig, SfmSolution, bundle_adjust,
                        error_metrics, generate_problem, grid_to_csv,
-                       load_problem, run_experiment_grid, save_problem,
-                       _grouped_jacobian)
-from rscam.sfm import _perspective_pixels, _residuals
+                       load_problem, run_experiment_grid, save_problem)
+from rscam.sfm import (_initial_points, _NormalEquations, _Parametrization,
+                       _perspective_pixels, _residuals)
 
 
 @pytest.fixture(scope="module")
 def rs_problem():
     return generate_problem(SceneConfig(velocity_kmh=7.5, noise_sigma=0.0), seed=11)
+
+
+def _start(problem, estimate_velocities=False):
+    """Parametrization and the x that bundle_adjust would start LM from."""
+    par = _Parametrization(problem, estimate_velocities)
+    _, obs1 = problem.observations[0]
+    _, obs2 = problem.observations[1]
+    pose2 = problem.cameras[1].motion.pose0
+    pts = _initial_points(obs1, obs2, problem.cameras[0].motion.pose0, pose2,
+                          problem.cameras[0].intrinsics)
+    velocities = [(cam.motion.linear_velocity, cam.motion.angular_velocity)
+                  for cam in problem.cameras]
+    return par, par.pack(pose2, pts, velocities if estimate_velocities else None)
+
+
+def _point_cols(par):
+    return np.concatenate([par.n_cam + 3 * np.repeat(indices, 2)
+                           for indices, _ in par.problem.observations])
+
+
+def _dense(par, cam_jac, point_jac):
+    """The full (residuals x parameters) Jacobian assembled from its blocks."""
+    n_res = 2 * len(cam_jac)
+    jac = np.zeros((n_res, par.n_cam + 3 * par.n_points))
+    jac[:, :par.n_cam] = cam_jac.reshape(n_res, par.n_cam)
+    rows, cols = np.arange(n_res), _point_cols(par)
+    for c in range(3):
+        jac[rows, cols + c] = point_jac.reshape(n_res, 3)[:, c]
+    return jac
+
+
+def _with_motion(problem, velocity, omega):
+    cameras = tuple(replace(cam, motion=MotionState(cam.motion.pose0, velocity, omega))
+                    for cam in problem.cameras)
+    return replace(problem, cameras=cameras)
+
+
+def _assert_matches_oracle(problem, model, estimate_velocities):
+    """Analytic Jacobian equals central differences column by column, to 1e-6
+    of each column's largest entry."""
+    par, x = _start(problem, estimate_velocities)
+
+    def fun(x_):
+        return _residuals(par, model, x_)[0]
+
+    r, cam_jac, point_jac = _residuals(par, model, x)
+    assert np.all(np.abs(r) < 1e4), "every observation must be imaged"
+    analytic = _dense(par, cam_jac, point_jac)
+    oracle = grouped_jacobian(fun, x, par.n_cam, _point_cols(par), len(r))
+    for col in range(len(x)):
+        scale = float(np.max(np.abs(oracle[:, col])))
+        np.testing.assert_allclose(analytic[:, col], oracle[:, col], rtol=0,
+                                   atol=1e-6 * scale, err_msg=f"column {col}")
+    return analytic
 
 
 class TestGenerateProblem:
@@ -159,25 +218,12 @@ class TestErrorMetrics:
 class TestJacobian:
     def test_grouped_matches_dense_columns(self, rs_problem):
         """Spot-check grouped central differences against per-column ones."""
-        from rscam.sfm import _Parametrization, _initial_points
-
-        par = _Parametrization(rs_problem, estimate_velocities=False)
-        idx1, obs1 = rs_problem.observations[0]
-        _, obs2 = rs_problem.observations[1]
-        pts = _initial_points(obs1, obs2, rs_problem.cameras[0].motion.pose0,
-                              rs_problem.cameras[1].motion.pose0,
-                              rs_problem.cameras[0].intrinsics)
-        x = par.pack(rs_problem.cameras[1].motion.pose0, pts)
+        par, x = _start(rs_problem)
 
         def fun(x_):
-            pose2, points, _ = par.unpack(x_)
-            return _residuals(rs_problem, RS_MODEL, pose2, points)
+            return _residuals(par, RS_MODEL, x_)[0]
 
-        n_res = len(fun(x))
-        point_cols = np.concatenate([
-            par.n_cam + 3 * np.repeat(indices, 2)
-            for indices, _ in rs_problem.observations])
-        jac = _grouped_jacobian(fun, x, par.n_cam, point_cols, n_res)
+        jac = grouped_jacobian(fun, x, par.n_cam, _point_cols(par), len(fun(x)))
         for col in [0, 3, 5, par.n_cam + 1, par.n_cam + 30, len(x) - 1]:
             h = 1e-6 * max(1.0, abs(x[col]))
             xp, xm = x.copy(), x.copy()
@@ -189,30 +235,88 @@ class TestJacobian:
     def test_step_halving_second_order(self, rs_problem):
         """Central differences converge as h^2: D(h)/D(h/2) near 5 against
         the h/4 reference."""
-        from rscam.sfm import _Parametrization, _initial_points
-
-        par = _Parametrization(rs_problem, estimate_velocities=False)
-        idx1, obs1 = rs_problem.observations[0]
-        _, obs2 = rs_problem.observations[1]
-        pts = _initial_points(obs1, obs2, rs_problem.cameras[0].motion.pose0,
-                              rs_problem.cameras[1].motion.pose0,
-                              rs_problem.cameras[0].intrinsics)
-        x = par.pack(rs_problem.cameras[1].motion.pose0, pts)
+        par, x = _start(rs_problem)
 
         def fun(x_):
-            pose2, points, _ = par.unpack(x_)
-            return _residuals(rs_problem, RS_MODEL, pose2, points)
+            return _residuals(par, RS_MODEL, x_)[0]
 
-        n_res = len(fun(x))
-        point_cols = np.concatenate([
-            par.n_cam + 3 * np.repeat(indices, 2)
-            for indices, _ in rs_problem.observations])
-        j1 = _grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=4e-3)
-        j2 = _grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=2e-3)
-        j4 = _grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=1e-3)
+        n_res, point_cols = len(fun(x)), _point_cols(par)
+        j1 = grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=4e-3)
+        j2 = grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=2e-3)
+        j4 = grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=1e-3)
         d1 = np.linalg.norm(j1 - j4)
         d2 = np.linalg.norm(j2 - j4)
         assert 3.5 < d1 / d2 < 7.0, d1 / d2
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("estimate_velocities", [False, True])
+    def test_analytic_matches_oracle(self, rs_problem, model, estimate_velocities):
+        analytic = _assert_matches_oracle(rs_problem, model, estimate_velocities)
+        velocity_cols = analytic[:, 6:18] if estimate_velocities else analytic[:, :0]
+        # The rolling-shutter model depends on both cameras' velocities; the
+        # pin-hole model on none.
+        assert np.any(velocity_cols) == (estimate_velocities and model == RS_MODEL)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(velocity=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                              st.floats(0.5, 3.0)),
+           omega=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                           st.floats(0.1, 0.5)),
+           estimate_velocities=st.booleans())
+    def test_analytic_matches_oracle_general_motion(self, rs_problem, velocity,
+                                                    omega, estimate_velocities):
+        """omega != 0 and v_z != 0 make the scan-time constraint quadratic."""
+        problem = _with_motion(rs_problem, velocity, omega)
+        _assert_matches_oracle(problem, RS_MODEL, estimate_velocities)
+
+    @pytest.mark.parametrize("estimate_velocities", [False, True])
+    def test_reduced_camera_step_equals_dense_solve(self, rs_problem,
+                                                    estimate_velocities):
+        problem = _with_motion(rs_problem, [0.2, 2.0, 0.4], [0.05, -0.1, 0.2])
+        par, x = _start(problem, estimate_velocities)
+        r, cam_jac, point_jac = _residuals(par, RS_MODEL, x)
+        assert cam_jac.shape[2] == (18 if estimate_velocities else 6)
+        point_index = np.concatenate([indices for indices, _ in problem.observations])
+        system = _NormalEquations(cam_jac, point_jac, point_index, r, par.n_points)
+        jac = _dense(par, cam_jac, point_jac)
+        jtj, g = jac.T @ jac, jac.T @ r
+        diag = np.maximum(np.diag(jtj), 1e-12)
+        np.testing.assert_allclose(system.gradient, g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+        np.testing.assert_allclose(system.diag, diag, rtol=1e-12)
+        for lam in (1e-3 * diag.max(), 1e-6 * diag.max()):
+            dense = np.linalg.solve(jtj + lam * np.diag(diag), -g)
+            step = system.step(lam)
+            assert np.linalg.norm(step - dense) <= 1e-9 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_point_behind_camera_has_constant_residual_and_zero_rows(
+            self, rs_problem, model):
+        par, x = _start(rs_problem)
+        pose2 = rs_problem.cameras[1].motion.pose0
+        # One meter behind camera 2, on its optical axis.
+        x[par.n_cam:par.n_cam + 3] = pose2.viewpoint() - pose2.rotation[2]
+        r, cam_jac, point_jac = _residuals(par, model, x)
+        assert np.all(np.isfinite(r))
+        n1 = len(rs_problem.observations[0][0])
+        row = n1 + int(np.flatnonzero(rs_problem.observations[1][0] == 0)[0])
+        np.testing.assert_array_equal(r[2 * row:2 * row + 2], 1e4)
+        assert not np.any(cam_jac[row]) and not np.any(point_jac[row])
+        assert np.all(np.abs(np.delete(r.reshape(-1, 2), row, axis=0)) < 1e4)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_start_behind_camera_keeps_cost_nonincreasing(self, rs_problem, model,
+                                                          monkeypatch):
+        def behind_camera_2(obs1, obs2, pose1, pose2, intrinsics):
+            points = _initial_points(obs1, obs2, pose1, pose2, intrinsics)
+            points[0] = pose2.viewpoint() - pose2.rotation[2]
+            return points
+
+        monkeypatch.setattr(sfm, "_initial_points", behind_camera_2)
+        sol = bundle_adjust(rs_problem, model)
+        history = np.array(sol.cost_history)
+        assert len(history) >= 2 and np.all(np.isfinite(history))
+        assert np.all(np.diff(history) <= 0)
+        assert math.isfinite(sol.reprojection_rms)
 
 
 class TestExperimentGrid:

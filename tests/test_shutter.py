@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rscam.errors import NegativeDepth, NoScanTime, Singularity
 from rscam.geometry import (CameraIntrinsics, MotionState, Pose, camera_matrix_at,
-                            rotation_exp)
+                            hat, rotation_exp)
 from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
                            ShutterParams, classify_case, constraint_residual,
                            correction_magnitude, drift_per_row, invert_fronto_parallel,
                            limit_line, normalized_scan, project_rolling_shutter,
-                           solve_scan_time, solve_scan_times, validate_frame_timing)
+                           scan_time_gradient, solve_scan_time, solve_scan_times,
+                           validate_frame_timing)
 
 from conftest import bisect_scan_time, scanline_residual
 
@@ -528,6 +529,36 @@ class TestScanTimeKernel:
                 with pytest.raises(REASONS[one.reason[0]]):
                     solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
                                     exact=exact)
+
+    @KERNEL_SETTINGS
+    @given(case=st.sampled_from(list(ScanTimeCase)[:3]), v=velocity3, w=velocity3,
+           point=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(1.0, 4.0)))
+    def test_gradient_matches_central_differences(self, case, v, w, point):
+        """A world-point step dx moves the path start by dy = R dx and its
+        velocity by dw = hat(omega) R dx, so dt/dx = g^T (I + t hat(omega)) R."""
+        motion = kernel_motion(case, v, w)
+
+        def scan_times(x):
+            return solve_scan_times(x, motion, KERNEL_CAMERA, KERNEL_SHUTTER, windowed=False)
+
+        times = scan_times(point)
+        assume(times.ok[0] and times.t[0] > 1e-3 * KERNEL_T_MAX)
+        r = motion.pose0.rotation
+        analytic = scan_time_gradient(times, KERNEL_CAMERA, KERNEL_SHUTTER)[0] @ (
+            r + times.t[0] * hat(motion.angular_velocity) @ r)
+        h = 1e-6
+        steps = [(scan_times(point + h * e), scan_times(point - h * e)) for e in np.eye(3)]
+        assume(all(p.ok[0] and m.ok[0] for p, m in steps))
+        numeric = np.array([(p.t[0] - m.t[0]) / (2 * h) for p, m in steps])
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-5,
+                                   atol=1e-6 * np.abs(numeric).max())
+
+    def test_gradient_is_zero_where_not_imaged(self, normalized_camera, shutter10):
+        times = solve_scan_times([[0, 0.1, 2.0], [0, 0.1, -1.0]], MotionState(),
+                                 normalized_camera, shutter10, windowed=False)
+        assert times.ok.tolist() == [True, False]
+        gradient = scan_time_gradient(times, normalized_camera, shutter10)
+        assert np.all(gradient[1] == 0.0) and np.all(np.isfinite(gradient))
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_batch_carries_every_reason(self, exact):
