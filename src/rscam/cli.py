@@ -22,7 +22,7 @@ import numpy as np
 from . import calibration, plotsvg, render, sfm
 from .errors import (ConfigError, DegenerateSlits, NegativeDepth, NoPeak,
                      NoScanTime, Singularity)
-from .geometry import CameraIntrinsics, MotionState, Pose, project_perspective
+from .geometry import CameraIntrinsics, MotionState, Pose, project_perspective, row_dot
 from .shutter import (ShutterParams, drift_per_row, limit_line, normalized_scan,
                       solve_scan_times, validate_frame_timing)
 from .xslit import backproject, compute_slits, line_line_distance
@@ -209,27 +209,19 @@ def cmd_project(config: RunConfig, args) -> int:
     if not points:
         raise ConfigError("no input points; pass --point or --points-csv")
 
-    v_y = abs(motion.linear_velocity[1])
-    z_min = limit_line(shutter, intrinsics, v_y)
+    z_min = limit_line(shutter, intrinsics, abs(motion.linear_velocity[1]))
     lines = [f"# {c}" for c in _config_comments(config)]
     lines.append(f"# limit_line_z_min_m = {z_min:.10g}")
     lines.append("x,y,z,u_perspective,v_perspective,u_rs,v_rs,scan_time_s,"
                  "correction_px,drift_px_per_row,safe")
-    result = solve_scan_times(points, motion, intrinsics, shutter, exact=args.exact)
-    for i, point in enumerate(points):
-        rs = result.projection(i, intrinsics)
-        persp = project_perspective(point, intrinsics.K @ np.column_stack(
-            [motion.pose0.rotation, motion.pose0.translation]))
-        drift = drift_per_row(point, motion, intrinsics, shutter)
-        safe = int(drift <= 1.0)
-        lines.append(",".join([
-            f"{point[0]:.10g}", f"{point[1]:.10g}", f"{point[2]:.10g}",
-            f"{persp[0]:.10g}", f"{persp[1]:.10g}",
-            f"{rs.pixel[0]:.10g}", f"{rs.pixel[1]:.10g}",
-            f"{rs.scan_time:.10g}",
-            f"{float(np.linalg.norm(rs.correction)):.10g}",
-            f"{drift:.10g}", str(safe),
-        ]))
+    rs = solve_scan_times(points, motion, intrinsics, shutter,
+                          exact=args.exact).projection(slice(None), intrinsics)
+    persp = project_perspective(points, intrinsics.K @ np.column_stack(
+        [motion.pose0.rotation, motion.pose0.translation]))
+    rows = np.column_stack([points, persp, rs.pixel, rs.scan_time,
+                            np.sqrt(row_dot(rs.correction, rs.correction)),
+                            drift_per_row(points, motion, intrinsics, shutter)]).tolist()
+    lines.extend(",".join(f"{x:.10g}" for x in row) + f",{int(row[-1] <= 1.0)}" for row in rows)
     _write_text(Path(args.out) if args.out else None, lines)
     return 0
 
@@ -377,16 +369,21 @@ def cmd_flow(config: RunConfig, args) -> int:
 
     lines = [f"# {c}" for c in _config_comments(config)]
     lines.append("u_px,v_px,u_norm,v_norm,du_analytic,dv_analytic,du_fd,dv_fd")
-    k_inv = np.linalg.inv(intrinsics.K)
-    for v_px in np.linspace(margin * intrinsics.height, (1 - margin) * intrinsics.height, n):
-        for u_px in np.linspace(margin * intrinsics.width, (1 - margin) * intrinsics.width, n):
-            ray = k_inv @ np.array([u_px, v_px, 1.0])
-            u, v = ray[0] / ray[2], ray[1] / ray[2]
-            analytic = flow_rolling_shutter(u, v, depth, motion, shutter_norm)
-            fd = flow_finite_difference(u, v, depth, motion, shutter_norm, h=h)
-            lines.append(",".join(f"{x:.10g}" for x in
-                                  [u_px, v_px, u, v, analytic.du, analytic.dv,
-                                   fd.du, fd.dv]))
+    u_px, v_px = (a.ravel() for a in np.meshgrid(  # row by row
+        np.linspace(margin * intrinsics.width, (1 - margin) * intrinsics.width, n),
+        np.linspace(margin * intrinsics.height, (1 - margin) * intrinsics.height, n)))
+    ray = (np.linalg.inv(intrinsics.K) @ np.column_stack(
+        [u_px, v_px, np.ones_like(u_px)])[..., None])[..., 0]
+    u, v = ray[:, 0] / ray[:, 2], ray[:, 1] / ray[:, 2]
+    # The first pixel's first error, as a per-pixel loop raises it (analytic first).
+    analytic = flow_rolling_shutter(u, v, depth, motion, shutter_norm)
+    if 0 in analytic.failures:
+        raise analytic.failures[0]
+    fd = flow_finite_difference(u, v, depth, motion, shutter_norm, h=h)
+    if failures := {**fd.failures, **analytic.failures}:
+        raise failures[min(failures)]
+    lines.extend(",".join(f"{x:.10g}" for x in row) for row in np.column_stack(
+        [u_px, v_px, u, v, analytic.du, analytic.dv, fd.du, fd.dv]).tolist())
     _write_text(Path(args.out) if args.out else None, lines)
     return 0
 
@@ -403,19 +400,17 @@ def cmd_slits(config: RunConfig, args) -> int:
 
     lines = [f"# {c}" for c in _config_comments(config)]
     for name, slit in (("slit1", slits.slit1), ("slit2", slits.slit2)):
-        lines.append(f"# {name}: point=({slit.point[0]:.10g},{slit.point[1]:.10g},"
-                     f"{slit.point[2]:.10g}) direction=({slit.direction[0]:.10g},"
-                     f"{slit.direction[1]:.10g},{slit.direction[2]:.10g})")
+        point, direction = (",".join(f"{x:.10g}" for x in a) for a in (slit.point, slit.direction))
+        lines.append(f"# {name}: point=({point}) direction=({direction})")
     lines.append("u_norm,v_norm,dist_slit1,dist_slit2")
     n = config.get_int("flow", "grid")
-    max_residual = 0.0
-    for v in np.linspace(0.1, 0.9, n):
-        for u in np.linspace(0.1, 0.9, n):
-            ray = backproject((u, v), motion, shutter_norm)
-            d1 = line_line_distance(ray, slits.slit1)
-            d2 = line_line_distance(ray, slits.slit2)
-            max_residual = max(max_residual, d1, d2)
-            lines.append(f"{u:.10g},{v:.10g},{d1:.10g},{d2:.10g}")
+    u, v = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 0.9, n), np.linspace(0.1, 0.9, n)))
+    rays = backproject(np.column_stack([u, v]), motion, shutter_norm)
+    d1 = line_line_distance(rays, slits.slit1)
+    d2 = line_line_distance(rays, slits.slit2)
+    lines.extend(f"{a:.10g},{b:.10g},{c:.10g},{d:.10g}" for a, b, c, d in zip(u, v, d1, d2))
+    # The largest distance, skipping NaN as a running max(max_residual, d) does.
+    max_residual = np.fmax.reduce(np.concatenate([d1, d2]), initial=0.0)
     lines.append(f"# max_slit_residual_m = {max_residual:.10g}")
     _write_text(Path(args.out) if args.out else None, lines)
     return 0

@@ -6,6 +6,9 @@ time.  `flow_rolling_shutter` gives the analytic flow; `flow_finite_difference`
 differentiates the projection across neighboring frame start times and serves
 as its independent check.
 
+Both take (N,) arrays u, v and a depth z or (N,) depths; a scalar call is a
+batch of one through the same code that returns floats or raises its error.
+
 Everything here uses the calibrated convention: (u, v) are normalized image
 coordinates and the scan rate is in normalized rows per second (convert
 pixel-unit parameters with `shutter.normalized_scan`).  The first-row offset
@@ -17,27 +20,32 @@ defining quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import Singularity
 from .geometry import CameraIntrinsics, MotionState
-from .shutter import ShutterParams, invert_fronto_parallel, project_rolling_shutter
+from .shutter import REASONS, ShutterParams, invert_fronto_parallel, solve_scan_times
 
 SINGULARITY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class FlowVector:
-    """Image velocity (du, dv) in normalized units/second at depth z."""
+    """Image velocity (du, dv) in normalized units/second at depth z, or arrays of them."""
 
-    du: float
-    dv: float
-    depth: float
+    du: float | np.ndarray
+    dv: float | np.ndarray
+    depth: float | np.ndarray
+    failures: dict = field(default_factory=dict, compare=False, repr=False)  # index: error
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.du, self.dv])
+
+def _flow(u, du, dv, depth, failures: dict) -> FlowVector:
+    """The batch's FlowVector; a scalar query's floats, or its error."""
+    if failures and not np.ndim(u):
+        raise failures[0]
+    return FlowVector(du[()], dv[()], depth, failures)
 
 
 def _require_fronto_parallel(motion: MotionState) -> None:
@@ -45,19 +53,19 @@ def _require_fronto_parallel(motion: MotionState) -> None:
         raise ValueError("flow is defined for fronto-parallel motion only")
 
 
-def flow_perspective(u: float, v: float, z: float, motion: MotionState) -> FlowVector:
+def flow_perspective(u, v, z, motion: MotionState) -> FlowVector:
     """Pin-hole optical flow (v_x/z - w_z v, v_y/z + w_z u) at (u, v)."""
     _require_fronto_parallel(motion)
-    if z <= 0.0:
+    if np.any(np.asarray(z) <= 0.0):
         raise ValueError("depth must be positive")
     vx, vy, _ = motion.linear_velocity
     wz = motion.angular_velocity[2]
-    return FlowVector(du=vx / z - wz * v, dv=vy / z + wz * u, depth=z)
+    return _flow(u, vx / z - wz * v, vy / z + wz * u, z, {})
 
 
-def flow_rolling_shutter(u: float, v: float, z: float, motion: MotionState,
+def flow_rolling_shutter(u, v, z, motion: MotionState,
                          shutter: ShutterParams) -> FlowVector:
-    """Analytic rolling-shutter flow at image point (u, v) and depth z.
+    """Analytic rolling-shutter flow at image points (u, v) and depths z.
 
     Rescales and couples the perspective flow through the scan rate r:
 
@@ -65,47 +73,44 @@ def flow_rolling_shutter(u: float, v: float, z: float, motion: MotionState,
                    (r du_p + w_z v dv_p,  r dv_p - w_z v du_p)
 
     As r grows the result converges to the perspective flow.  Requires a
-    zero first-row offset; raises Singularity when the denominator vanishes
-    (image point moving with the scanline).
+    zero first-row offset; a point whose denominator vanishes (image point
+    moving with the scanline) fails with Singularity.
     """
     _require_fronto_parallel(motion)
     if shutter.first_row != 0.0:
         raise ValueError("analytic flow assumes a zero first-row offset")
-    if z <= 0.0:
-        raise ValueError("depth must be positive")
     vx = motion.linear_velocity[0]
     wz = motion.angular_velocity[2]
     r = shutter.scan_rate
     p = flow_perspective(u, v, z, motion)
     den = v * vx * wz + r * z * (r - p.dv)
-    scale = max(1.0, abs(r * r * z))
-    if abs(den) < SINGULARITY_EPS * scale:
-        raise Singularity("flow denominator vanishes (point moving with the scanline)")
-    factor = r * z / den
-    return FlowVector(
-        du=factor * (r * p.du + wz * v * p.dv),
-        dv=factor * (r * p.dv - wz * v * p.du),
-        depth=z,
-    )
+    singular = np.abs(den) < SINGULARITY_EPS * np.fmax(1.0, np.abs(r * r * z))
+    factor = r * z / np.where(singular, np.nan, den)
+    return _flow(u, factor * (r * p.du + wz * v * p.dv), factor * (r * p.dv - wz * v * p.du), z,
+                 {int(i): Singularity("flow denominator vanishes (point moving with the "
+                                      "scanline)") for i in np.flatnonzero(singular)})
 
 
-def flow_finite_difference(u: float, v: float, z: float, motion: MotionState,
+def flow_finite_difference(u, v, z, motion: MotionState,
                            shutter: ShutterParams, h: float = 1e-3) -> FlowVector:
     """Central-difference flow across frames starting at t0 = -h and t0 = +h.
 
-    Recovers the world point imaged at (u, v, z) by the frame at t0 = 0, then
-    projects it through the frames starting at +/-h and divides the image
-    displacement by 2h.  Propagates NoScanTime when either frame misses the
-    point.
+    Recovers the world points imaged at (u, v, z) by the frame at t0 = 0, then
+    projects them through the frames starting at +h and -h and divides the
+    image displacement by 2h.  A point that either frame misses fails with
+    that frame's error, the +h frame's first.
     """
     _require_fronto_parallel(motion)
     if h <= 0.0:
         raise ValueError("step h must be positive")
     intrinsics = CameraIntrinsics.normalized()
-    point = invert_fronto_parallel((u, v), z, motion, intrinsics, shutter)
-    ahead = project_rolling_shutter(point, motion, intrinsics, shutter,
-                                    frame_start=h, enforce_window=False)
-    behind = project_rolling_shutter(point, motion, intrinsics, shutter,
-                                     frame_start=-h, enforce_window=False)
-    delta = (ahead.pixel - behind.pixel) / (2.0 * h)
-    return FlowVector(du=float(delta[0]), dv=float(delta[1]), depth=z)
+    uv = np.stack(np.broadcast_arrays(u, v), axis=-1).astype(float)
+    points = invert_fronto_parallel(uv, z, motion, intrinsics, shutter)
+    ahead, behind = (solve_scan_times(points, motion, intrinsics, shutter,
+                                      frame_start=t0, windowed=False) for t0 in (h, -h))
+    q_ahead, q_behind = ((intrinsics.K @ st.capture[..., None])[..., 0] for st in (ahead, behind))
+    delta = (q_ahead[:, :2] / q_ahead[:, 2:] - q_behind[:, :2] / q_behind[:, 2:]) / (2.0 * h)
+    reason = np.where(ahead.ok, behind.reason, ahead.reason)   # nonzero: not imaged
+    du, dv = np.where(reason, np.nan, delta.T).reshape((2,) + uv.shape[:-1])
+    return _flow(u, du, dv, z, {int(i): REASONS[reason[i]](REASONS[reason[i]].__doc__)
+                                for i in np.flatnonzero(reason)})

@@ -80,17 +80,16 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     points = np.column_stack([np.array(board), np.full(len(board), plane_depth)])
     result = solve_scan_times(points, motion, intrinsics, shutter, exact=True)
     # Points the frame misses are left out; a point behind the camera raises.
-    missed = np.isin(result.reason, (NO_SCAN_TIME, SINGULARITY))
-    pixels = [None if missed[i] else result.projection(i, intrinsics).pixel
-              for i in range(len(board))]
-    corners = [p for p in pixels[:len(coords) ** 2] if p is not None]
+    kept = ~np.isin(result.reason, (NO_SCAN_TIME, SINGULARITY))
+    pixels = np.full((len(board), 2), np.nan)
+    pixels[kept] = result.projection(kept, intrinsics).pixel
+    corners = pixels[:len(coords) ** 2][kept[:len(coords) ** 2]]
     polylines = []
     max_deflection = 0.0
     for indices in lines:
-        line = [pixels[i] for i in indices if pixels[i] is not None]
-        if len(line) < 3:
+        pts = pixels[indices][kept[indices]]
+        if len(pts) < 3:
             continue
-        pts = np.array(line)
         polylines.append(pts)
         a, b = pts[0], pts[-1]
         chord = b - a

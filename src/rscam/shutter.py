@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeDepth, NoScanTime, Singularity
-from .geometry import CameraIntrinsics, MotionState, hat
+from .geometry import CameraIntrinsics, MotionState, hat, row_dot
 
 DEPTH_EPS = 1e-9            # depth at or below which a point is behind the camera
 SINGULARITY_EPS = 1e-9      # |b| / f_y at or below which a linear constraint is singular
@@ -110,7 +110,7 @@ class ScanTimeCase(enum.Enum):
 
 @dataclass(frozen=True)
 class RsProjection:
-    """Result of projecting a point through the rolling-shutter model.
+    """Result of projecting a point (or N, as arrays) through the rolling-shutter model.
 
     pixel == perspective_part + correction, where perspective_part is the
     pin-hole projection at the frame's start time.  caught_twice flags a
@@ -208,11 +208,17 @@ def constraint_residual(point, motion: MotionState, intrinsics: CameraIntrinsics
     return row - (shutter.scan_rate * t - shutter.first_row)
 
 
+def _require_depth(p: np.ndarray) -> None:
+    """Raise NegativeDepth for the first point (..., 3) at or behind the camera."""
+    depth = np.ravel(p[..., 2])
+    if np.any(behind := depth <= DEPTH_EPS):
+        raise NegativeDepth(f"depth {depth[behind.argmax()]:.3e} is not positive")
+
+
 def _project(p: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    if p[2] <= DEPTH_EPS:
-        raise NegativeDepth(f"depth {p[2]:.3e} is not positive")
-    q = intrinsics.K @ p
-    return q[:2] / q[2]
+    _require_depth(p)
+    q = (intrinsics.K @ p[..., None])[..., 0]
+    return q[..., :2] / q[..., 2:]
 
 
 @dataclass(frozen=True)
@@ -235,20 +241,20 @@ class ScanTimes:
     def ok(self) -> np.ndarray:
         return self.reason == IMAGED
 
-    def check(self, i: int) -> None:
-        """Raise the documented error of point i, if it is not imaged."""
-        error = REASONS[self.reason[i]]
-        if error is not None:
+    def check(self, i) -> None:
+        """Raise the documented error of the first of the points i not imaged."""
+        if (reason := np.ravel(self.reason[i])).any():
+            error = REASONS[reason[reason != IMAGED][0]]
             raise error(error.__doc__)
 
-    def projection(self, i: int, intrinsics: CameraIntrinsics) -> RsProjection:
-        """Image of point i, or its documented error."""
+    def projection(self, i, intrinsics: CameraIntrinsics) -> RsProjection:
+        """Image of point i (or of an index array's points), or the first error."""
         self.check(i)
         pixel = _project(self.capture[i], intrinsics)
         reference = _project(self.start[i], intrinsics)
-        return RsProjection(pixel=pixel, scan_time=float(self.t[i]),
+        return RsProjection(pixel=pixel, scan_time=self.t[i],
                             perspective_part=reference, correction=pixel - reference,
-                            caught_twice=bool(self.caught_twice[i]))
+                            caught_twice=self.caught_twice[i])
 
 
 def solve_scan_times(points, motion: MotionState, intrinsics: CameraIntrinsics,
@@ -438,10 +444,10 @@ def project_rolling_shutter(point, motion: MotionState, intrinsics: CameraIntrin
                             windowed=enforce_window).projection(0, intrinsics)
 
 
-def invert_fronto_parallel(pixel, depth: float, motion: MotionState,
+def invert_fronto_parallel(pixel, depth, motion: MotionState,
                            intrinsics: CameraIntrinsics, shutter: ShutterParams,
                            frame_start: float = 0.0) -> np.ndarray:
-    """World point at the given depth whose rolling-shutter image is `pixel`.
+    """World points (N, 3), at one depth or at N depths, imaged at the pixels (N, 2).
 
     Under fronto-parallel motion the captured row alone fixes the scan time,
     t_c = (row + v0) / r, which makes the projection invertible up to the
@@ -450,16 +456,16 @@ def invert_fronto_parallel(pixel, depth: float, motion: MotionState,
     """
     if not motion.is_fronto_parallel:
         raise ValueError("inversion requires fronto-parallel motion")
-    q = np.asarray(pixel, dtype=float).reshape(2)
-    t_c = (q[1] + shutter.first_row) / shutter.scan_rate
-    tau = frame_start + t_c
-    ray = np.linalg.solve(intrinsics.K, np.array([q[0], q[1], 1.0]))
-    p_capture = depth * ray / ray[2]
+    q = np.asarray(pixel, dtype=float)
+    tau = frame_start + (q[..., 1] + shutter.first_row) / shutter.scan_rate
+    ray = np.linalg.solve(intrinsics.K, np.insert(q, 2, 1.0, axis=-1)[..., None])[..., 0]
+    p_capture = np.asarray(depth, dtype=float)[..., None] * ray / ray[..., 2:]
     pose = motion.pose0
     w_hat = hat(motion.angular_velocity)
     v_eff = motion.linear_velocity - w_hat @ pose.translation
-    y = np.linalg.solve(np.eye(3) + tau * w_hat, p_capture - tau * v_eff)
-    return pose.rotation.T @ (y - pose.translation)
+    y = np.linalg.solve(np.eye(3) + tau[..., None, None] * w_hat,
+                        (p_capture - tau[..., None] * v_eff)[..., None])[..., 0]
+    return (pose.rotation.T @ (y - pose.translation)[..., None])[..., 0]
 
 
 def correction_magnitude(point, motion: MotionState, intrinsics: CameraIntrinsics,
@@ -483,16 +489,16 @@ def limit_line(shutter: ShutterParams, intrinsics: CameraIntrinsics,
 
 
 def drift_per_row(point, motion: MotionState, intrinsics: CameraIntrinsics,
-                  shutter: ShutterParams) -> float:
-    """Image drift, in pixels, accumulated while the shutter scans one row.
+                  shutter: ShutterParams):
+    """Image drift, in pixels, of points (N, 3) while the shutter scans one row.
 
     This is |pixel optical flow| / |scan rate|; the safe region of
     `limit_line` is exactly where it stays below one pixel.
     """
-    (y,), (w,) = _linear_path(_points(point), motion, 0.0)
-    if y[2] <= DEPTH_EPS:
-        raise NegativeDepth(f"depth {y[2]:.3e} is not positive")
-    kp = intrinsics.K @ y
-    kw = intrinsics.K @ w
-    flow = (kw[:2] * kp[2] - kp[:2] * kw[2]) / (kp[2] * kp[2])
-    return float(np.linalg.norm(flow)) / abs(shutter.scan_rate)
+    # Each point is a batch of one row, so it gets a single point's arithmetic.
+    x = np.asarray(point, dtype=float)[..., None, :3]
+    y, w = (p[..., 0, :] for p in _linear_path(x, motion, 0.0))
+    _require_depth(y)
+    kp, kw = ((intrinsics.K @ a[..., None])[..., 0] for a in (y, w))
+    flow = (kw[..., :2] * kp[..., 2:] - kp[..., :2] * kw[..., 2:]) / (kp[..., 2:] * kp[..., 2:])
+    return np.sqrt(row_dot(flow, flow)) / abs(shutter.scan_rate)

@@ -10,6 +10,9 @@ This module works in the calibrated convention: image points are normalized
 coordinates (identity K) and the ShutterParams scan rate and first-row offset
 are in the same normalized row units (convert pixel-unit parameters with
 `shutter.normalized_scan` first).
+
+`backproject` maps image points (N, 2) to one Line3D of N lines, over which
+`line_line_distance` broadcasts; one point (2,) is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,22 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSlits
-from .geometry import CameraIntrinsics, MotionState
+from .geometry import CameraIntrinsics, MotionState, row_dot
 from .shutter import ShutterParams, invert_fronto_parallel
 
 
 @dataclass(frozen=True)
 class Line3D:
-    """3-D line through `point` with unit `direction`."""
+    """3-D line through `point` with unit `direction`; N lines hold (N, 3)."""
 
     point: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float).reshape(3))
-        d = np.asarray(self.direction, dtype=float).reshape(3)
-        norm = np.linalg.norm(d)
-        if norm < 1e-300:
+        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
+        d = np.asarray(self.direction, dtype=float)
+        norm = np.sqrt(row_dot(d, d))[..., None]
+        if np.any(norm < 1e-300):
             raise ValueError("line direction must be nonzero")
         object.__setattr__(self, "direction", d / norm)
 
@@ -70,33 +73,33 @@ def compute_slits(motion: MotionState, shutter: ShutterParams) -> SlitPair:
 
 def backproject(q, motion: MotionState, shutter: ShutterParams,
                 depths: tuple[float, float, float] = (1.0, 2.0, 3.0)) -> Line3D:
-    """Inverse image of a normalized image point as a 3-D line.
+    """Inverse images of normalized image points (N, 2) as N 3-D lines.
 
-    Solves the projection for the world point at two sample depths, fits the
-    line through them, and verifies collinearity at a third depth.  Valid for
-    fronto-parallel motion; with a stationary camera this is the pin-hole ray
-    through (u, v, 1).
+    Solves the projection for the world points at two sample depths, fits the
+    lines through them, and verifies collinearity at a third depth (ValueError
+    for the first point off its line).  Valid for fronto-parallel motion; with
+    a stationary camera this is the pin-hole ray through (u, v, 1).
     """
     intrinsics = CameraIntrinsics.normalized()
-    z1, z2, z3 = depths
-    p1 = invert_fronto_parallel(q, z1, motion, intrinsics, shutter)
-    p2 = invert_fronto_parallel(q, z2, motion, intrinsics, shutter)
-    p3 = invert_fronto_parallel(q, z3, motion, intrinsics, shutter)
+    p1, p2, p3 = (invert_fronto_parallel(q, z, motion, intrinsics, shutter) for z in depths)
     line = Line3D(p1, p2 - p1)
     off_line = p3 - line.point
-    residual = np.linalg.norm(off_line - (off_line @ line.direction) * line.direction)
-    scale = max(1.0, float(np.linalg.norm(p3)))
-    if residual > 1e-9 * scale:
-        raise ValueError(f"inverse image is not a straight line (residual {residual:.3e})")
+    off_line = off_line - row_dot(off_line, line.direction)[..., None] * line.direction
+    residual = np.ravel(np.sqrt(row_dot(off_line, off_line)))
+    scale = np.fmax(1.0, np.ravel(np.sqrt(row_dot(p3, p3))))
+    if np.any(bent := residual > 1e-9 * scale):
+        raise ValueError("inverse image is not a straight line "
+                         f"(residual {residual[bent.argmax()]:.3e})")
     return line
 
 
-def line_line_distance(a: Line3D, b: Line3D) -> float:
-    """Minimal Euclidean distance between two 3-D lines (0 when they meet)."""
+def line_line_distance(a: Line3D, b: Line3D):
+    """Minimal Euclidean distances between (batches of) 3-D lines, 0 where they meet."""
     cross = np.cross(a.direction, b.direction)
     offset = b.point - a.point
-    norm = np.linalg.norm(cross)
-    if norm < 1e-12:
-        # Parallel (or identical): perpendicular distance of the offset.
-        return float(np.linalg.norm(offset - (offset @ a.direction) * a.direction))
-    return float(abs(offset @ cross) / norm)
+    norm = np.sqrt(row_dot(cross, cross))
+    # Parallel (or identical) lines: the perpendicular distance of the offset.
+    off_line = offset - row_dot(offset, a.direction)[..., None] * a.direction
+    distance = np.where(norm < 1e-12, np.sqrt(row_dot(off_line, off_line)),
+                        np.abs(row_dot(offset, cross)) / np.fmax(norm, 1e-12))
+    return distance if distance.ndim else float(distance)

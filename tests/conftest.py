@@ -4,6 +4,8 @@ The scan-time oracle here is deliberately independent of the solver under
 test: it evaluates the scanline-crossing residual through the generic camera
 matrix machinery and finds the root by dense scan plus plain bisection.  The
 Jacobian oracle takes central differences of the bundle-adjustment residuals.
+The single-point references write one point's arithmetic out with 1-D numpy
+calls; the batched helpers must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rscam.geometry import CameraIntrinsics, MotionState, camera_matrix_at
+from rscam.geometry import CameraIntrinsics, MotionState, camera_matrix_at, hat
+from rscam.shutter import project_rolling_shutter
 
 
 def scanline_residual(point, motion, intrinsics, shutter, t, linearized=True):
@@ -86,3 +89,52 @@ def normalized_camera() -> CameraIntrinsics:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240531)
+
+
+def invert_one(pixel, depth, motion, intrinsics, shutter):
+    """The world point at `depth` imaged at one pixel (invert_fronto_parallel)."""
+    pose, w_hat = motion.pose0, hat(motion.angular_velocity)
+    tau = (pixel[1] + shutter.first_row) / shutter.scan_rate
+    ray = np.linalg.solve(intrinsics.K, np.array([pixel[0], pixel[1], 1.0]))
+    v_eff = motion.linear_velocity - w_hat @ pose.translation
+    y = np.linalg.solve(np.eye(3) + tau * w_hat, depth * ray / ray[2] - tau * v_eff)
+    return pose.rotation.T @ (y - pose.translation)
+
+
+def drift_one(point, motion, intrinsics, shutter):
+    """Pixel drift per scanned row of one point (drift_per_row)."""
+    pose = motion.pose0
+    rx = np.asarray(point, dtype=float)[None] @ pose.rotation.T
+    w = rx @ hat(motion.angular_velocity).T + motion.linear_velocity
+    (y,), (w,) = rx + pose.translation + 0.0 * w, w
+    kp, kw = intrinsics.K @ y, intrinsics.K @ w
+    flow = (kw[:2] * kp[2] - kp[:2] * kw[2]) / (kp[2] * kp[2])
+    return float(np.linalg.norm(flow)) / abs(shutter.scan_rate)
+
+
+def flow_analytic_one(u, v, z, motion, shutter):
+    """Analytic rolling-shutter flow (du, dv) of one image point."""
+    vx, vy, _ = motion.linear_velocity
+    wz, r = motion.angular_velocity[2], shutter.scan_rate
+    du_p, dv_p = vx / z - wz * v, vy / z + wz * u
+    factor = r * z / (v * vx * wz + r * z * (r - dv_p))
+    return factor * (r * du_p + wz * v * dv_p), factor * (r * dv_p - wz * v * du_p)
+
+
+def flow_difference_one(u, v, z, motion, shutter, h):
+    """Central-difference flow (du, dv) of one image point across t0 = +/-h."""
+    k = CameraIntrinsics.normalized()
+    point = invert_one((u, v), z, motion, k, shutter)
+    ahead, behind = (project_rolling_shutter(point, motion, k, shutter, frame_start=t0,
+                                             enforce_window=False).pixel for t0 in (h, -h))
+    return tuple((ahead - behind) / (2.0 * h))
+
+
+def line_distance_one(point_a, direction_a, point_b, direction_b):
+    """Distance between two lines given by points and unit directions."""
+    cross = np.cross(direction_a, direction_b)
+    offset = point_b - point_a
+    norm = np.linalg.norm(cross)
+    if norm < 1e-12:
+        return float(np.linalg.norm(offset - (offset @ direction_a) * direction_a))
+    return float(abs(offset @ cross) / norm)

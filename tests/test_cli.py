@@ -1,5 +1,10 @@
+import contextlib
+import io
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from rscam import cli
 from rscam.cli import main
@@ -222,3 +227,91 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "flow")
         assert code == 2
         assert "LinAlgError" in err
+
+
+class TestBatchedErrorOrder:
+    """A command raises the error of its first failing input, and within one
+    flow pixel the analytic flow's error before its finite difference's."""
+
+    # A 5x5 grid at u = 0..4, v = 0..1 of a normalized camera, r = 10 rows/s and
+    # z = 1 m.  The analytic denominator is 10 b and the finite difference's
+    # linear scan-time coefficient is b = 10 - v_y - w_z u (to within 1e-16 off
+    # the row v = 0), so a column with |b| < 1e-11 fails both and one with
+    # |b| = 9e-10 fails only the finite difference (|b| <= 1e-9).
+    GRID = ["--set", "camera.normalized=1", "--set", "camera.width=4",
+            "--set", "camera.height=1", "--set", "shutter.framerate=10",
+            "--set", "shutter.scan_rate=10", "--set", "flow.margin=0",
+            "--set", "flow.depth=1"]
+    SPIN = 9e-10
+
+    def flow(self, capsys, v_y, w_z, *extra):
+        return run_cli(capsys, "flow", *self.GRID, *extra,
+                       "--set", f"motion.velocity_kmh=0 {3.6 * v_y!r} 0",
+                       "--set", f"motion.omega_rev_s=0 0 {w_z / (2 * np.pi)!r}")
+
+    def test_flow_singularity_before_a_later_frame_failure(self, capsys):
+        # Pixel (0, 0) is singular; pixel (0, 1) fails only its frames.
+        code, _, err = self.flow(capsys, 10.0, -self.SPIN)
+        assert code == 2
+        assert "Singularity: flow denominator vanishes" in err
+
+    def test_flow_frame_failure_before_a_later_singularity(self, capsys):
+        # Pixel (0, 3) fails only its frames; pixel (0, 4) fails both, last.
+        code, _, err = self.flow(capsys, 10.0 - 4 * self.SPIN, self.SPIN)
+        assert code == 2
+        assert "Singularity: A projection denominator vanished" in err
+
+    def test_flow_pixel_failing_both_names_its_analytic_error(self, capsys):
+        # Column 1 alone fails, both its analytic flow and its frames.
+        code, _, err = self.flow(capsys, 10.0 - 2 * self.SPIN, 2 * self.SPIN)
+        assert code == 2
+        assert "Singularity: flow denominator vanishes" in err
+
+    def test_first_pixel_singularity_before_the_step_check(self, capsys):
+        # The finite difference checks its step after pixel (0, 0)'s analytic
+        # flow has failed, so the singularity is reported, not fd_step.
+        code, _, err = self.flow(capsys, 10.0, -self.SPIN, "--set", "flow.fd_step=0")
+        assert code == 2
+        assert "Singularity: flow denominator vanishes" in err
+        code, _, err = self.flow(capsys, 1.0, -self.SPIN, "--set", "flow.fd_step=0")
+        assert code == 1
+        assert "step h must be positive" in err
+
+    def test_project_names_the_first_failing_point(self, capsys, tmp_path):
+        # Point 2 is behind the camera and point 3 outside the frame.
+        batch = tmp_path / "points.csv"
+        batch.write_text("x,y,z\n0,0,5\n0,0,-1\n0,50,1\n")
+        code, _, err = run_cli(capsys, "project", "--points-csv", str(batch))
+        assert code == 2
+        assert "NegativeDepth" in err
+
+
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e300,
+                     -1e300, 1e-300, 5e-324]),
+    st.floats(-100.0, 100.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(command=st.sampled_from(["flow", "slits", "project"]),
+       velocity=st.tuples(FUZZ_VALUES, FUZZ_VALUES, FUZZ_VALUES),
+       omega=st.tuples(FUZZ_VALUES, FUZZ_VALUES, FUZZ_VALUES), fronto=st.booleans())
+def test_fuzzed_motion_exits_cleanly(command, velocity, omega, fronto):
+    """Any motion exits 0, 1 or 2 and never escapes as an exception; half the
+    motions are fronto-parallel, which flow and slits need to get past their
+    argument checks."""
+    if fronto:
+        velocity, omega = velocity[:2] + (0.0,), (0.0, 0.0, omega[2])
+    argv = [command, "--set", "flow.grid=3",
+            "--set", "motion.velocity_kmh=" + " ".join(map(repr, velocity)),
+            "--set", "motion.omega_rev_s=" + " ".join(map(repr, omega))]
+    if command == "project":
+        argv += ["--point", "0.5,0.2,5", "--point=-1,0.3,2"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

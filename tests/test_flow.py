@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rscam.errors import Singularity
+from rscam.errors import NegativeDepth, Singularity
 from rscam.geometry import CameraIntrinsics, MotionState, Pose
 from rscam.shutter import (ShutterParams, invert_fronto_parallel,
                            project_rolling_shutter)
 from rscam.flow import (flow_finite_difference, flow_perspective,
                         flow_rolling_shutter)
+
+from conftest import flow_analytic_one, flow_difference_one
 
 
 @pytest.fixture
@@ -154,3 +157,62 @@ class TestFiniteDifference:
             flow_finite_difference(0.1, 0.2, 1.0,
                                    MotionState(Pose.identity(), [0, 0, 1], [0, 0, 0]),
                                    shutter_norm)
+
+
+class TestBatches:
+    """A batch is bitwise a loop of batches of one and of the single-point
+    references, and a point that fails carries the error a call on it alone
+    raises."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(vx=st.floats(-1.0, 1.0), vy=st.floats(-1.0, 1.0),
+           wz=st.floats(0.05, 1.5) | st.floats(-1.5, -0.05),
+           uv=st.lists(st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+                       min_size=1, max_size=8),
+           depth=st.floats(0.5, 4.0), fail=st.sampled_from([None, "singular", "behind"]),
+           k=st.integers(0, 7))
+    def test_batch_matches_single_points(self, vx, vy, wz, uv, depth, fail, k):
+        shutter_norm = ShutterParams(scan_rate=10.0, framerate=10.0)
+        m = fronto(vx, vy, wz)
+        r = shutter_norm.scan_rate
+        u, v = np.array(uv).T
+        z = np.full(len(u), depth)
+        k %= len(u)
+        if fail == "singular":
+            # The depth at which the analytic denominator of point k vanishes.
+            z[k] = (r * vy - v[k] * vx * wz) / (r * (r - wz * u[k]))
+            assume(z[k] > 0.0)
+        elif fail == "behind":
+            # At the camera plane for the finite difference (and moving with
+            # the scanline too when the row velocity is small).
+            z[k] = 1e-10
+        references = {flow_rolling_shutter: flow_analytic_one,
+                      flow_finite_difference: lambda *a: flow_difference_one(*a, 1e-3)}
+        for flow in (flow_rolling_shutter, flow_finite_difference):
+            batch = flow(u, v, z, m, shutter_norm)
+            assert batch.du.shape == batch.dv.shape == (len(u),)
+            for i in range(len(u)):
+                if i in batch.failures:
+                    with pytest.raises(type(batch.failures[i])) as caught:
+                        flow(u[i], v[i], z[i], m, shutter_norm)
+                    assert str(caught.value) == str(batch.failures[i])
+                    assert np.isnan(batch.du[i]) and np.isnan(batch.dv[i])
+                else:
+                    one = flow(u[i], v[i], z[i], m, shutter_norm)
+                    assert isinstance(one.du, float) and one.failures == {}
+                    assert (one.du, one.dv) == (batch.du[i], batch.dv[i]) == \
+                        references[flow](u[i], v[i], z[i], m, shutter_norm)
+            if fail == "singular" and flow is flow_rolling_shutter:
+                assert isinstance(batch.failures[k], Singularity)
+            if fail == "behind" and flow is flow_finite_difference:
+                assert isinstance(batch.failures[k], (NegativeDepth, Singularity))
+                assert set(batch.failures) == {k}
+
+    def test_one_depth_for_all_points(self, shutter_norm):
+        m = fronto(0.3, -0.4, 0.7)
+        u, v = np.array([0.1, 0.5, -0.3]), np.array([0.2, -0.1, 0.6])
+        for flow in (flow_rolling_shutter, flow_finite_difference):
+            batch = flow(u, v, 2.0, m, shutter_norm)
+            per_point = flow(u, v, np.full(3, 2.0), m, shutter_norm)
+            assert batch.failures == per_point.failures == {}
+            np.testing.assert_array_equal([batch.du, batch.dv], [per_point.du, per_point.dv])

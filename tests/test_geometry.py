@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rscam.geometry import (CameraIntrinsics, MotionState, Pose, camera_matrix_at,
-                            hat, project_perspective, rotation_exp,
+                            check_rotation, hat, project_perspective, rotation_exp,
                             rotation_left_jacobian, rotation_log)
 
 
@@ -191,3 +192,111 @@ class TestTypes:
     def test_motion_state_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             MotionState(Pose.identity(), [np.nan, 0, 0], [0, 0, 0])
+
+
+class TestProjectPerspectiveBatch:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+           homogeneous=st.booleans(), on_plane=st.one_of(st.none(), st.integers(0, 7)))
+    def test_batch_matches_single_points(self, seed, n, homogeneous, on_plane):
+        """Each pixel of a batch is the point's own and the 1-D reference's,
+        bitwise; a batch with a point on the camera plane raises as that
+        point does alone."""
+        rng = np.random.default_rng(seed)
+        pose = Pose(rotation_exp(rng.normal(size=3)), rng.normal(size=3))
+        k = CameraIntrinsics.from_fov(rng.uniform(30.0, 90.0), 64, 48).K
+        matrix = k @ np.column_stack([pose.rotation, pose.translation])
+        points = rng.uniform(-3.0, 3.0, (n, 3))
+        if on_plane is not None:
+            # Camera coordinates (a, b, 0) are on the camera plane.
+            points[on_plane % n] = pose.rotation.T @ (
+                np.append(rng.uniform(-1, 1, 2), 0.0) - pose.translation)
+        if homogeneous:
+            points = np.column_stack([points, np.ones(n)]) * rng.uniform(0.5, 2.0, (n, 1))
+        singles = []
+        for point in points:
+            try:
+                singles.append(project_perspective(point, matrix))
+            except ValueError:
+                singles.append(None)
+                continue
+            p = matrix @ (point if homogeneous else np.append(point, 1.0))
+            np.testing.assert_array_equal(singles[-1], p[:2] / p[2])
+        if any(s is None for s in singles):
+            with pytest.raises(ValueError, match="camera plane"):
+                project_perspective(points, matrix)
+        else:
+            batch = project_perspective(points, matrix)
+            assert batch.shape == (n, 2)
+            np.testing.assert_array_equal(batch, singles)
+        if on_plane is not None:
+            assert singles[on_plane % n] is None
+
+
+class TestRotationCheck:
+    """check_rotation accepts what np.allclose(r r^T, I, atol=1e-9) accepts:
+    with allclose's rtol = 1e-5 on the diagonal, atol alone off it."""
+
+    @staticmethod
+    def stretch(s2):
+        """diag(s, 1/s, 1), determinant 1, whose r r^T has diagonal s^2, 1/s^2."""
+        s = math.sqrt(s2)
+        return np.diag([s, 1.0 / s, 1.0])
+
+    def test_diagonal_boundary(self):
+        check_rotation(self.stretch(1.0 + 1e-5 - 1e-8))
+        Pose(self.stretch(1.0 - 1e-5 + 1e-8), np.zeros(3))
+        for s2 in (1.0 + 1e-5 + 1e-8, 1.0 - 1e-5 - 1e-8):
+            with pytest.raises(ValueError, match="not orthogonal"):
+                check_rotation(self.stretch(s2))
+
+    def test_off_diagonal_boundary(self):
+        shear = np.eye(3)
+        shear[0, 1] = 0.99e-9
+        check_rotation(shear)
+        shear[0, 1] = 1.01e-9
+        with pytest.raises(ValueError, match="not orthogonal"):
+            check_rotation(shear)
+
+    def test_accepts_what_allclose_accepts(self, rng):
+        for _ in range(400):
+            r = rotation_exp(rng.normal(size=3)) @ (
+                np.eye(3) + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-11, -4))
+            expected = (np.allclose(r @ r.T, np.eye(3), atol=1e-9)
+                        and abs(np.linalg.det(r) - 1.0) <= 1e-9)
+            try:
+                check_rotation(r)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, value):
+        r = np.eye(3)
+        r[1, 2] = value
+        with pytest.raises(ValueError):
+            check_rotation(r)
+        with pytest.raises(ValueError):
+            Pose(r, np.zeros(3))
+        k = np.eye(3)
+        k[0, 2] = value
+        if value == value:  # an infinite principal point is upper triangular
+            CameraIntrinsics(k, 1.0, 10, 10)
+        k = np.eye(3)
+        k[2, 1] = value
+        if value != value:  # NaN compares false, as np.abs(nan) > 1e-12 does
+            CameraIntrinsics(k, 1.0, 10, 10)
+        else:
+            with pytest.raises(ValueError, match="upper triangular"):
+                CameraIntrinsics(k, 1.0, 10, 10)
+
+    @pytest.mark.parametrize("entry", [(1, 0), (2, 0), (2, 1)])
+    def test_intrinsics_lower_triangle(self, entry):
+        k = np.eye(3)
+        k[entry] = 1e-12
+        CameraIntrinsics(k, 1.0, 10, 10)
+        k[entry] = -2e-12
+        with pytest.raises(ValueError, match="upper triangular"):
+            CameraIntrinsics(k, 1.0, 10, 10)

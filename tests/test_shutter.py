@@ -14,7 +14,7 @@ from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
                            scan_time_gradient, solve_scan_time, solve_scan_times,
                            validate_frame_timing)
 
-from conftest import bisect_scan_time, scanline_residual
+from conftest import bisect_scan_time, drift_one, invert_one, scanline_residual
 
 
 @pytest.fixture
@@ -618,3 +618,98 @@ class TestScanTimeKernel:
         t_c = solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
                               exact=not linearized)
         assert abs(t_c - oracle) <= 1e-10 * KERNEL_T_MAX
+
+
+# A batch is bitwise a loop of batches of one: the helpers give each point
+# its own arithmetic, whatever the batch size.
+BATCH_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
+spins = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
+kernel_pixels = st.lists(st.tuples(st.floats(0.0, 64.0), st.floats(-10.0, 58.0)),
+                         min_size=1, max_size=8)
+
+
+class TestBatchesMatchSinglePoints:
+    @BATCH_SETTINGS
+    @given(v=velocity3, wz=spins, pixels=kernel_pixels, per_point=st.booleans(),
+           depths=st.lists(st.floats(0.5, 20.0), min_size=8, max_size=8))
+    def test_invert_fronto_parallel(self, v, wz, pixels, per_point, depths):
+        """Pixels (N, 2) at one depth or at N depths, under a spin about the
+        optical axis and a general pose; each point is also the single-point
+        reference's, bitwise."""
+        motion = kernel_motion(ScanTimeCase.FRONTO_PARALLEL_LINEAR, v, (0.0, 0.0, wz))
+        depth = np.array(depths[:len(pixels)]) if per_point else depths[0]
+        batch = invert_fronto_parallel(pixels, depth, motion, KERNEL_CAMERA, KERNEL_SHUTTER)
+        assert batch.shape == (len(pixels), 3)
+        for i, pixel in enumerate(pixels):
+            one = invert_fronto_parallel(pixel, depth[i] if per_point else depth, motion,
+                                         KERNEL_CAMERA, KERNEL_SHUTTER)
+            assert one.shape == (3,)
+            np.testing.assert_array_equal(batch[i], one)
+            np.testing.assert_array_equal(one, invert_one(
+                pixel, depth[i] if per_point else depth, motion, KERNEL_CAMERA, KERNEL_SHUTTER))
+
+    @BATCH_SETTINGS
+    @given(case=st.sampled_from(list(ScanTimeCase)[:3]), v=velocity3, w=velocity3,
+           points=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                                     st.floats(-0.5, 4.0)), min_size=1, max_size=8))
+    def test_drift_per_row(self, case, v, w, points):
+        """A batch with a point at or behind the camera plane raises that
+        point's error; otherwise each drift is the point's own and the
+        single-point reference's, bitwise."""
+        motion = kernel_motion(case, v, w)
+        singles = []
+        for point in points:
+            try:
+                singles.append(drift_per_row(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER))
+            except NegativeDepth as exc:
+                singles.append(exc)
+                continue
+            assert singles[-1] == drift_one(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER)
+        failed = [s for s in singles if isinstance(s, NegativeDepth)]
+        if failed:
+            with pytest.raises(NegativeDepth) as caught:
+                drift_per_row(points, motion, KERNEL_CAMERA, KERNEL_SHUTTER)
+            assert str(caught.value) == str(failed[0])
+        else:
+            batch = drift_per_row(points, motion, KERNEL_CAMERA, KERNEL_SHUTTER)
+            np.testing.assert_array_equal(batch, singles)
+
+    def test_one_point_behind_fails_the_drift_batch(self, normalized_camera, shutter10):
+        points = [[0, 0.1, 2.0], [0, 0.1, -0.5], [0, 0.2, -3.0]]
+        with pytest.raises(NegativeDepth, match="depth -5.000e-01 is not positive"):
+            drift_per_row(points, MotionState(), normalized_camera, shutter10)
+        assert drift_per_row(points[0], MotionState(), normalized_camera, shutter10) == 0.0
+
+    def test_projection_of_a_batch_raises_its_first_error(self, normalized_camera,
+                                                          shutter10):
+        """projection() with a slice images every point, or raises the error
+        of the first that is not imaged, as a loop over the points would."""
+        points = [[0, 0.1, 2.0], [0, 0.1, -1.0], [0, 3.0, 2.0]]
+        times = solve_scan_times(points, MotionState(), normalized_camera, shutter10)
+        with pytest.raises(NegativeDepth):
+            times.projection(slice(None), normalized_camera)
+        with pytest.raises(NoScanTime):
+            times.projection([0, 2], normalized_camera)
+        both = times.projection([0, 0], normalized_camera)
+        one = times.projection(0, normalized_camera)
+        np.testing.assert_array_equal(both.pixel, [one.pixel, one.pixel])
+        assert both.scan_time.tolist() == [one.scan_time] * 2
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_projection_of_a_batch_matches_single_points(self, rng, exact):
+        """Each image in a batch is the point's own and K p's, bitwise."""
+        k = CameraIntrinsics.from_fov(50.0, 640, 480)
+        s = ShutterParams.ideal(30.0, 480)
+        motion = MotionState(Pose.identity(), [0.5, 1.0, 0.2], [0.01, -0.02, 0.1])
+        points = rng.uniform([-1.5, -1.0, 2.0], [1.5, 1.0, 6.0], (64, 3))
+        times = solve_scan_times(points, motion, k, s, exact=exact)
+        imaged = np.flatnonzero(times.ok)
+        batch = times.projection(imaged, k)
+        for j, i in enumerate(imaged):
+            one = times.projection(i, k)
+            q, q0 = k.K @ times.capture[i], k.K @ times.start[i]
+            np.testing.assert_array_equal(batch.pixel[j], one.pixel)
+            np.testing.assert_array_equal(one.pixel, q[:2] / q[2])
+            np.testing.assert_array_equal(batch.perspective_part[j], q0[:2] / q0[2])
+            assert (batch.scan_time[j], batch.caught_twice[j]) == (one.scan_time,
+                                                                  one.caught_twice)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rscam import xslit
 from rscam.errors import DegenerateSlits
 from rscam.geometry import CameraIntrinsics, MotionState, Pose
 from rscam.shutter import ShutterParams, project_rolling_shutter
 from rscam.xslit import Line3D, backproject, compute_slits, line_line_distance
+
+from conftest import invert_one, line_distance_one
 
 
 @pytest.fixture
@@ -136,3 +140,60 @@ class TestBackproject:
                             line_line_distance(ray, slits.slit1),
                             line_line_distance(ray, slits.slit2))
         assert worst > 1e-6
+
+
+class TestBatches:
+    """A batch of image points gets, bitwise, the line and the distances
+    each point gets alone and from the single-point references."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(vx=st.floats(-2.0, 2.0), vy=st.floats(0.3, 2.5), wz=st.sampled_from([0.0, 0.8]),
+           first_row=st.sampled_from([0.0, 0.15]),
+           q=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+                      min_size=1, max_size=8))
+    def test_batch_matches_single_points(self, vx, vy, wz, first_row, q):
+        s = ShutterParams(scan_rate=10.0, first_row=first_row, framerate=10.0)
+        m = MotionState(Pose.identity(), [vx, vy, 0.0], [0.0, 0.0, wz])
+        slits = compute_slits(translation(vx, vy), s)
+        rays = backproject(q, m, s)
+        assert rays.point.shape == rays.direction.shape == (len(q), 3)
+        k = CameraIntrinsics.normalized()
+        for i, qi in enumerate(q):
+            p1, p2 = (invert_one(qi, z, m, k, s) for z in (1.0, 2.0))
+            np.testing.assert_array_equal(rays.point[i], p1)
+            np.testing.assert_array_equal(rays.direction[i], (p2 - p1) / np.linalg.norm(p2 - p1))
+        for slit in (slits.slit1, slits.slit2):
+            distances = line_line_distance(rays, slit)
+            assert distances.shape == (len(q),)
+            for i, qi in enumerate(q):
+                ray = backproject(qi, m, s)
+                np.testing.assert_array_equal(rays.point[i], ray.point)
+                np.testing.assert_array_equal(rays.direction[i], ray.direction)
+                assert distances[i] == line_line_distance(ray, slit) == line_distance_one(
+                    ray.point, ray.direction, slit.point, slit.direction)
+
+    def test_parallel_and_skew_lines_in_one_batch(self):
+        x_axis = Line3D([0, 0, 0], [1, 0, 0])
+        lines = Line3D([[0, 1, 0], [0, 0, 1], [2, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+        np.testing.assert_allclose(line_line_distance(lines, x_axis), [1.0, 1.0, 0.0],
+                                   atol=1e-15)
+
+    def test_first_bent_point_raises(self, shutter_norm, monkeypatch):
+        """The collinearity check reports the first point whose inverse image
+        is not straight; here point 1 of 3 is bent by a depth-squared term."""
+        straight = xslit.invert_fronto_parallel
+
+        def bent(q, z, *args):
+            p = straight(q, z, *args)
+            bend = np.array([0.0, 1e-3 * z * z, 0.0])
+            return p + np.where(np.asarray(q)[..., :1] == 0.5, bend, 0.0)
+
+        monkeypatch.setattr(xslit, "invert_fronto_parallel", bent)
+        m = translation(0.4, 1.2)
+        q = [[0.1, 0.2], [0.5, 0.3], [0.5, 0.9]]
+        with pytest.raises(ValueError, match="not a straight line") as batch:
+            backproject(q, m, shutter_norm)
+        with pytest.raises(ValueError) as single:
+            backproject(q[1], m, shutter_norm)
+        assert str(batch.value) == str(single.value)
+        backproject(q[0], m, shutter_norm)
