@@ -15,6 +15,7 @@ import argparse
 import configparser
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -325,8 +326,7 @@ def cmd_sfm_grid(config: RunConfig, args) -> int:
     if args.save_problems:
         for vi, velocity in enumerate(velocities):
             for si, sigma in enumerate(sigmas):
-                import dataclasses
-                cfg = dataclasses.replace(scene, velocity_kmh=velocity, noise_sigma=sigma)
+                cfg = replace(scene, velocity_kmh=velocity, noise_sigma=sigma)
                 problem = sfm.generate_problem(cfg, (seed, vi, si, 0))
                 sfm.save_problem(problem, out / f"problem_v{vi}_s{si}_trial0.json")
 

@@ -10,30 +10,31 @@ The default scene follows the benchmark protocol: 100 points in a 4 m cube
 about 10 m away, a 40 degree field of view at 640x480, 15 frames/second with
 the scan spanning the full frame period, camera row-velocity given in km/h,
 and i.i.d. Gaussian pixel noise.  Bundle adjustment is Levenberg-Marquardt
-on all reprojection residuals with camera 1 frozen and the baseline length
-held at the problem's value (gauge); the translation metric is
-direction-only, matching that gauge.  The Jacobian is analytic, and each
-step solves the reduced camera system, 6x6 (18x18 with velocities), left
-after eliminating the 3x3 point blocks, then back-substitutes the points.
+on all reprojection residuals, camera 1 frozen and the baseline held (gauge,
+so the translation metric is direction-only), with an analytic Jacobian and
+steps from the 6x6 (18x18 with velocities) reduced camera system left after
+eliminating the 3x3 point blocks.  One array-shaped LM runs every trial and
+model of a grid cell, each problem at its own lambda with the iterates of a
+run alone; `bundle_adjust` is a batch of one.
 
 Every random quantity is drawn from a generator seeded by the caller, and
-per-trial streams in the experiment grid derive from (seed, cell, trial), so
-results are reproducible and schedule-independent.
+per-trial streams derive from (seed, cell, trial): results are reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (CameraIntrinsics, MotionState, Pose, hat, rotation_exp,
-                       rotation_left_jacobian, rotation_log)
-from .shutter import ScanTimes, ShutterParams, scan_time_gradient, solve_scan_times
+from .geometry import (CameraIntrinsics, MotionState, Pose, rotation_exp,
+                       rotation_left_jacobian, rotation_log, row_dot)
+from .shutter import (DEPTH_EPS, ShutterParams, scan_time_gradient, solve_path_times,
+                      solve_scan_times)
 
 RS_MODEL = "rolling_shutter"
 PERSPECTIVE_MODEL = "perspective"
@@ -105,6 +106,7 @@ class SfmSolution:
     iterations: int
     converged: bool
     cost_history: tuple[float, ...] = ()  # half sum-of-squares after each accepted step
+    termination: str = ""   # one of TERMINATIONS; only "limit" is not converged
 
 
 @dataclass(frozen=True)
@@ -121,28 +123,6 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
     return tuple(int(s) for s in seed)
-
-
-def _rs_pixels(points: np.ndarray, motion: MotionState, intrinsics: CameraIntrinsics,
-               shutter: ShutterParams) -> tuple[np.ndarray, ScanTimes]:
-    """Vectorized closed-form rolling-shutter projection (linearized motion).
-
-    Returns (pixels (N,2), the `solve_scan_times` result without the frame
-    window): callers that need in-frame visibility must test the window.
-    """
-    result = solve_scan_times(points, motion, intrinsics, shutter, windowed=False)
-    q_px = result.capture @ intrinsics.K.T
-    depth = np.where(result.ok, q_px[:, 2], 1.0)
-    return q_px[:, :2] / depth[:, None], result
-
-
-def _perspective_pixels(points: np.ndarray, pose: Pose,
-                        intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    p = points @ pose.rotation.T + pose.translation
-    q = p @ intrinsics.K.T
-    ok = p[:, 2] > 1e-9
-    depth = np.where(ok, q[:, 2], 1.0)
-    return q[:, :2] / depth[:, None], ok
 
 
 def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -207,7 +187,9 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
     t_window = shutter.scan_duration(config.height)
     pixels, masks = [], []
     for cam in cameras:
-        uv, times = _rs_pixels(points, cam.motion, cam.intrinsics, cam.shutter)
+        times = solve_scan_times(points, cam.motion, cam.intrinsics, cam.shutter, windowed=False)
+        q = times.capture @ cam.intrinsics.K.T
+        uv = q[:, :2] / np.where(times.ok, q[:, 2], 1.0)[:, None]
         ok = times.ok & (times.t >= 0.0) & (times.t <= t_window)
         ok &= (uv[:, 0] >= 0) & (uv[:, 0] <= config.width)
         ok &= (uv[:, 1] >= 0) & (uv[:, 1] <= config.height)
@@ -276,198 +258,295 @@ def _initial_points(obs1: np.ndarray, obs2: np.ndarray, pose1: Pose, pose2: Pose
     return (p_cam - pose1.translation) @ pose1.rotation
 
 
-class _Parametrization:
-    """Packs camera-2 pose, optional velocities, and points into one vector.
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis, broadcast, in components (much cheaper)."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
-    The translation is stored as a direction with the baseline length frozen
-    (scale gauge).  Without this the perspective model has an exact scale
-    null-space, and the rolling-shutter model can cheat by inflating the
-    scene until the shutter corrections vanish.
+
+def _translations(d: np.ndarray, baseline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Camera 2's translations b d / |d| (P, 3) from the directions d, and their
+    derivatives b / |d| (I - n n^T).  Freezing the baseline b (scale gauge)
+    removes the pin-hole model's scale null space and keeps the rolling-shutter
+    model from inflating the scene until its corrections vanish; b = 0 frees d."""
+    norm = np.sqrt(row_dot(d, d))[:, None]
+    free, zero, b = (baseline < 1e-12)[:, None], norm < 1e-12, baseline[:, None]
+    safe = np.where(free | zero, 1.0, norm)
+    n = (d / safe)[:, :, None]
+    translation = np.where(free, d, np.where(zero, b * [0.0, 0.0, 1.0], b * d / safe))
+    jacobian = np.where(zero, 0.0, b / safe)[:, :, None] * (np.eye(3) - n * n.transpose(0, 2, 1))
+    return translation, np.where(free[:, :, None], np.eye(3), jacobian)
+
+
+@dataclass(eq=False)
+class _Batch:
+    """Constants of P bundle adjustments run together.  A row is one point of
+    a problem, seen in both views (bundle_adjust requires the same points in
+    the same order), so row arrays (M, 2, ...) carry the views on axis 1.
     """
 
-    def __init__(self, problem: SfmProblem, estimate_velocities: bool):
-        self.problem = problem
-        self.estimate_velocities = estimate_velocities
-        self.n_points = len(problem.points)
-        self.n_cam = 6 + (12 if estimate_velocities else 0)
-        self.baseline_norm = float(np.linalg.norm(
-            problem.cameras[1].motion.pose0.translation))
+    owner: np.ndarray         # (M,) problem of each row, nondecreasing
+    observed: np.ndarray      # (M, 2, 2) pixels in views 1 and 2
+    rotation1: np.ndarray     # (P, 3, 3) and (P, 3): the frozen camera 1
+    translation1: np.ndarray
+    baseline: np.ndarray      # (P,) gauge: camera 2's translation length
+    velocity: np.ndarray      # (P, 2, 2, 3) known (v, omega) of each view
+    rolling: np.ndarray       # (P,) rolling-shutter model; pin-hole otherwise
+    views: tuple[tuple[CameraIntrinsics, ShutterParams], ...]  # shared by all problems
+    n_cam: int
+    starts: np.ndarray = field(init=False)  # each problem's first row, for reduceat
 
-    def _translation(self, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Camera 2's translation and its derivative, b / |d| (I - n n^T), by d."""
-        if self.baseline_norm < 1e-12:
-            return direction, np.eye(3)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
-            return np.array([0.0, 0.0, self.baseline_norm]), np.zeros((3, 3))
-        n = direction / norm
-        return (self.baseline_norm * direction / norm,
-                (self.baseline_norm / norm) * (np.eye(3) - np.outer(n, n)))
+    def __post_init__(self):
+        self.starts = np.flatnonzero(np.diff(self.owner, prepend=-1))
 
-    def pack(self, pose2: Pose, points: np.ndarray, velocities=None) -> np.ndarray:
-        translation = pose2.translation
-        if self.baseline_norm >= 1e-12:
-            translation = translation / max(np.linalg.norm(translation), 1e-300)
-        head = [rotation_log(pose2.rotation), translation]
-        if self.estimate_velocities:
-            for v, w in velocities:
-                head.extend([v, w])
-        return np.concatenate([*head, points.ravel()])
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        """Sum of each problem's rows (M, ...) over its rows and trailing axes: (P,)."""
+        return np.add.reduceat(rows.reshape(len(rows), -1).sum(axis=1), self.starts)
 
-    def unpack(self, x: np.ndarray):
-        pose2 = Pose(rotation_exp(x[:3]), self._translation(x[3:6])[0])
-        velocities = None
-        if self.estimate_velocities:
-            velocities = [(x[c:c + 3], x[c + 3:c + 6]) for c in (6, 12)]
-        return pose2, x[self.n_cam:].reshape(self.n_points, 3), velocities
+    def take(self, keep: np.ndarray) -> "_Batch":
+        rows, owner = keep[self.owner], (np.cumsum(keep) - 1)[self.owner]
+        per_problem = ("rotation1", "translation1", "baseline", "velocity", "rolling")
+        return replace(self, owner=owner[rows], observed=self.observed[rows],
+                       **{name: getattr(self, name)[keep] for name in per_problem})
 
 
-def _residuals(par: _Parametrization, model: str, x: np.ndarray):
-    """Reprojection residuals at x and their blocks: (residuals, cam_jac, point_jac).
-
-    cam_jac[k] (2 x n_cam) and point_jac[k] (2 x 3) differentiate pair k,
-    observation k (camera 1's first).  Along p = y + t w, with y = R x + T and
-    w = omega x R x + v, dp = (I + w g^T)(dy + t dw), g = dt/dy from
-    `scan_time_gradient`; the pin-hole model has t = 0.
+def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray):
+    """Residuals (M, 2, 2) of every row and view at camera parameters cam (P,
+    n_cam) and points (M, 3), and their Jacobian blocks by the camera (M, 2,
+    2, n_cam) and by the point (M, 2, 2, 3).  Along p = y + t w, y = R x + T,
+    w = omega x R x + v: dp = (I + w g^T)(dy + t dw), g = dt/dy from
+    `scan_time_gradient`; the pin-hole model is this with t = 0 and g = 0.
     """
-    problem = par.problem
-    pose2, points, velocities = par.unpack(x)
-    poses = (problem.cameras[0].motion.pose0, pose2)
-    chunks, cam_blocks, point_blocks = [], [], []
-    for j, (cam, pose) in enumerate(zip(problem.cameras, poses)):
-        indices, observed = problem.observations[j]
-        pts = points[indices]
-        if model == PERSPECTIVE_MODEL:
-            uv, ok = _perspective_pixels(pts, pose, cam.intrinsics)
-        else:
-            v, w = velocities[j] if velocities else (cam.motion.linear_velocity,
-                                                     cam.motion.angular_velocity)
-            motion = MotionState(pose, v, w)
-            uv, times = _rs_pixels(pts, motion, cam.intrinsics, cam.shutter)
-            ok = times.ok
-        residual = uv - observed
-        # A point that wandered behind the camera gets a large constant
-        # penalty instead of NaN (so the optimizer can back out) and zero rows.
-        residual[~ok] = 1e4
-        chunks.append(residual.ravel())
-        rx = pts @ pose.rotation.T
-        if model == PERSPECTIVE_MODEL:
-            p, t, spin, chain = rx + pose.translation, np.zeros(len(pts)), np.zeros(3), np.eye(3)
-        else:
-            p, t, spin = times.capture, times.t, motion.angular_velocity
-            grad = scan_time_gradient(times, cam.intrinsics, cam.shutter)
-            chain = np.eye(3) + times.velocity[:, :, None] * grad[:, None, :]
-        k = cam.intrinsics.K
-        depth = np.where(ok, p @ k[2], 1.0)
-        pixel = (k[:2] - uv[:, :, None] * k[2]) / depth[:, None, None]
-        a = np.where(ok[:, None, None], pixel @ chain, 0.0)        # dr / d(y + t w)
-        b = a + t[:, None, None] * (a @ hat(spin))                  # dr / d(R x)
-        point_blocks.append(b @ pose.rotation)
-        cam_jac = np.zeros((len(pts), 2, par.n_cam))
-        if j == 1:
-            # d(R x) = -hat(R x) J_l(phi) d(phi), J_l the SO(3) left Jacobian.
-            cam_jac[:, :, :3] = np.cross(rx[:, None, :], b) @ rotation_left_jacobian(x[:3])
-            cam_jac[:, :, 3:6] = a @ par._translation(x[3:6])[1]
-        if par.estimate_velocities:
-            col = 6 + 6 * j     # dw = dv - hat(R x) d(omega)
-            cam_jac[:, :, col:col + 3] = t[:, None, None] * a
-            cam_jac[:, :, col + 3:col + 6] = t[:, None, None] * np.cross(rx[:, None, :], a)
-        cam_blocks.append(cam_jac)
-    return np.concatenate(chunks), np.concatenate(cam_blocks), np.concatenate(point_blocks)
+    own, n_cam = batch.owner, batch.n_cam
+    rotation2, left = rotation_exp(cam[:, :3]), rotation_left_jacobian(cam[:, :3])
+    translation2, d_translation = _translations(cam[:, 3:6], batch.baseline)
+    rotation = np.stack([batch.rotation1, rotation2], axis=1)[own]      # (M, 2, 3, 3)
+    translation = np.stack([batch.translation1, translation2], axis=1)[own]
+    velocity = (cam[:, 6:].reshape(-1, 2, 2, 3) if n_cam > 6 else batch.velocity)[own]
+    v, spin = velocity[:, :, 0], velocity[:, :, 1]
+    rx = np.einsum("mvij,mj->mvi", rotation, points)
+    y = rx + translation
+    w = _cross(spin, rx) + v
+    t, ok = np.empty(y.shape[:2]), np.empty(y.shape[:2], bool)
+    grad, q = np.empty_like(y), np.empty_like(y)
+    rolling = batch.rolling[own]
+    for j, (intrinsics, shutter) in enumerate(batch.views):
+        times = solve_path_times(y[:, j], w[:, j], intrinsics, shutter, windowed=False)
+        t[:, j] = np.where(rolling, times.t, 0.0)
+        ok[:, j] = np.where(rolling, times.ok, y[:, j, 2] > DEPTH_EPS)
+        grad[:, j] = scan_time_gradient(times, intrinsics, shutter) * rolling[:, None]
+        q[:, j] = (y[:, j] + t[:, j, None] * w[:, j]) @ intrinsics.K.T
+    depth = np.where(ok, q[..., 2], 1.0)[..., None]
+    uv = q[..., :2] / depth
+    # A point that wandered behind a camera gets a large constant penalty
+    # instead of NaN (so the optimizer can back out) and zero rows.
+    residual = np.where(ok[..., None], uv - batch.observed, 1e4)
+    k = np.stack([intrinsics.K for intrinsics, _ in batch.views])       # (2, 3, 3)
+    pixel = (k[:, :2] - uv[..., None] * k[:, None, 2]) / depth[..., None]
+    chained = pixel + np.sum(pixel * w[:, :, None], axis=-1)[..., None] * grad[:, :, None]
+    a = np.where(ok[..., None, None], chained, 0.0)                     # dr / d(y + t w)
+    b = a + t[..., None, None] * _cross(a, spin[:, :, None])            # dr / d(R x)
+    cam_jac = np.zeros(a.shape[:3] + (n_cam,))
+    # d(R x) = -hat(R x) J_l(phi) d(phi), J_l the SO(3) left Jacobian.
+    cam_jac[:, 1, :, :3] = _cross(rx[:, 1, None], b[:, 1]) @ left[own]
+    cam_jac[:, 1, :, 3:6] = a[:, 1] @ d_translation[own]
+    if n_cam > 6:               # dw = dv - hat(R x) d(omega)
+        velocity_jac = np.concatenate([a, _cross(rx[:, :, None], a)], axis=-1)
+        cam_jac[:, 0, :, 6:12] = t[:, 0, None, None] * velocity_jac[:, 0]
+        cam_jac[:, 1, :, 12:18] = t[:, 1, None, None] * velocity_jac[:, 1]
+    return residual, cam_jac, b @ rotation
+
+
+def _inverse_spd3(v: np.ndarray) -> np.ndarray:
+    """Inverses of symmetric 3x3 matrices (M, 3, 3) by the adjugate; NaN where singular."""
+    a, b, c = v[:, 0, 0], v[:, 0, 1], v[:, 0, 2]
+    d, e, f = v[:, 1, 1], v[:, 1, 2], v[:, 2, 2]
+    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+    det = a * c00 + b * c01 + c * c02
+    return np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1).reshape(
+        -1, 3, 3) / np.where(det == 0.0, np.nan, det)[:, None, None]
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions of the systems a (P, n, n) x = b (P, n); a singular system's is NaN."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:   # one singular system must not stop the others
+        return (np.concatenate([_solve_each(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
+                if len(a) > 1 else np.full(b.shape, np.nan))
 
 
 class _NormalEquations:
     """J^T J and J^T r in blocks: with Jc and Jp the camera and point columns
-    of J, cam = Jc^T [Jc | r] = [U | g_c], and point[i] = [W_i^T | g_i | V_i]
-    sums Jp^T [Jc | r | Jp] over point i's observations.
+    of J, cam[p] = Jc^T [Jc | r] = [U | g_c] sums problem p's rows, and
+    point[m] = Jp^T [Jc | r | Jp] = [W_m^T | g_m | V_m] row m's two views.
     """
 
-    def __init__(self, cam_jac, point_jac, point_index, residual, n_points):
-        n_cam = cam_jac.shape[2]
-        rows = np.concatenate([cam_jac, residual.reshape(-1, 2, 1), point_jac], axis=2)
-        flat = rows.reshape(-1, n_cam + 4)
-        self.cam = flat[:, :n_cam].T @ flat[:, :n_cam + 1]
-        self.point = np.zeros((n_points, 3, n_cam + 4))
-        np.add.at(self.point, point_index, point_jac.transpose(0, 2, 1) @ rows)
-        self.gradient = np.concatenate([self.cam[:, n_cam], self.point[:, :, n_cam].ravel()])
-        self.diag = np.maximum(np.concatenate([
-            np.diag(self.cam), np.einsum("nii->ni", self.point[:, :, n_cam + 1:]).ravel()]),
-            1e-12)
+    def __init__(self, batch: _Batch, residual, cam_jac, point_jac):
+        m, n = len(residual), batch.n_cam
+        self.batch, self.n = batch, n
+        rows = np.concatenate([cam_jac.reshape(m, 4, n), residual.reshape(m, 4, 1),
+                               point_jac.reshape(m, 4, 3)], axis=2)
+        self.cam = np.add.reduceat(rows[:, :, :n].transpose(0, 2, 1) @ rows[:, :, :n + 1],
+                                   batch.starts, axis=0)
+        self.point = rows[:, :, n + 1:].transpose(0, 2, 1) @ rows
+        self.gradient = (self.cam[:, :, n], self.point[:, :, n])
+        self.diag = (np.maximum(np.einsum("pii->pi", self.cam[:, :, :n]), 1e-12),
+                     np.maximum(np.einsum("mii->mi", self.point[:, :, n + 1:]), 1e-12))
 
-    def step(self, lam: float) -> np.ndarray:
-        """Solution of (J^T J + lam diag(J^T J)) delta = -g.
+    def problem_max(self, parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Largest entry of each problem's camera (P, n) and point (M, 3) parts."""
+        return np.maximum(parts[0].max(axis=1), np.maximum.reduceat(
+            parts[1].max(axis=1), self.batch.starts))
 
-        Eliminating the damped V_i leaves the reduced camera system
-        (U - sum W_i V_i^-1 W_i^T) d_c = -(g_c - sum W_i V_i^-1 g_i), with U
-        damped; the points follow by back-substitution.
+    def step(self, lam: np.ndarray):
+        """Each problem's solution of (J^T J + lam diag(J^T J)) delta = -g, in
+        camera (P, n) and point (M, 3) parts (NaN if singular), and the cost
+        decrease it predicts, delta (lam diag delta - g) / 2.  Eliminating the
+        damped V_m leaves the reduced camera system (U - sum W_m V_m^-1 W_m^T)
+        d_c = -(g_c - sum W_m V_m^-1 g_m), U damped; the points follow.
         """
-        n_cam = len(self.cam)
-        damping = lam * self.diag
-        v = self.point[:, :, n_cam + 1:] + damping[n_cam:].reshape(-1, 3, 1) * np.eye(3)
-        solved = np.linalg.solve(v, self.point[:, :, :n_cam + 1])   # V_i^-1 [W_i^T | g_i]
-        reduced = self.cam - np.einsum("nji,njk->ik", self.point[:, :, :n_cam], solved)
-        d_cam = np.linalg.solve(reduced[:, :n_cam] + np.diag(damping[:n_cam]),
-                                -reduced[:, n_cam])
-        d_point = -(solved[:, :, n_cam] + solved[:, :, :n_cam] @ d_cam)
-        return np.concatenate([d_cam, d_point.ravel()])
+        n, own, starts = self.n, self.batch.owner, self.batch.starts
+        damping = (lam[:, None] * self.diag[0], lam[own, None] * self.diag[1])
+        v = self.point[:, :, n + 1:] + damping[1][:, :, None] * np.eye(3)
+        solved = _inverse_spd3(v) @ self.point[:, :, :n + 1]     # V_m^-1 [W_m^T | g_m]
+        reduced = self.cam - np.add.reduceat(
+            self.point[:, :, :n].transpose(0, 2, 1) @ solved, starts, axis=0)
+        d_cam = _solve_each(reduced[:, :, :n] + damping[0][:, :, None] * np.eye(n),
+                            -reduced[:, :, n])
+        d_point = -(solved[:, :, n] + (solved[:, :, :n] @ d_cam[own][:, :, None])[:, :, 0])
+        gain = [d * (damp * d - g) for d, damp, g in zip((d_cam, d_point), damping, self.gradient)]
+        return d_cam, d_point, 0.5 * (gain[0].sum(axis=1) + self.batch.sums(gain[1]))
 
 
-def _levenberg_marquardt(fun, x0: np.ndarray, n_cam: int, point_index: np.ndarray,
-                         options: BundleOptions):
-    """(x, residuals at x, iterations, converged, cost history) of an LM run.
+TERMINATIONS = ("gradient", "cost", "lambda", "limit")
+_RUNNING, _GRADIENT, _COST, _LAMBDA, _LIMIT = -1, 0, 1, 2, 3
 
-    fun(x) gives the residuals and their blocks (see `_residuals`), so that
-    an accepted trial point brings its Jacobian; each step solves the reduced
-    camera system.
+
+def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
+                         options: BundleOptions) -> list[tuple]:
+    """(camera parameters, points, residuals, iterations, termination, cost
+    history) of each problem's LM run, all run in lockstep.  In each round
+    every running problem forms its normal equations, stops if its gradient
+    is small, and takes a trial step at its own lambda, which it accepts or
+    answers by raising lambda, as a loop over one problem would.  A trial
+    point brings its Jacobian.  Finished problems leave the arrays.
     """
-    x = x0.copy()
-    r, *blocks = fun(x)
-    cost = 0.5 * float(r @ r)
-    history = [cost]
-    lam, nu, converged, iterations = None, 2.0, False, 0
-    n_points = (len(x) - n_cam) // 3
-    for iterations in range(1, options.max_iterations + 1):
-        system = _NormalEquations(*blocks, point_index, r, n_points)
-        g = system.gradient
-        if float(np.max(np.abs(g))) < options.gradient_tolerance:
-            converged = True
-            break
-        diag = system.diag
-        if lam is None:
-            lam = 1e-3 * float(diag.max())
-        accepted = False
-        while not accepted:
-            try:
-                delta = system.step(lam)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None:
-                x_new = x + delta
-                r_new, *blocks_new = fun(x_new)
-                cost_new = 0.5 * float(r_new @ r_new)
-                predicted = 0.5 * float(delta @ (lam * diag * delta - g))
-                rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
-            else:
-                rho = -1.0
-            if rho > 0:
-                accepted = True
-                rel_decrease = (cost - cost_new) / max(cost, 1e-300)
-                x, r, blocks, cost = x_new, r_new, blocks_new, cost_new
-                history.append(cost)
-                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                nu = 2.0
-                if rel_decrease < options.cost_tolerance:
-                    converged = True
-            else:
-                lam *= nu
-                nu *= 2.0
-                if lam > 1e16:
-                    # No step of any length decreases the cost: the relative
-                    # decrease criterion is met with zero decrease.
-                    return x, r, iterations, True, history
-        if converged:
-            break
-    return x, r, iterations, converged, history
+    state = _residuals(batch, cam, points)
+    cost = 0.5 * batch.sums(state[0] ** 2)
+    history = [[c] for c in cost.tolist()]
+    lam, nu, iteration = np.zeros(len(cam)), np.full(len(cam), 2.0), np.ones(len(cam), int)
+    ids, results = np.arange(len(cam)), [None] * len(cam)
+    while len(ids):
+        system = _NormalEquations(batch, *state)
+        gradient = system.problem_max(tuple(np.abs(g) for g in system.gradient))
+        stop = np.where(iteration > options.max_iterations, _LIMIT, np.where(
+            gradient < options.gradient_tolerance, _GRADIENT, _RUNNING))
+        lam = np.where(lam > 0.0, lam, 1e-3 * system.problem_max(system.diag))
+        d_cam, d_point, predicted = system.step(lam)
+        trial = _residuals(batch, cam + d_cam, points + d_point)
+        cost_new = 0.5 * batch.sums(trial[0] ** 2)
+        # A singular system's NaN step predicts NaN and is rejected.
+        good = predicted > 0.0
+        rho = np.where(good, (cost - cost_new) / np.where(good, predicted, 1.0), -1.0)
+        accept, reject = (stop == _RUNNING) & (rho > 0.0), (stop == _RUNNING) & ~(rho > 0.0)
+        rows = accept[batch.owner]
+        cam[accept] += d_cam[accept]
+        points[rows] += d_point[rows]
+        for new, old in zip(trial, state):
+            old[rows] = new[rows]
+        del trial, system       # before the next round's arrays are made
+        for i in np.flatnonzero(accept):
+            history[ids[i]].append(float(cost_new[i]))
+        decrease = (cost - cost_new) / np.maximum(cost, 1e-300)
+        cost = np.where(accept, cost_new, cost)
+        lam = np.where(accept, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
+                       np.where(reject, lam * nu, lam))
+        nu = np.where(accept, 2.0, np.where(reject, 2.0 * nu, nu))
+        # Too small a decrease ends the run, and so does lambda overflow: no step
+        # of any length decreases the cost (the criterion met with zero decrease).
+        stop = np.where(accept & (decrease < options.cost_tolerance), _COST,
+                        np.where(reject & (lam > 1e16), _LAMBDA, stop))
+        keep = stop == _RUNNING
+        iteration += accept & keep
+        if keep.all():
+            continue
+        for i in np.flatnonzero(~keep):
+            own = batch.owner == i
+            results[ids[i]] = (cam[i], points[own], state[0][own], iteration[i] - (
+                stop[i] == _LIMIT), TERMINATIONS[stop[i]], tuple(history[ids[i]]))
+        rows = keep[batch.owner]
+        batch = batch.take(keep)
+        cam, lam, nu, cost, iteration, ids = (a[keep] for a in (cam, lam, nu, cost, iteration, ids))
+        points, state = points[rows], [a[rows] for a in state]
+    return results
+
+
+def _initial_batch(problems, models, options: BundleOptions):
+    """The batch of the problems under their models, and LM's start: camera
+    parameters (P, n_cam) and points (M, 3).  All problems must share each
+    view's intrinsics and shutter, as the problems of one grid cell do.
+    """
+    cams, points = [], []
+    for problem, model in zip(problems, models):
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+        rng = np.random.default_rng((*problem.rng_seed, 7919))     # the start's noise
+        axis, t_dir = (v / np.linalg.norm(v) for v in (rng.normal(size=3), rng.normal(size=3)))
+        pose1, pose2 = (cam.motion.pose0 for cam in problem.cameras)
+        baseline = float(np.linalg.norm(pose2.translation))
+        translation = pose2.translation + options.init_translation_frac * baseline * t_dir
+        if baseline >= 1e-12:
+            translation = translation / max(np.linalg.norm(translation), 1e-300)
+        rotation = rotation_exp(axis * math.radians(options.init_rotation_deg)) @ pose2.rotation
+        cams.append(np.concatenate([rotation_log(rotation), translation]))
+        (idx1, obs1), (idx2, obs2) = problem.observations
+        if not np.array_equal(idx1, idx2):
+            raise ConfigError("bundle adjustment expects the same points in both views")
+        # Structure is triangulated from the unperturbed relative geometry:
+        # with a near-forward baseline, a 2-degree attitude error scatters
+        # midpoint depths beyond recovery, while the pose parameters still
+        # start from the perturbed values.
+        points.append(_initial_points(obs1, obs2, pose1, pose2, problem.cameras[0].intrinsics))
+    velocity = np.array([[[cam.motion.linear_velocity, cam.motion.angular_velocity]
+                          for cam in problem.cameras] for problem in problems])
+    batch = _Batch(owner=np.repeat(np.arange(len(points)), [len(p) for p in points]),
+                   observed=np.concatenate([np.stack([obs for _, obs in problem.observations],
+                                                     axis=1) for problem in problems]),
+                   rotation1=np.array([p.cameras[0].motion.pose0.rotation for p in problems]),
+                   translation1=np.array([p.cameras[0].motion.pose0.translation for p in problems]),
+                   baseline=np.array([np.linalg.norm(p.cameras[1].motion.pose0.translation)
+                                      for p in problems]),
+                   velocity=velocity, rolling=np.array([m == RS_MODEL for m in models]),
+                   views=tuple((cam.intrinsics, cam.shutter) for cam in problems[0].cameras),
+                   n_cam=18 if options.estimate_velocities else 6)
+    if options.estimate_velocities:
+        cams = np.concatenate([cams, velocity.reshape(-1, 12)], axis=1)
+    return batch, np.array(cams), np.concatenate(points)
+
+
+def _bundle_adjust_batch(problems, models, options: BundleOptions | None = None
+                         ) -> list[SfmSolution]:
+    """`bundle_adjust` of each problem under its model, as one batched LM."""
+    opts, solutions = options or BundleOptions(), []
+    runs = _levenberg_marquardt(*_initial_batch(problems, models, opts), opts) if problems else []
+    for problem, model, (cam, points, residual, iterations, termination, history) in zip(
+            problems, models, runs):
+        pose2_true = problem.cameras[1].motion.pose0
+        pose2 = Pose(rotation_exp(cam[:3]), _translations(cam[None, 3:6], np.array(
+            [np.linalg.norm(pose2_true.translation)]))[0][0])
+        rot_err, trans_err = _pose_errors(pose2_true, pose2)
+        residual = residual.transpose(1, 0, 2).ravel()     # camera 1's observations first
+        solutions.append(SfmSolution(
+            poses=(problem.cameras[0].motion.pose0, pose2), points=points,
+            velocities=tuple((cam[c:c + 3], cam[c + 3:c + 6]) for c in (6, 12))
+            if opts.estimate_velocities else None,
+            reprojection_rms=math.sqrt(float(residual @ residual) / (len(residual) // 2)),
+            rotation_error_deg=rot_err, translation_direction_error_deg=trans_err,
+            model_used=model, iterations=int(iterations), converged=termination != "limit",
+            cost_history=history, termination=termination))
+    return solutions
 
 
 def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,
@@ -478,66 +557,9 @@ def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,
     by the configured rotation/translation noise and triangulates points from
     the observations; velocities are known model inputs unless
     options.estimate_velocities is set.  Non-convergence is reported in the
-    solution flags, never raised.
+    solution flags, never raised.  A batch of one for the grid's batched LM.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    opts = options or BundleOptions()
-    rng = np.random.default_rng((*problem.rng_seed, 7919))
-
-    cam2 = problem.cameras[1]
-    pose2_true = cam2.motion.pose0
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    d_rot = rotation_exp(axis * math.radians(opts.init_rotation_deg))
-    t_dir = rng.normal(size=3)
-    t_dir /= np.linalg.norm(t_dir)
-    t_mag = opts.init_translation_frac * float(np.linalg.norm(pose2_true.translation))
-    pose2_init = Pose(d_rot @ pose2_true.rotation,
-                      pose2_true.translation + t_mag * t_dir)
-
-    idx1, obs1 = problem.observations[0]
-    idx2, obs2 = problem.observations[1]
-    if not np.array_equal(idx1, idx2):
-        raise ConfigError("bundle adjustment expects the same points in both views")
-    # Structure is triangulated from the unperturbed relative geometry: with
-    # a near-forward baseline, a 2-degree attitude error scatters midpoint
-    # depths beyond recovery, while the pose parameters still start from the
-    # perturbed values.
-    points_init = _initial_points(obs1, obs2, problem.cameras[0].motion.pose0,
-                                  pose2_true, problem.cameras[0].intrinsics)
-
-    par = _Parametrization(problem, opts.estimate_velocities)
-    velocities0 = None
-    if opts.estimate_velocities:
-        velocities0 = [(cam.motion.linear_velocity.copy(),
-                        cam.motion.angular_velocity.copy())
-                       for cam in problem.cameras]
-    x0 = par.pack(pose2_init, points_init, velocities0)
-
-    def fun(x):
-        return _residuals(par, model, x)
-
-    point_index = np.concatenate([indices for indices, _ in problem.observations])
-    x_opt, residual, iterations, converged, history = _levenberg_marquardt(
-        fun, x0, par.n_cam, point_index, opts)
-
-    pose2, points, velocities = par.unpack(x_opt)
-    rms = math.sqrt(float(residual @ residual) / len(point_index))
-
-    rot_err, trans_err = _pose_errors(pose2_true, pose2)
-    return SfmSolution(
-        poses=(problem.cameras[0].motion.pose0, pose2),
-        points=points,
-        velocities=tuple((v.copy(), w.copy()) for v, w in velocities) if velocities else None,
-        reprojection_rms=rms,
-        rotation_error_deg=rot_err,
-        translation_direction_error_deg=trans_err,
-        model_used=model,
-        iterations=iterations,
-        converged=converged,
-        cost_history=tuple(history),
-    )
+    return _bundle_adjust_batch([problem], [model], options)[0]
 
 
 def _pose_errors(pose_true: Pose, pose_est: Pose) -> tuple[float, float]:
@@ -588,26 +610,21 @@ def run_experiment_grid(velocities_kmh, sigmas_px, trials: int, seed,
     rows = []
     for vi, velocity in enumerate(velocities_kmh):
         for si, sigma in enumerate(sigmas_px):
-            samples = {m: {"rot": [], "trans": [], "reproj": [], "bad": 0} for m in models}
-            for trial in range(trials):
-                cfg = replace(base, velocity_kmh=velocity, noise_sigma=sigma)
-                problem = generate_problem(cfg, (*seed_t, vi, si, trial))
-                for m in models:
-                    sol = bundle_adjust(problem, m, options)
-                    rot, trans, reproj = error_metrics(problem, sol)
-                    samples[m]["rot"].append(rot)
-                    samples[m]["trans"].append(trans)
-                    samples[m]["reproj"].append(reproj)
-                    samples[m]["bad"] += 0 if sol.converged else 1
+            cfg = replace(base, velocity_kmh=velocity, noise_sigma=sigma)
+            problems = [problem for trial in range(trials) for problem in
+                        [generate_problem(cfg, (*seed_t, vi, si, trial))] * len(models)]
+            solutions = _bundle_adjust_batch(problems, list(models) * trials, options)
             for m in models:
-                data = samples[m]
-                row = {"velocity_kmh": velocity, "sigma_px": sigma, "model": m,
-                       "trials": trials, "nonconverged_count": data["bad"]}
-                for key, name in (("reproj", "reproj"), ("rot", "rot"), ("trans", "trans")):
-                    vals = np.array(data[key], dtype=float)
-                    row[f"mean_{name}" + ("_px" if name == "reproj" else "_deg")] = float(np.mean(vals))
-                    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-                    row[f"se_{name}"] = se
+                mine = [(sol, error_metrics(problem, sol))
+                        for problem, sol in zip(problems, solutions) if sol.model_used == m]
+                errors = np.array([e for _, e in mine], dtype=float).reshape(-1, 3)
+                row = {"velocity_kmh": velocity, "sigma_px": sigma, "model": m, "trials": trials,
+                       "nonconverged_count": sum(not sol.converged for sol, _ in mine)}
+                for k, name, unit in ((2, "reproj", "px"), (0, "rot", "deg"), (1, "trans", "deg")):
+                    vals = errors[:, k].copy()
+                    row[f"mean_{name}_{unit}"] = float(np.mean(vals))
+                    row[f"se_{name}"] = (float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+                                         if len(vals) > 1 else 0.0)
                 rows.append(row)
     return rows
 

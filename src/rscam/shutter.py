@@ -272,16 +272,22 @@ def solve_scan_times(points, motion: MotionState, intrinsics: CameraIntrinsics,
     negative times.
     """
     x = _points(points)
-    t_max = shutter.scan_duration(intrinsics.height)
     if not exact:
-        start, w = _linear_path(x, motion, frame_start)
-        t, reason, twice = _closed_form_roots(start, w, intrinsics, shutter,
-                                              t_max, windowed)
-        return ScanTimes(t, reason, twice, start, start + t[:, None] * w, w)
+        return solve_path_times(*_linear_path(x, motion, frame_start), intrinsics,
+                                shutter, windowed)
     at = _exact_path(x, motion)
-    t, reason, twice = _exact_roots(at, len(x), intrinsics, shutter,
-                                    frame_start, t_max)
+    t, reason, twice = _exact_roots(at, len(x), intrinsics, shutter, frame_start,
+                                    shutter.scan_duration(intrinsics.height))
     return ScanTimes(t, reason, twice, at(frame_start), at((frame_start + t)[:, None]))
+
+
+def solve_path_times(start: np.ndarray, velocity: np.ndarray, intrinsics: CameraIntrinsics,
+                     shutter: ShutterParams, windowed: bool = True) -> ScanTimes:
+    """`solve_scan_times`'s closed form on camera-frame paths start + t velocity (N, 3)
+    formed by the caller, such as points seen from one pose each."""
+    t, reason, twice = _closed_form_roots(start, velocity, intrinsics, shutter,
+                                          shutter.scan_duration(intrinsics.height), windowed)
+    return ScanTimes(t, reason, twice, start, start + t[:, None] * velocity, velocity)
 
 
 def scan_time_gradient(times: ScanTimes, intrinsics: CameraIntrinsics,

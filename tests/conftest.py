@@ -5,15 +5,21 @@ test: it evaluates the scanline-crossing residual through the generic camera
 matrix machinery and finds the root by dense scan plus plain bisection.  The
 Jacobian oracle takes central differences of the bundle-adjustment residuals.
 The single-point references write one point's arithmetic out with 1-D numpy
-calls; the batched helpers must reproduce them bit for bit.
+calls; the batched helpers must reproduce them bit for bit.  The per-problem
+Levenberg-Marquardt loop and its normal equations (point sums by np.add.at,
+3x3 point blocks by np.linalg.solve) are the oracle of the batched LM, and the
+per-row checkerboard raster that of the block raster.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from rscam.geometry import CameraIntrinsics, MotionState, camera_matrix_at, hat
+from rscam import sfm
+from rscam.geometry import CameraIntrinsics, MotionState, Pose, camera_matrix_at, hat
 from rscam.shutter import project_rolling_shutter
 
 
@@ -138,3 +144,132 @@ def line_distance_one(point_a, direction_a, point_b, direction_b):
     if norm < 1e-12:
         return float(np.linalg.norm(offset - (offset @ direction_a) * direction_a))
     return float(abs(offset @ cross) / norm)
+
+
+def perspective_pixels(points, pose: Pose, intrinsics: CameraIntrinsics):
+    """Pin-hole pixels (N, 2) of points (N, 3) and the mask of those in front."""
+    p = points @ pose.rotation.T + pose.translation
+    q = p @ intrinsics.K.T
+    ok = p[:, 2] > 1e-9
+    depth = np.where(ok, q[:, 2], 1.0)
+    return q[:, :2] / depth[:, None], ok
+
+
+def one_problem_residuals(batch, x):
+    """sfm._residuals of a one-problem batch at x (camera parameters, then
+    points), laid out per observation, camera 1's first: (residuals (2N,
+    2)-raveled, camera blocks (2N, 2, n_cam), point blocks (2N, 2, 3))."""
+    n_cam = batch.n_cam
+    r, cam_jac, point_jac = sfm._residuals(batch, x[None, :n_cam], x[n_cam:].reshape(-1, 3))
+    return (r.transpose(1, 0, 2).ravel(), cam_jac.transpose(1, 0, 2, 3).reshape(-1, 2, n_cam),
+            point_jac.transpose(1, 0, 2, 3).reshape(-1, 2, 3))
+
+
+class NormalEquations:
+    """J^T J and J^T r in blocks: with Jc and Jp the camera and point columns
+    of J, cam = Jc^T [Jc | r] = [U | g_c], and point[i] = [W_i^T | g_i | V_i]
+    sums Jp^T [Jc | r | Jp] over point i's observations.
+    """
+
+    def __init__(self, cam_jac, point_jac, point_index, residual, n_points):
+        n_cam = cam_jac.shape[2]
+        rows = np.concatenate([cam_jac, residual.reshape(-1, 2, 1), point_jac], axis=2)
+        flat = rows.reshape(-1, n_cam + 4)
+        self.cam = flat[:, :n_cam].T @ flat[:, :n_cam + 1]
+        self.point = np.zeros((n_points, 3, n_cam + 4))
+        np.add.at(self.point, point_index, point_jac.transpose(0, 2, 1) @ rows)
+        self.gradient = np.concatenate([self.cam[:, n_cam], self.point[:, :, n_cam].ravel()])
+        self.diag = np.maximum(np.concatenate([
+            np.diag(self.cam), np.einsum("nii->ni", self.point[:, :, n_cam + 1:]).ravel()]),
+            1e-12)
+
+    def step(self, lam: float) -> np.ndarray:
+        """Solution of (J^T J + lam diag(J^T J)) delta = -g."""
+        n_cam = len(self.cam)
+        damping = lam * self.diag
+        v = self.point[:, :, n_cam + 1:] + damping[n_cam:].reshape(-1, 3, 1) * np.eye(3)
+        solved = np.linalg.solve(v, self.point[:, :, :n_cam + 1])   # V_i^-1 [W_i^T | g_i]
+        reduced = self.cam - np.einsum("nji,njk->ik", self.point[:, :, :n_cam], solved)
+        d_cam = np.linalg.solve(reduced[:, :n_cam] + np.diag(damping[:n_cam]),
+                                -reduced[:, n_cam])
+        d_point = -(solved[:, :, n_cam] + solved[:, :, :n_cam] @ d_cam)
+        return np.concatenate([d_cam, d_point.ravel()])
+
+
+def levenberg_marquardt(fun, x0, n_cam, point_index, options):
+    """(x, residuals at x, iterations, termination, cost history) of one LM run.
+
+    fun(x) gives the residuals and their blocks (see `one_problem_residuals`).
+    Termination is "gradient", "cost", "lambda" or "limit".
+    """
+    x = x0.copy()
+    r, *blocks = fun(x)
+    cost = 0.5 * float(r @ r)
+    history = [cost]
+    lam, nu, termination, iterations = None, 2.0, "limit", 0
+    n_points = (len(x) - n_cam) // 3
+    for iterations in range(1, options.max_iterations + 1):
+        system = NormalEquations(*blocks, point_index, r, n_points)
+        g = system.gradient
+        if float(np.max(np.abs(g))) < options.gradient_tolerance:
+            termination = "gradient"
+            break
+        diag = system.diag
+        if lam is None:
+            lam = 1e-3 * float(diag.max())
+        accepted = False
+        while not accepted:
+            try:
+                delta = system.step(lam)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is not None:
+                x_new = x + delta
+                r_new, *blocks_new = fun(x_new)
+                cost_new = 0.5 * float(r_new @ r_new)
+                predicted = 0.5 * float(delta @ (lam * diag * delta - g))
+                rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
+            else:
+                rho = -1.0
+            if rho > 0:
+                accepted = True
+                rel_decrease = (cost - cost_new) / max(cost, 1e-300)
+                x, r, blocks, cost = x_new, r_new, blocks_new, cost_new
+                history.append(cost)
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                if rel_decrease < options.cost_tolerance:
+                    termination = "cost"
+            else:
+                lam *= nu
+                nu *= 2.0
+                if lam > 1e16:
+                    return x, r, iterations, "lambda", history
+        if termination == "cost":
+            break
+    return x, r, iterations, termination, history
+
+
+def render_checkerboard_rows(intrinsics, shutter, omega_z_rev_s, plane_depth, square_size):
+    """render.render_checkerboard one pixel row at a time."""
+    w, h = intrinsics.width, intrinsics.height
+    k_inv = np.linalg.inv(intrinsics.K)
+    us = np.arange(w) + 0.5
+    vs = np.arange(h) + 0.5
+    omega = 2.0 * math.pi * omega_z_rev_s
+    image = np.empty((h, w))
+    ray_row = np.column_stack([us, np.zeros(w), np.ones(w)])
+    for row in range(h):
+        ray_row[:, 1] = vs[row]
+        d = ray_row @ k_inv.T
+        t = (vs[row] + shutter.first_row) / shutter.scan_rate
+        theta = omega * t
+        c, s = math.cos(theta), math.sin(theta)
+        # Rays of the rotated camera: R(t)^T applied to the pixel rays.
+        x = c * d[:, 0] + s * d[:, 1]
+        y = -s * d[:, 0] + c * d[:, 1]
+        scale = plane_depth / d[:, 2]
+        bx = np.floor(x * scale / square_size).astype(int)
+        by = np.floor(y * scale / square_size).astype(int)
+        image[row] = ((bx + by) % 2).astype(float)
+    return image

@@ -234,8 +234,8 @@ class TestProjectPerspectiveBatch:
 
 
 class TestRotationCheck:
-    """check_rotation accepts what np.allclose(r r^T, I, atol=1e-9) accepts:
-    with allclose's rtol = 1e-5 on the diagonal, atol alone off it."""
+    """check_rotation accepts what np.allclose(r r^T, I, rtol=0, atol=1e-9)
+    accepts: the same bound on and off the diagonal."""
 
     @staticmethod
     def stretch(s2):
@@ -244,9 +244,10 @@ class TestRotationCheck:
         return np.diag([s, 1.0 / s, 1.0])
 
     def test_diagonal_boundary(self):
-        check_rotation(self.stretch(1.0 + 1e-5 - 1e-8))
-        Pose(self.stretch(1.0 - 1e-5 + 1e-8), np.zeros(3))
-        for s2 in (1.0 + 1e-5 + 1e-8, 1.0 - 1e-5 - 1e-8):
+        """The diagonal of r r^T gets the off-diagonal's 1e-9, not 1e-5."""
+        check_rotation(self.stretch(1.0 + 0.99e-9))
+        Pose(self.stretch(1.0 - 0.99e-9), np.zeros(3))
+        for s2 in (1.0 + 1e-5 - 1e-8, 1.0 - 1e-5 + 1e-8, 1.0 + 1.01e-9, 1.0 - 1.01e-9):
             with pytest.raises(ValueError, match="not orthogonal"):
                 check_rotation(self.stretch(s2))
 
@@ -262,7 +263,7 @@ class TestRotationCheck:
         for _ in range(400):
             r = rotation_exp(rng.normal(size=3)) @ (
                 np.eye(3) + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-11, -4))
-            expected = (np.allclose(r @ r.T, np.eye(3), atol=1e-9)
+            expected = (np.allclose(r @ r.T, np.eye(3), rtol=0.0, atol=1e-9)
                         and abs(np.linalg.det(r) - 1.0) <= 1e-9)
             try:
                 check_rotation(r)

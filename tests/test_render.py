@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from conftest import render_checkerboard_rows
 from rscam.geometry import CameraIntrinsics
 from rscam.render import (overlay_markers, project_board_lattice,
                           render_checkerboard, spin_motion)
@@ -11,6 +13,20 @@ def small_camera() -> CameraIntrinsics:
 
 
 class TestRenderCheckerboard:
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0, 2.0])
+    def test_raster_equals_row_by_row_oracle(self, omega):
+        """The block raster gives the per-row loop's image bit for bit: the
+        render-checker frame, and a frame whose height is no multiple of the
+        block, scanned bottom-up from an offset first row."""
+        frames = [(CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)),
+                  (CameraIntrinsics.from_fov(55.0, 150, 97),
+                   ShutterParams(scan_rate=-97 * 25.0, first_row=-90.0, framerate=25.0))]
+        for k, s in frames:
+            image = render_checkerboard(k, s, omega, plane_depth=0.5, square_size=0.06)
+            oracle = render_checkerboard_rows(k, s, omega, plane_depth=0.5, square_size=0.06)
+            np.testing.assert_array_equal(image, oracle)
+            assert image.dtype == oracle.dtype and 0.0 < image.mean() < 1.0
+
     def test_static_camera_is_plain_checker(self):
         k = small_camera()
         s = ShutterParams.ideal(30.0, 120)

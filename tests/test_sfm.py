@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grouped_jacobian
+from conftest import (NormalEquations, grouped_jacobian, levenberg_marquardt,
+                      one_problem_residuals, perspective_pixels)
 from rscam import sfm
 from rscam.errors import ConfigError
-from rscam.geometry import MotionState, Pose, rotation_exp
+from rscam.geometry import MotionState, Pose, rotation_exp, rotation_log
 from rscam.sfm import (GRID_CSV_COLUMNS, MODELS, PERSPECTIVE_MODEL, RS_MODEL,
                        BundleOptions, SceneConfig, SfmSolution, bundle_adjust,
                        error_metrics, generate_problem, grid_to_csv,
                        load_problem, run_experiment_grid, save_problem)
-from rscam.sfm import (_initial_points, _NormalEquations, _Parametrization,
-                       _perspective_pixels, _residuals)
+from rscam.sfm import _initial_points, _NormalEquations, _residuals
 
 
 @pytest.fixture(scope="module")
@@ -23,30 +23,27 @@ def rs_problem():
     return generate_problem(SceneConfig(velocity_kmh=7.5, noise_sigma=0.0), seed=11)
 
 
-def _start(problem, estimate_velocities=False):
-    """Parametrization and the x that bundle_adjust would start LM from."""
-    par = _Parametrization(problem, estimate_velocities)
-    _, obs1 = problem.observations[0]
-    _, obs2 = problem.observations[1]
+def _start(problem, estimate_velocities=False, model=RS_MODEL):
+    """A one-problem batch and the x (camera parameters, then points) that
+    bundle_adjust would start LM from, but with camera 2 at the truth."""
+    batch, cam, points = sfm._initial_batch(
+        [problem], [model], BundleOptions(estimate_velocities=estimate_velocities))
     pose2 = problem.cameras[1].motion.pose0
-    pts = _initial_points(obs1, obs2, problem.cameras[0].motion.pose0, pose2,
-                          problem.cameras[0].intrinsics)
-    velocities = [(cam.motion.linear_velocity, cam.motion.angular_velocity)
-                  for cam in problem.cameras]
-    return par, par.pack(pose2, pts, velocities if estimate_velocities else None)
+    cam[0, :6] = np.concatenate([rotation_log(pose2.rotation),
+                                 pose2.translation / np.linalg.norm(pose2.translation)])
+    return batch, np.concatenate([cam[0], points.ravel()])
 
 
-def _point_cols(par):
-    return np.concatenate([par.n_cam + 3 * np.repeat(indices, 2)
-                           for indices, _ in par.problem.observations])
+def _point_cols(batch):
+    return np.tile(batch.n_cam + 3 * np.repeat(np.arange(len(batch.owner)), 2), 2)
 
 
-def _dense(par, cam_jac, point_jac):
+def _dense(batch, cam_jac, point_jac):
     """The full (residuals x parameters) Jacobian assembled from its blocks."""
-    n_res = 2 * len(cam_jac)
-    jac = np.zeros((n_res, par.n_cam + 3 * par.n_points))
-    jac[:, :par.n_cam] = cam_jac.reshape(n_res, par.n_cam)
-    rows, cols = np.arange(n_res), _point_cols(par)
+    n_res, n_cam = 2 * len(cam_jac), batch.n_cam
+    jac = np.zeros((n_res, n_cam + 3 * len(batch.owner)))
+    jac[:, :n_cam] = cam_jac.reshape(n_res, n_cam)
+    rows, cols = np.arange(n_res), _point_cols(batch)
     for c in range(3):
         jac[rows, cols + c] = point_jac.reshape(n_res, 3)[:, c]
     return jac
@@ -61,15 +58,15 @@ def _with_motion(problem, velocity, omega):
 def _assert_matches_oracle(problem, model, estimate_velocities):
     """Analytic Jacobian equals central differences column by column, to 1e-6
     of each column's largest entry."""
-    par, x = _start(problem, estimate_velocities)
+    batch, x = _start(problem, estimate_velocities, model)
 
     def fun(x_):
-        return _residuals(par, model, x_)[0]
+        return one_problem_residuals(batch, x_)[0]
 
-    r, cam_jac, point_jac = _residuals(par, model, x)
+    r, cam_jac, point_jac = one_problem_residuals(batch, x)
     assert np.all(np.abs(r) < 1e4), "every observation must be imaged"
-    analytic = _dense(par, cam_jac, point_jac)
-    oracle = grouped_jacobian(fun, x, par.n_cam, _point_cols(par), len(r))
+    analytic = _dense(batch, cam_jac, point_jac)
+    oracle = grouped_jacobian(fun, x, batch.n_cam, _point_cols(batch), len(r))
     for col in range(len(x)):
         scale = float(np.max(np.abs(oracle[:, col])))
         np.testing.assert_allclose(analytic[:, col], oracle[:, col], rtol=0,
@@ -92,7 +89,7 @@ class TestGenerateProblem:
         problem = generate_problem(SceneConfig(velocity_kmh=0.0, noise_sigma=0.0),
                                    seed=7)
         for cam, (indices, pixels) in zip(problem.cameras, problem.observations):
-            expected, ok = _perspective_pixels(problem.points[indices],
+            expected, ok = perspective_pixels(problem.points[indices],
                                                cam.motion.pose0, cam.intrinsics)
             assert np.all(ok)
             np.testing.assert_allclose(pixels, expected, atol=1e-10)
@@ -103,7 +100,7 @@ class TestGenerateProblem:
                                    seed=3)
         gaps = []
         for cam, (indices, pixels) in zip(problem.cameras, problem.observations):
-            expected, _ = _perspective_pixels(problem.points[indices],
+            expected, _ = perspective_pixels(problem.points[indices],
                                               cam.motion.pose0, cam.intrinsics)
             gaps.append(np.linalg.norm(pixels - expected, axis=1).max())
         assert max(gaps) > 1.0
@@ -218,13 +215,13 @@ class TestErrorMetrics:
 class TestJacobian:
     def test_grouped_matches_dense_columns(self, rs_problem):
         """Spot-check grouped central differences against per-column ones."""
-        par, x = _start(rs_problem)
+        batch, x = _start(rs_problem)
 
         def fun(x_):
-            return _residuals(par, RS_MODEL, x_)[0]
+            return one_problem_residuals(batch, x_)[0]
 
-        jac = grouped_jacobian(fun, x, par.n_cam, _point_cols(par), len(fun(x)))
-        for col in [0, 3, 5, par.n_cam + 1, par.n_cam + 30, len(x) - 1]:
+        jac = grouped_jacobian(fun, x, batch.n_cam, _point_cols(batch), len(fun(x)))
+        for col in [0, 3, 5, batch.n_cam + 1, batch.n_cam + 30, len(x) - 1]:
             h = 1e-6 * max(1.0, abs(x[col]))
             xp, xm = x.copy(), x.copy()
             xp[col] += h
@@ -235,15 +232,15 @@ class TestJacobian:
     def test_step_halving_second_order(self, rs_problem):
         """Central differences converge as h^2: D(h)/D(h/2) near 5 against
         the h/4 reference."""
-        par, x = _start(rs_problem)
+        batch, x = _start(rs_problem)
 
         def fun(x_):
-            return _residuals(par, RS_MODEL, x_)[0]
+            return one_problem_residuals(batch, x_)[0]
 
-        n_res, point_cols = len(fun(x)), _point_cols(par)
-        j1 = grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=4e-3)
-        j2 = grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=2e-3)
-        j4 = grouped_jacobian(fun, x, par.n_cam, point_cols, n_res, step=1e-3)
+        n_res, point_cols, n_cam = len(fun(x)), _point_cols(batch), batch.n_cam
+        j1 = grouped_jacobian(fun, x, n_cam, point_cols, n_res, step=4e-3)
+        j2 = grouped_jacobian(fun, x, n_cam, point_cols, n_res, step=2e-3)
+        j4 = grouped_jacobian(fun, x, n_cam, point_cols, n_res, step=1e-3)
         d1 = np.linalg.norm(j1 - j4)
         d2 = np.linalg.norm(j2 - j4)
         assert 3.5 < d1 / d2 < 7.0, d1 / d2
@@ -271,31 +268,55 @@ class TestJacobian:
 
     @pytest.mark.parametrize("estimate_velocities", [False, True])
     def test_reduced_camera_step_equals_dense_solve(self, rs_problem,
-                                                    estimate_velocities):
+                                                    estimate_velocities, rng):
         problem = _with_motion(rs_problem, [0.2, 2.0, 0.4], [0.05, -0.1, 0.2])
-        par, x = _start(problem, estimate_velocities)
-        r, cam_jac, point_jac = _residuals(par, RS_MODEL, x)
-        assert cam_jac.shape[2] == (18 if estimate_velocities else 6)
-        point_index = np.concatenate([indices for indices, _ in problem.observations])
-        system = _NormalEquations(cam_jac, point_jac, point_index, r, par.n_points)
-        jac = _dense(par, cam_jac, point_jac)
-        jtj, g = jac.T @ jac, jac.T @ r
+        batch, x = _start(problem, estimate_velocities)
+        n_cam = batch.n_cam
+        r, cam_jac, point_jac = _residuals(batch, x[None, :n_cam], x[n_cam:].reshape(-1, 3))
+        assert cam_jac.shape[3] == (18 if estimate_velocities else 6)
+        system = _NormalEquations(batch, r, cam_jac, point_jac)
+        jac = _dense(batch, *one_problem_residuals(batch, x)[1:])
+        r_flat = one_problem_residuals(batch, x)[0]
+        jtj, g = jac.T @ jac, jac.T @ r_flat
         diag = np.maximum(np.diag(jtj), 1e-12)
-        np.testing.assert_allclose(system.gradient, g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
-        np.testing.assert_allclose(system.diag, diag, rtol=1e-12)
+        gradient = np.concatenate([system.gradient[0][0], system.gradient[1].ravel()])
+        np.testing.assert_allclose(gradient, g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+        np.testing.assert_allclose(np.concatenate([system.diag[0][0], system.diag[1].ravel()]),
+                                   diag, rtol=1e-12)
         for lam in (1e-3 * diag.max(), 1e-6 * diag.max()):
             dense = np.linalg.solve(jtj + lam * np.diag(diag), -g)
-            step = system.step(lam)
+            d_cam, d_point, predicted = system.step(np.array([lam]))
+            step = np.concatenate([d_cam[0], d_point.ravel()])
             assert np.linalg.norm(step - dense) <= 1e-9 * np.linalg.norm(dense)
+            expected = 0.5 * dense @ (lam * diag * dense - g)
+            assert abs(predicted[0] - expected) <= 1e-9 * abs(expected)
+            # The damped 3x3 point blocks, solved in closed form.
+            v = system.point[:, :, n_cam + 1:] + lam * system.diag[1][:, :, None] * np.eye(3)
+            rhs = system.point[:, :, :n_cam + 1]
+            np.testing.assert_allclose(sfm._inverse_spd3(v) @ rhs, np.linalg.solve(v, rhs),
+                                       rtol=1e-10, atol=1e-12 * np.abs(rhs).max())
+        # Ill-conditioned blocks, condition numbers up to 1e10: the closed form
+        # agrees with LU to a few units of cond * eps; a singular one is NaN.
+        q = np.linalg.qr(rng.normal(size=(4, 3, 3)))[0]
+        eigenvalues = np.array([[1.0, 1.0, 1.0], [1.0, 1e-3, 1e-6], [1e4, 1.0, 1e-6],
+                                [2.0, 1e-5, 2e-10]])
+        v = q @ (eigenvalues[:, :, None] * q.transpose(0, 2, 1))
+        v = 0.5 * (v + v.transpose(0, 2, 1))
+        rhs = rng.normal(size=(4, 3, n_cam + 1))
+        closed, lu = sfm._inverse_spd3(v) @ rhs, np.linalg.solve(v, rhs)
+        for i, cond in enumerate(eigenvalues.max(axis=1) / eigenvalues.min(axis=1)):
+            error = np.linalg.norm(closed[i] - lu[i]) / np.linalg.norm(lu[i])
+            assert error <= 100 * cond * np.finfo(float).eps, (cond, error)
+        assert np.all(np.isnan(sfm._inverse_spd3(np.zeros((1, 3, 3)))))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_point_behind_camera_has_constant_residual_and_zero_rows(
             self, rs_problem, model):
-        par, x = _start(rs_problem)
+        batch, x = _start(rs_problem, model=model)
         pose2 = rs_problem.cameras[1].motion.pose0
         # One meter behind camera 2, on its optical axis.
-        x[par.n_cam:par.n_cam + 3] = pose2.viewpoint() - pose2.rotation[2]
-        r, cam_jac, point_jac = _residuals(par, model, x)
+        x[batch.n_cam:batch.n_cam + 3] = pose2.viewpoint() - pose2.rotation[2]
+        r, cam_jac, point_jac = one_problem_residuals(batch, x)
         assert np.all(np.isfinite(r))
         n1 = len(rs_problem.observations[0][0])
         row = n1 + int(np.flatnonzero(rs_problem.observations[1][0] == 0)[0])
@@ -317,6 +338,115 @@ class TestJacobian:
         assert len(history) >= 2 and np.all(np.isfinite(history))
         assert np.all(np.diff(history) <= 0)
         assert math.isfinite(sol.reprojection_rms)
+
+
+REDUCED_GRID = ([1.875, 3.75, 7.5], [0.5, 2.16, 4.66], 2, 0)
+
+
+def _grid_problems(velocities, sigmas, trials, seed):
+    """The problems of run_experiment_grid, each once per model, in its order."""
+    return [(generate_problem(SceneConfig(velocity_kmh=v, noise_sigma=s), (seed, vi, si, t)), m)
+            for vi, v in enumerate(velocities) for si, s in enumerate(sigmas)
+            for t in range(trials) for m in MODELS]
+
+
+def _oracle(problem, model, options=BundleOptions()):
+    """The per-problem LM of tests/conftest.py from bundle_adjust's start."""
+    batch, cam, points = sfm._initial_batch([problem], [model], options)
+    x0 = np.concatenate([cam[0], points.ravel()])
+    index = np.tile(np.arange(len(points)), 2)
+    return batch, levenberg_marquardt(lambda x: one_problem_residuals(batch, x), x0,
+                                      batch.n_cam, index, options)
+
+
+class TestBatchedLM:
+    def test_matches_per_problem_oracle_on_reduced_grid(self):
+        """All 36 BAs of the reduced grid as one batch: each keeps the oracle's
+        iteration count, termination and flag, and its solution to 1e-9."""
+        pairs = _grid_problems(*REDUCED_GRID)
+        solutions = sfm._bundle_adjust_batch([p for p, _ in pairs], [m for _, m in pairs])
+        for (problem, model), sol in zip(pairs, solutions):
+            batch, (x, residual, iterations, termination, history) = _oracle(problem, model)
+            assert (sol.iterations, sol.termination) == (iterations, termination)
+            assert sol.converged == (termination != "limit")
+            assert len(sol.cost_history) == len(history)
+            np.testing.assert_allclose(sol.cost_history, history, rtol=1e-9)
+            points = x[batch.n_cam:].reshape(-1, 3)
+            np.testing.assert_allclose(sol.points, points, rtol=0,
+                                       atol=1e-9 * np.abs(points).max())
+            np.testing.assert_allclose(sol.poses[1].rotation, rotation_exp(x[:3]),
+                                       rtol=0, atol=1e-9)
+            rms = math.sqrt(float(residual @ residual) / (len(residual) // 2))
+            assert abs(sol.reprojection_rms - rms) <= 1e-9 * rms
+
+    def test_singular_reduced_system_rejects_that_problem_only(self, monkeypatch):
+        """While all three problems run, problem 1's reduced camera system is
+        reported singular: its steps are rejected until lambda overflows, and
+        the other two take exactly the iterates of their runs alone."""
+        pairs = _grid_problems([3.75], [2.16], 2, 5)[:3]
+        alone = [bundle_adjust(p, m) for p, m in pairs]
+        solve, position = np.linalg.solve, []
+
+        def solve_with_singular_problem_1(a, b):
+            # The stacked solve, then the three one-problem solves that follow.
+            if a.ndim == 3 and len(a) == 3:
+                position.append(0)
+                raise np.linalg.LinAlgError("Singular matrix")
+            if a.ndim == 3 and len(a) == 1 and position and position[-1] < 3:
+                position[-1] += 1
+                if position[-1] == 2:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_with_singular_problem_1)
+        batched = sfm._bundle_adjust_batch([p for p, _ in pairs], [m for _, m in pairs])
+        monkeypatch.undo()
+        assert len(position) > 1
+        poisoned = batched[1]
+        assert (poisoned.termination, poisoned.iterations) == ("lambda", 1)
+        assert poisoned.cost_history == alone[1].cost_history[:1]
+        batch, cam, start = sfm._initial_batch([pairs[1][0]], [pairs[1][1]], BundleOptions())
+        np.testing.assert_array_equal(poisoned.points, start)
+        # It was rejected in every round until lambda, doubling its factor
+        # each time from 1e-3 max diag(J^T J), passed 1e16.
+        r, cam_jac, point_jac = one_problem_residuals(batch, np.concatenate([cam[0], start.ravel()]))
+        index = np.tile(np.arange(len(start)), 2)
+        lam, nu, rounds = 1e-3 * NormalEquations(cam_jac, point_jac, index, r, len(start)).diag.max(), 2.0, 0
+        while lam <= 1e16:
+            lam, nu, rounds = lam * nu, 2.0 * nu, rounds + 1
+        assert len(position) == rounds
+        for i in (0, 2):
+            assert batched[i].cost_history == alone[i].cost_history
+            assert (batched[i].iterations, batched[i].termination) == (
+                alone[i].iterations, alone[i].termination)
+            np.testing.assert_array_equal(batched[i].points, alone[i].points)
+            np.testing.assert_array_equal(batched[i].poses[1].rotation,
+                                          alone[i].poses[1].rotation)
+
+    def test_terminations(self, rs_problem):
+        """Zero noise under the matched model ends on the gradient, the
+        pin-hole model on the cost, and a small budget on the limit."""
+        assert bundle_adjust(rs_problem, RS_MODEL).termination == "gradient"
+        assert bundle_adjust(rs_problem, PERSPECTIVE_MODEL).termination == "cost"
+        for budget in (0, 3):
+            sol = bundle_adjust(rs_problem, RS_MODEL, BundleOptions(max_iterations=budget))
+            assert (sol.iterations, sol.termination, sol.converged) == (budget, "limit", False)
+            assert len(sol.cost_history) == budget + 1
+
+    def test_batch_of_mixed_sizes_matches_single_runs(self):
+        """Ragged point counts and both models in one batch, velocities estimated."""
+        options = BundleOptions(estimate_velocities=True, max_iterations=15)
+        pairs = [(generate_problem(SceneConfig(n_points=n, velocity_kmh=7.5, noise_sigma=0.5),
+                                   (3, n)), m) for n, m in ((20, RS_MODEL), (60, PERSPECTIVE_MODEL),
+                                                            (35, RS_MODEL))]
+        batched = sfm._bundle_adjust_batch([p for p, _ in pairs], [m for _, m in pairs], options)
+        for (problem, model), sol in zip(pairs, batched):
+            single = bundle_adjust(problem, model, options)
+            assert sol.cost_history == single.cost_history
+            np.testing.assert_array_equal(sol.points, single.points)
+            for (v, w), (v1, w1) in zip(sol.velocities, single.velocities):
+                np.testing.assert_array_equal(v, v1)
+                np.testing.assert_array_equal(w, w1)
 
 
 class TestExperimentGrid:
