@@ -43,10 +43,6 @@ class SpatioTemporalImage:
     def row_count(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def frame_count(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class CalibrationEstimate:
@@ -141,17 +137,19 @@ def marginalized_spectrum(image: SpatioTemporalImage) -> tuple[np.ndarray, np.nd
     return freqs, marginal[1:n_pos + 1]
 
 
-def estimate_scan_rate(image: SpatioTemporalImage, led_hz: float) -> CalibrationEstimate:
+def estimate_scan_rate(image: SpatioTemporalImage, led_hz: float,
+                       spectrum=None) -> CalibrationEstimate:
     """Scan rate from the stripe frequency of a spatio-temporal LED image.
 
     The fundamental stripe frequency nu (cycles/row) satisfies
     r = led_hz / nu.  Harmonics of the square-wave stripes are rejected by
     taking the lowest-frequency significant spectral peak; NoPeak is raised
-    when nothing rises above three times the median magnitude.
+    when nothing rises above three times the median magnitude.  spectrum is
+    the image's `marginalized_spectrum`, when the caller has it already.
     """
     if led_hz <= 0.0:
         raise ValueError("led_hz must be positive")
-    freqs, magnitude = marginalized_spectrum(image)
+    freqs, magnitude = spectrum if spectrum is not None else marginalized_spectrum(image)
     floor = 3.0 * float(np.median(magnitude))
     significant = magnitude > max(floor, 0.0)
     if not np.any(significant):
@@ -168,14 +166,8 @@ def estimate_scan_rate(image: SpatioTemporalImage, led_hz: float) -> Calibration
                                 & (magnitude >= 0.8 * global_max))
     if candidates.size == 0:
         raise NoPeak("significant bins exist but none form a dominant peak")
-    peak_bin = int(candidates[0])
-    nu = float(freqs[peak_bin])
-    n_rows = image.row_count
-    return CalibrationEstimate(
-        scan_seconds_per_row=nu / led_hz,
-        uncertainty=0.5 / (n_rows * led_hz),
-        led_frequency=led_hz,
-    )
+    return CalibrationEstimate(scan_seconds_per_row=float(freqs[candidates[0]]) / led_hz,
+                               uncertainty=0.5 / (image.row_count * led_hz), led_frequency=led_hz)
 
 
 def ideal_seconds_per_row(framerate: float, n_rows: int) -> float:

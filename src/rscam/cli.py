@@ -269,9 +269,9 @@ def cmd_calibrate_sim(config: RunConfig, args) -> int:
 
     (out / "config_resolved.txt").write_text(
         "\n".join(config.resolved_lines()) + "\n")
-    lines = [f"# {c}" for c in _config_comments(config)]
-    lines.append("framerate_fps,led_hz,calibrated_sec_per_row,uncertainty_sec_per_row,"
-                 "ideal_sec_per_row,abs_error,status")
+    comments = [f"# {c}" for c in _config_comments(config)]
+    lines = [*comments, "framerate_fps,led_hz,calibrated_sec_per_row,uncertainty_sec_per_row,"
+             "ideal_sec_per_row,abs_error,status"]
     for f in framerates:
         shutter = ShutterParams.ideal(f, n_rows)
         ideal = calibration.ideal_seconds_per_row(f, n_rows)
@@ -280,14 +280,13 @@ def cmd_calibrate_sim(config: RunConfig, args) -> int:
                                                      led, duty, gradient)
             calibration.write_pgm(out / f"led_fps{f:g}_led{led:g}.pgm", image.values,
                                   comment=f"I(y,t) fps={f:g} led={led:g}Hz")
-            freqs, magnitude = calibration.marginalized_spectrum(image)
-            spec_lines = [f"# {c}" for c in _config_comments(config)]
-            spec_lines.append("spatial_freq_cycles_per_row,magnitude")
-            spec_lines.extend(f"{nu:.10g},{m:.10g}" for nu, m in zip(freqs, magnitude))
+            spectrum = calibration.marginalized_spectrum(image)
+            spec_lines = [*comments, "spatial_freq_cycles_per_row,magnitude"]
+            spec_lines.extend(f"{nu:.10g},{m:.10g}" for nu, m in zip(*spectrum))
             (out / f"spectrum_fps{f:g}_led{led:g}.csv").write_text(
                 "\n".join(spec_lines) + "\n")
             try:
-                est = calibration.estimate_scan_rate(image, led)
+                est = calibration.estimate_scan_rate(image, led, spectrum)
             except NoPeak:
                 lines.append(f"{f:.10g},{led:.10g},,,{ideal:.10g},,no_peak")
                 continue

@@ -18,6 +18,8 @@ import numpy as np
 from .geometry import CameraIntrinsics, MotionState, Pose
 from .shutter import NO_SCAN_TIME, SINGULARITY, ShutterParams, solve_scan_times
 
+RASTER_BLOCK = 64           # pixel rows per array operation, to bound the raster's memory
+
 
 def spin_motion(omega_z_rev_s: float) -> MotionState:
     """Camera rotating in place about its optical axis."""
@@ -31,24 +33,36 @@ def render_checkerboard(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     """Grayscale image (height x width in [0,1]) of a fronto-parallel board.
 
     Row v is sampled at its scan time through the exactly-rotated camera; the
-    board is an infinite checker pattern on the plane z = plane_depth.  One
-    array operation per 16 rows keeps the temporaries at ~1 MB (~20 MB for
-    a whole frame).
+    board is an infinite checker pattern on the plane z = plane_depth.  The
+    ray K^-1 (u, v, 1) is K^-1 (u, 0, 1) + K^-1 (0, v, 0), each term kept as
+    one value where constant; the parity 2 (s/2 - floor(s/2)) of the integer
+    s = bx + by is exact, +0.0 or 1.0 as s % 2 is.
     """
     w, h = intrinsics.width, intrinsics.height
     k_inv = np.linalg.inv(intrinsics.K)
     vs = np.arange(h) + 0.5
+    col_d = np.column_stack([np.arange(w) + 0.5, np.zeros(w), np.ones(w)]) @ k_inv.T
+    row_d = np.column_stack([np.zeros(h), vs, np.zeros(h)]) @ k_inv.T
+    col_terms, row_terms = ([t[:1] if np.all(t == t[0]) else t for t in d]
+                            for d in (col_d.T, row_d.T[:, :, None]))
     # Rays of the rotated camera at each row's scan time: R(t)^T K^-1 (u, v, 1).
     theta = 2.0 * math.pi * omega_z_rev_s * ((vs + shutter.first_row) / shutter.scan_rate)
     cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
     image = np.empty((h, w))
-    for rows in (slice(v, v + 16) for v in range(0, h, 16)):
-        rays = np.stack(np.broadcast_arrays(np.arange(w) + 0.5, vs[rows, None], 1.0), axis=-1)
-        d = rays @ k_inv.T
-        scale = plane_depth / d[..., 2]
-        bx = np.floor((cos[rows] * d[..., 0] + sin[rows] * d[..., 1]) * scale / square_size)
-        by = np.floor((-sin[rows] * d[..., 0] + cos[rows] * d[..., 1]) * scale / square_size)
-        image[rows] = (bx + by) % 2.0
+    bx_rows, by_rows = np.empty((2, min(h, RASTER_BLOCK), w))
+    for first in range(0, h, RASTER_BLOCK):
+        rows = slice(first, first + RASTER_BLOCK)
+        c, s = cos[rows], sin[rows]
+        bx, by = bx_rows[:len(c)], by_rows[:len(c)]
+        d0, d1, d2 = (col + (row[rows] if len(row) > 1 else row)
+                      for col, row in zip(col_terms, row_terms))
+        np.add(np.multiply(c, d0, out=bx), s * d1, out=bx)
+        np.add(np.multiply(-s, d0, out=by), c * d1, out=by)
+        scale = plane_depth / d2
+        for b in (bx, by):
+            np.floor(np.divide(np.multiply(b, scale, out=b), square_size, out=b), out=b)
+        np.multiply(np.add(bx, by, out=bx), 0.5, out=bx)
+        np.multiply(np.subtract(bx, np.floor(bx, out=by), out=bx), 2.0, out=image[rows])
     return image
 
 

@@ -291,13 +291,15 @@ class _Batch:
     translation1: np.ndarray
     baseline: np.ndarray      # (P,) gauge: camera 2's translation length
     velocity: np.ndarray      # (P, 2, 2, 3) known (v, omega) of each view
-    rolling: np.ndarray       # (P,) rolling-shutter model; pin-hole otherwise
+    rolling: np.ndarray       # (P,) rolling-shutter model, these first; pin-hole otherwise
     views: tuple[tuple[CameraIntrinsics, ShutterParams], ...]  # shared by all problems
     n_cam: int
     starts: np.ndarray = field(init=False)  # each problem's first row, for reduceat
 
     def __post_init__(self):
         self.starts = np.flatnonzero(np.diff(self.owner, prepend=-1))
+        if np.any(self.rolling[1:] > self.rolling[:-1]):
+            raise ValueError("rolling-shutter problems must come first in a batch")
 
     def sums(self, rows: np.ndarray) -> np.ndarray:
         """Sum of each problem's rows (M, ...) over its rows and trailing axes: (P,)."""
@@ -327,14 +329,13 @@ def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray):
     rx = np.einsum("mvij,mj->mvi", rotation, points)
     y = rx + translation
     w = _cross(spin, rx) + v
-    t, ok = np.empty(y.shape[:2]), np.empty(y.shape[:2], bool)
-    grad, q = np.empty_like(y), np.empty_like(y)
-    rolling = batch.rolling[own]
+    rs = np.count_nonzero(batch.rolling[own])    # the rolling-shutter rows, a prefix
+    t, ok = np.zeros(y.shape[:2]), y[..., 2] > DEPTH_EPS
+    grad, q = np.zeros_like(y), np.empty_like(y)
     for j, (intrinsics, shutter) in enumerate(batch.views):
-        times = solve_path_times(y[:, j], w[:, j], intrinsics, shutter, windowed=False)
-        t[:, j] = np.where(rolling, times.t, 0.0)
-        ok[:, j] = np.where(rolling, times.ok, y[:, j, 2] > DEPTH_EPS)
-        grad[:, j] = scan_time_gradient(times, intrinsics, shutter) * rolling[:, None]
+        times = solve_path_times(y[:rs, j], w[:rs, j], intrinsics, shutter, windowed=False)
+        t[:rs, j], ok[:rs, j] = times.t, times.ok
+        grad[:rs, j] = scan_time_gradient(times, intrinsics, shutter)
         q[:, j] = (y[:, j] + t[:, j, None] * w[:, j]) @ intrinsics.K.T
     depth = np.where(ok, q[..., 2], 1.0)[..., None]
     uv = q[..., :2] / depth
@@ -486,7 +487,8 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
 def _initial_batch(problems, models, options: BundleOptions):
     """The batch of the problems under their models, and LM's start: camera
     parameters (P, n_cam) and points (M, 3).  All problems must share each
-    view's intrinsics and shutter, as the problems of one grid cell do.
+    view's intrinsics and shutter, as the problems of one grid cell do, and
+    the rolling-shutter problems must come first.
     """
     cams, points = [], []
     for problem, model in zip(problems, models):
@@ -530,6 +532,9 @@ def _bundle_adjust_batch(problems, models, options: BundleOptions | None = None
                          ) -> list[SfmSolution]:
     """`bundle_adjust` of each problem under its model, as one batched LM."""
     opts, solutions = options or BundleOptions(), []
+    # Rolling-shutter problems first, so that their rows stay a prefix of the batch.
+    order = sorted(range(len(problems)), key=lambda i: models[i] != RS_MODEL)
+    problems, models = [problems[i] for i in order], [models[i] for i in order]
     runs = _levenberg_marquardt(*_initial_batch(problems, models, opts), opts) if problems else []
     for problem, model, (cam, points, residual, iterations, termination, history) in zip(
             problems, models, runs):
@@ -546,7 +551,7 @@ def _bundle_adjust_batch(problems, models, options: BundleOptions | None = None
             rotation_error_deg=rot_err, translation_direction_error_deg=trans_err,
             model_used=model, iterations=int(iterations), converged=termination != "limit",
             cost_history=history, termination=termination))
-    return solutions
+    return [solutions[i] for i in np.argsort(order)]
 
 
 def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,

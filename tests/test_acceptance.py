@@ -318,7 +318,7 @@ def test_criterion_8_safe_region():
 
 
 @pytest.mark.parametrize("command", ["project", "flow", "slits",
-                                     "calibrate-sim", "sfm-grid"])
+                                     "calibrate-sim", "render-checker", "sfm-grid"])
 def test_criterion_9_determinism(command, tmp_path, capsys):
     """Identical config and seed give byte-identical outputs."""
     def run(out_dir):
@@ -338,6 +338,10 @@ def test_criterion_9_determinism(command, tmp_path, capsys):
             argv = ["calibrate-sim", "--out-dir", str(out_dir),
                     "--set", "calibration.framerates=7.5 15",
                     "--set", "calibration.led_hz=60"]
+        elif command == "render-checker":
+            argv = ["render-checker", "--out-dir", str(out_dir),
+                    "--set", "render.omega_z_rev_s=0 0.5", "--set", "render.squares=6",
+                    "--set", "render.samples_per_edge=9"]
         else:
             argv = ["sfm-grid", "--out-dir", str(out_dir), "--save-problems",
                     "--set", "sfm.velocities_kmh=7.5",

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import render_checkerboard_rows
 from rscam.geometry import CameraIntrinsics
-from rscam.render import (overlay_markers, project_board_lattice,
+from rscam.render import (RASTER_BLOCK, overlay_markers, project_board_lattice,
                           render_checkerboard, spin_motion)
 from rscam.shutter import ShutterParams
 
@@ -26,6 +29,51 @@ class TestRenderCheckerboard:
             oracle = render_checkerboard_rows(k, s, omega, plane_depth=0.5, square_size=0.06)
             np.testing.assert_array_equal(image, oracle)
             assert image.dtype == oracle.dtype and 0.0 < image.mean() < 1.0
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(omega=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+           scan_sign=st.sampled_from([1.0, -1.0]), first_row=st.floats(-300.0, 300.0),
+           width=st.integers(1, 90), height=st.integers(1, 2 * RASTER_BLOCK + 30),
+           fov=st.one_of(st.none(), st.floats(20.0, 120.0)),
+           plane_depth=st.floats(0.05, 20.0), square_size=st.floats(0.005, 1.0))
+    def test_raster_property(self, omega, scan_sign, first_row, width, height, fov,
+                             plane_depth, square_size):
+        """Bit for bit the per-row loop's image over spins (0 and negative
+        included), either scan direction, any first row, heights that are no
+        multiple of the block, and any plane depth and square size, for
+        `from_fov` and `normalized` (fov None) cameras; no pixel is -0.0."""
+        k = (CameraIntrinsics.normalized(width, height) if fov is None
+             else CameraIntrinsics.from_fov(fov, width, height))
+        s = ShutterParams(scan_rate=scan_sign * height * 30.0, first_row=first_row)
+        image = render_checkerboard(k, s, omega, plane_depth, square_size)
+        oracle = render_checkerboard_rows(k, s, omega, plane_depth, square_size)
+        np.testing.assert_array_equal(image, oracle)
+        assert not np.signbit(image).any()
+
+    @pytest.mark.parametrize("lower", [0.0, 1e-12])
+    def test_raster_general_intrinsics(self, lower):
+        """A skewed K with K[2,2] != 1, and the lower-triangle entries that
+        validation allows, agree with the oracle on every pixel whose board
+        coordinates lie more than 1e-9 of a square from an edge."""
+        w, h = 130, 101
+        K = np.array([[150.0, 7.5, 61.0], [lower, 160.0, 52.5], [-lower, lower, 1.7]])
+        k = CameraIntrinsics(K, 1.0 / 150.0, w, h)
+        s = ShutterParams(scan_rate=-h * 25.0, first_row=-30.0, framerate=25.0)
+        omega, depth, square = 1.3, 0.8, 0.07
+        image = render_checkerboard(k, s, omega, depth, square)
+        oracle = render_checkerboard_rows(k, s, omega, depth, square)
+        # Board coordinates in squares, with the rays of the rotated camera.
+        u, v = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
+        d = np.stack([u, v, np.ones_like(u)], axis=-1) @ np.linalg.inv(K).T
+        theta = 2.0 * math.pi * omega * (v + s.first_row) / s.scan_rate
+        board = np.stack([np.cos(theta) * d[..., 0] + np.sin(theta) * d[..., 1],
+                          -np.sin(theta) * d[..., 0] + np.cos(theta) * d[..., 1]])
+        board *= depth / d[..., 2] / square
+        clear = np.all(np.abs(board - np.round(board)) > 1e-9, axis=0)
+        assert clear.mean() > 0.99
+        np.testing.assert_array_equal(image[clear], oracle[clear])
+        assert not np.signbit(image).any()
+        assert set(np.unique(image)) == {0.0, 1.0}
 
     def test_static_camera_is_plain_checker(self):
         k = small_camera()

@@ -389,12 +389,14 @@ class TestBatchedLM:
 
         def solve_with_singular_problem_1(a, b):
             # The stacked solve, then the three one-problem solves that follow.
+            # Problem 1 is the pin-hole one, third in the batch, which puts the
+            # rolling-shutter problems first.
             if a.ndim == 3 and len(a) == 3:
                 position.append(0)
                 raise np.linalg.LinAlgError("Singular matrix")
             if a.ndim == 3 and len(a) == 1 and position and position[-1] < 3:
                 position[-1] += 1
-                if position[-1] == 2:
+                if position[-1] == 3:
                     raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
@@ -432,6 +434,15 @@ class TestBatchedLM:
             sol = bundle_adjust(rs_problem, RS_MODEL, BundleOptions(max_iterations=budget))
             assert (sol.iterations, sol.termination, sol.converged) == (budget, "limit", False)
             assert len(sol.cost_history) == budget + 1
+
+    def test_batch_takes_rolling_shutter_problems_first(self, rs_problem):
+        """The scan-time kernel runs on a prefix of the rows, so a batch with a
+        rolling-shutter problem after a pin-hole one is refused."""
+        with pytest.raises(ValueError, match="must come first"):
+            sfm._initial_batch([rs_problem, rs_problem], [PERSPECTIVE_MODEL, RS_MODEL],
+                               BundleOptions())
+        sfm._initial_batch([rs_problem] * 3, [RS_MODEL, RS_MODEL, PERSPECTIVE_MODEL],
+                           BundleOptions())
 
     def test_batch_of_mixed_sizes_matches_single_runs(self):
         """Ragged point counts and both models in one batch, velocities estimated."""
