@@ -16,7 +16,6 @@ sensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -91,32 +90,6 @@ def synthesize_led_image(shutter: ShutterParams, n_rows: int, n_frames: int,
     return SpatioTemporalImage(values=values, framerate=shutter.framerate)
 
 
-def synthesize_led_frames(shutter: ShutterParams, n_rows: int, n_cols: int,
-                          n_frames: int, led_hz: float, duty: float = 0.5,
-                          exposure_gradient: bool = False) -> np.ndarray:
-    """Full frame stack (n_frames, n_rows, n_cols) of the LED capture.
-
-    Every pixel of a row shares the row's exposure time; the optional
-    gradient falls off along the scanline (column) direction.
-    """
-    base = synthesize_led_image(shutter, n_rows, n_frames, led_hz, duty).values
-    frames = np.repeat(base.T[:, :, None], n_cols, axis=2)
-    if exposure_gradient:
-        frames = frames * np.linspace(1.0, 0.4, n_cols)[None, None, :]
-    return frames
-
-
-def sum_columns(frames: np.ndarray, col_start: int = 0,
-                col_stop: int | None = None, framerate: float = 30.0) -> SpatioTemporalImage:
-    """Marginalize a frame stack over a column range into I(y, t)."""
-    sub = frames[:, :, col_start:col_stop]
-    values = sub.sum(axis=2).T
-    peak = values.max()
-    if peak > 0:
-        values = values / peak
-    return SpatioTemporalImage(values=values, framerate=framerate)
-
-
 def marginalized_spectrum(image: SpatioTemporalImage) -> tuple[np.ndarray, np.ndarray]:
     """Positive spatial frequencies (cycles/row) and their marginal magnitude.
 
@@ -177,24 +150,6 @@ def ideal_seconds_per_row(framerate: float, n_rows: int) -> float:
     return 1.0 / (framerate * n_rows)
 
 
-def write_matrix_csv(path, values: np.ndarray, header_lines: list[str] | None = None) -> None:
-    """Plain-text matrix: one image row per line, comma separated."""
-    lines = [f"# {line}" for line in (header_lines or [])]
-    for row in np.asarray(values, dtype=float):
-        lines.append(",".join(f"{x:.10g}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([float(x) for x in line.split(",")])
-    return np.array(rows, dtype=float)
-
-
 def write_pgm(path, values: np.ndarray, comment: str = "") -> None:
     """8-bit binary PGM of intensities in [0, 1]."""
     arr = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
@@ -204,29 +159,3 @@ def write_pgm(path, values: np.ndarray, comment: str = "") -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Binary PGM as [0, 1] intensities; maxval > 255 means 16-bit big-endian."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    if tokens[0] != b"P5":
-        raise ValueError("only binary (P5) PGM files are supported")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    pos += 1
-    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-    pixels = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
-    return pixels.reshape(height, width).astype(float) / float(maxval)

@@ -40,8 +40,6 @@ DEFAULTS = {
         "framerate": "30",
         "scan_rate": "auto",       # rows/s; auto = height * framerate
         "first_row": "0",
-        "frame_delay": "0",
-        "row_exposure": "0",
     },
     "motion": {
         "velocity_kmh": "0 0 0",   # camera-frame, km/h
@@ -158,9 +156,7 @@ class RunConfig:
         shutter = ShutterParams(
             scan_rate=rate,
             first_row=self.get_float("shutter", "first_row"),
-            frame_delay=self.get_float("shutter", "frame_delay"),
             framerate=f,
-            row_exposure=self.get_float("shutter", "row_exposure"),
         )
         validate_frame_timing(shutter, self.get_int("camera", "height"))
         return shutter
@@ -191,22 +187,29 @@ def _outdir(args) -> Path:
     return out
 
 
+def _point(tokens: list[str], source: str) -> list[float]:
+    """The three finite coordinates x, y, z of a point given as text tokens."""
+    try:
+        point = [float(t) for t in tokens]
+    except ValueError:
+        point = []
+    if len(point) != 3 or not all(map(math.isfinite, point)):
+        raise ConfigError(f"{source}: a point needs three finite numbers x,y,z")
+    return point
+
+
 def cmd_project(config: RunConfig, args) -> int:
     intrinsics = config.intrinsics()
     shutter = config.shutter()
     motion = config.motion()
-    points = []
-    for spec_text in args.point or []:
-        parts = [float(t) for t in spec_text.replace(",", " ").split()]
-        if len(parts) != 3:
-            raise ConfigError(f"--point needs x,y,z: {spec_text!r}")
-        points.append(parts)
+    points = [_point(spec_text.replace(",", " ").split(), f"--point {spec_text!r}")
+              for spec_text in args.point or []]
     if args.points_csv:
-        for line in Path(args.points_csv).read_text().splitlines():
+        for number, line in enumerate(Path(args.points_csv).read_text().splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("x"):
                 continue
-            points.append([float(t) for t in line.split(",")[:3]])
+            points.append(_point(line.split(",")[:3], f"{args.points_csv} line {number}"))
     if not points:
         raise ConfigError("no input points; pass --point or --points-csv")
 
@@ -330,11 +333,11 @@ def cmd_sfm_grid(config: RunConfig, args) -> int:
                 sfm.save_problem(problem, out / f"problem_v{vi}_s{si}_trial0.json")
 
     metric_map = [
-        ("mean_reproj_px", "se_reproj", "Reprojection error (px)", "plot_reprojection.svg"),
-        ("mean_rot_deg", "se_rot", "Rotation error (deg)", "plot_rotation.svg"),
-        ("mean_trans_deg", "se_trans", "Translation direction error (deg)", "plot_translation.svg"),
+        ("mean_reproj_px", "Reprojection error (px)", "plot_reprojection.svg"),
+        ("mean_rot_deg", "Rotation error (deg)", "plot_rotation.svg"),
+        ("mean_trans_deg", "Translation direction error (deg)", "plot_translation.svg"),
     ]
-    for mean_key, _se_key, label, filename in metric_map:
+    for mean_key, label, filename in metric_map:
         panels = []
         for velocity in velocities:
             panel = plotsvg.Panel(title=f"{velocity:g} km/h",
@@ -359,8 +362,7 @@ def cmd_flow(config: RunConfig, args) -> int:
     if shutter.first_row != 0.0:
         raise ConfigError("analytic flow requires shutter.first_row = 0")
     r_norm, _ = normalized_scan(shutter, intrinsics)
-    shutter_norm = ShutterParams(scan_rate=r_norm, framerate=shutter.framerate,
-                                 frame_delay=shutter.frame_delay)
+    shutter_norm = ShutterParams(scan_rate=r_norm, framerate=shutter.framerate)
     depth = config.get_float("flow", "depth")
     n = config.get_int("flow", "grid")
     margin = config.get_float("flow", "margin")

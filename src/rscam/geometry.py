@@ -201,22 +201,6 @@ class MotionState:
         v, w = self.linear_velocity, self.angular_velocity
         return bool(v[2] == 0.0 and w[0] == 0.0 and w[1] == 0.0)
 
-    def pose_at(self, t: float, linearized: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(R(t), T(t)); linearized replaces exp(hat(w) t) with I + t*hat(w)."""
-        r0 = self.pose0.rotation
-        if linearized:
-            rt = (np.eye(3) + t * hat(self.angular_velocity)) @ r0
-        else:
-            rt = rotation_exp(self.angular_velocity, t) @ r0
-        return rt, self.pose0.translation + self.linear_velocity * t
-
-
-def camera_matrix_at(motion: MotionState, intrinsics: CameraIntrinsics,
-                     t: float, linearized: bool = False) -> np.ndarray:
-    """3x4 camera matrix K [R(t) | T(t)] of the moving camera at time t."""
-    rt, tt = motion.pose_at(t, linearized=linearized)
-    return intrinsics.K @ np.column_stack([rt, tt])
-
 
 def project_perspective(point, camera_matrix: np.ndarray) -> np.ndarray:
     """Pin-hole projections (x/z, y/z) of points (N, 3) or (N, 4) by a 3x4 matrix.

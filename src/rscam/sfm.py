@@ -568,6 +568,12 @@ def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,
 
 
 def _pose_errors(pose_true: Pose, pose_est: Pose) -> tuple[float, float]:
+    """(rotation error deg, translation direction error deg) of a camera-2 pose.
+
+    The geodesic angle between the attitudes and the angle between the
+    translations (camera 1 fixes the gauge); a near-zero translation makes
+    the direction undefined and is reported as NaN.
+    """
     rot = math.degrees(float(np.linalg.norm(
         rotation_log(pose_true.rotation.T @ pose_est.rotation))))
     t0, t1 = pose_true.translation, pose_est.translation
@@ -576,18 +582,6 @@ def _pose_errors(pose_true: Pose, pose_est: Pose) -> tuple[float, float]:
         return rot, float("nan")
     cosine = float(np.clip(t0 @ t1 / (n0 * n1), -1.0, 1.0))
     return rot, math.degrees(math.acos(cosine))
-
-
-def error_metrics(truth: SfmProblem, estimate: SfmSolution) -> tuple[float, float, float]:
-    """(rotation error deg, translation direction error deg, reprojection RMS px).
-
-    Rotation error is the geodesic angle between the true and estimated
-    camera-2 attitudes; translation error is the angle between the two
-    translation vectors (camera 1 fixes the gauge).  A near-zero estimated
-    translation makes the direction undefined and is reported as NaN.
-    """
-    rot, trans = _pose_errors(truth.cameras[1].motion.pose0, estimate.poses[1])
-    return rot, trans, estimate.reprojection_rms
 
 
 GRID_CSV_COLUMNS = [
@@ -610,6 +604,8 @@ def run_experiment_grid(velocities_kmh, sigmas_px, trials: int, seed,
     """
     if not velocities_kmh or not sigmas_px:
         raise ConfigError("velocity and sigma lists must be nonempty")
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     base = config or SceneConfig()
     seed_t = _seed_tuple(seed)
     rows = []
@@ -620,13 +616,13 @@ def run_experiment_grid(velocities_kmh, sigmas_px, trials: int, seed,
                         [generate_problem(cfg, (*seed_t, vi, si, trial))] * len(models)]
             solutions = _bundle_adjust_batch(problems, list(models) * trials, options)
             for m in models:
-                mine = [(sol, error_metrics(problem, sol))
-                        for problem, sol in zip(problems, solutions) if sol.model_used == m]
-                errors = np.array([e for _, e in mine], dtype=float).reshape(-1, 3)
+                mine = [sol for sol in solutions if sol.model_used == m]
                 row = {"velocity_kmh": velocity, "sigma_px": sigma, "model": m, "trials": trials,
-                       "nonconverged_count": sum(not sol.converged for sol, _ in mine)}
-                for k, name, unit in ((2, "reproj", "px"), (0, "rot", "deg"), (1, "trans", "deg")):
-                    vals = errors[:, k].copy()
+                       "nonconverged_count": sum(not sol.converged for sol in mine)}
+                for name, unit, error in (("reproj", "px", "reprojection_rms"),
+                                          ("rot", "deg", "rotation_error_deg"),
+                                          ("trans", "deg", "translation_direction_error_deg")):
+                    vals = np.array([getattr(sol, error) for sol in mine], dtype=float)
                     row[f"mean_{name}_{unit}"] = float(np.mean(vals))
                     row[f"se_{name}"] = (float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
                                          if len(vals) > 1 else 0.0)
@@ -666,7 +662,6 @@ def save_problem(problem: SfmProblem, path) -> None:
                 "first_row": cam.shutter.first_row,
                 "frame_delay": cam.shutter.frame_delay,
                 "framerate": cam.shutter.framerate,
-                "row_exposure": cam.shutter.row_exposure,
             }
             for cam in problem.cameras
         ],
@@ -676,29 +671,3 @@ def save_problem(problem: SfmProblem, path) -> None:
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_problem(path) -> SfmProblem:
-    payload = json.loads(Path(path).read_text())
-    cameras = []
-    for cam in payload["cameras"]:
-        pose = Pose(np.array(cam["rotation"]), np.array(cam["translation"]))
-        motion = MotionState(pose, np.array(cam["linear_velocity"]),
-                             np.array(cam["angular_velocity"]))
-        intrinsics = CameraIntrinsics(np.array(cam["K"]), cam["pixel_size"],
-                                      cam["width"], cam["height"])
-        shutter = ShutterParams(scan_rate=cam["scan_rate"], first_row=cam["first_row"],
-                                frame_delay=cam["frame_delay"], framerate=cam["framerate"],
-                                row_exposure=cam["row_exposure"])
-        cameras.append(SfmCamera(motion, intrinsics, shutter))
-    observations = tuple(
-        (np.array(obs["indices"], dtype=int), np.array(obs["pixels"], dtype=float))
-        for obs in payload["observations"]
-    )
-    return SfmProblem(
-        points=np.array(payload["points"], dtype=float),
-        cameras=tuple(cameras),
-        observations=observations,
-        noise_sigma=payload["noise_sigma"],
-        rng_seed=tuple(payload["rng_seed"]),
-    )

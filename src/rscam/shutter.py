@@ -58,23 +58,21 @@ class ShutterParams:
     """Scanline timing of a rolling-shutter sensor.
 
     scan_rate is signed: positive scans top-to-bottom, negative bottom-to-top.
-    row_exposure is carried for bookkeeping only; the geometric model treats
-    within-row exposure as instantaneous.
+    The geometric model treats within-row exposure as instantaneous.
     """
 
     scan_rate: float            # rows / second, nonzero
     first_row: float = 0.0      # row offset v0 (pixels)
     frame_delay: float = 0.0    # seconds between frames
     framerate: float = 30.0     # frames / second
-    row_exposure: float = 0.0   # seconds, informational
 
     def __post_init__(self):
         if self.scan_rate == 0.0 or not math.isfinite(self.scan_rate):
             raise ValueError("scan_rate must be finite and nonzero")
         if self.framerate <= 0.0:
             raise ValueError("framerate must be positive")
-        if self.frame_delay < 0.0 or self.row_exposure < 0.0:
-            raise ValueError("frame_delay and row_exposure must be >= 0")
+        if self.frame_delay < 0.0:
+            raise ValueError("frame_delay must be >= 0")
 
     @staticmethod
     def ideal(framerate: float, n_rows: int) -> "ShutterParams":
@@ -84,10 +82,6 @@ class ShutterParams:
     def scan_duration(self, n_rows: int) -> float:
         """Time to sweep n_rows rows (the frame window length)."""
         return n_rows / abs(self.scan_rate)
-
-    def frame_start(self, frame_index: int) -> float:
-        """Exposure start time of frame k, with any inter-frame delay added."""
-        return frame_index * (1.0 / self.framerate + self.frame_delay)
 
 
 def validate_frame_timing(shutter: ShutterParams, n_rows: int) -> None:
@@ -191,21 +185,6 @@ def _exact_path(x: np.ndarray, motion: MotionState):
 
 def _points(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=float))[:, :3]
-
-
-def constraint_residual(point, motion: MotionState, intrinsics: CameraIntrinsics,
-                        shutter: ShutterParams, t: float, linearized: bool = True,
-                        frame_start: float = 0.0) -> float:
-    """Scanline-crossing residual pi_y(P(t0 + t) X) - (r t - v0), in pixel rows.
-
-    A root in t is a valid scan time for the frame starting at t0.
-    """
-    x, tau = _points(point), frame_start + t
-    p = _linear_path(x, motion, tau)[0][0] if linearized else _exact_path(x, motion)(tau)[0]
-    if p[2] <= DEPTH_EPS:
-        raise NegativeDepth(f"point depth {p[2]:.3e} at t={t:.6e}")
-    row = (intrinsics.focal_y * p[1] + intrinsics.center_y * p[2]) / p[2]
-    return row - (shutter.scan_rate * t - shutter.first_row)
 
 
 def _require_depth(p: np.ndarray) -> None:
@@ -472,13 +451,6 @@ def invert_fronto_parallel(pixel, depth, motion: MotionState,
     y = np.linalg.solve(np.eye(3) + tau[..., None, None] * w_hat,
                         (p_capture - tau[..., None] * v_eff)[..., None])[..., 0]
     return (pose.rotation.T @ (y - pose.translation)[..., None])[..., 0]
-
-
-def correction_magnitude(point, motion: MotionState, intrinsics: CameraIntrinsics,
-                         shutter: ShutterParams, exact: bool = False) -> float:
-    """Euclidean norm, in pixels, of the rolling-shutter correction term."""
-    rs = project_rolling_shutter(point, motion, intrinsics, shutter, exact=exact)
-    return float(np.linalg.norm(rs.correction))
 
 
 def limit_line(shutter: ShutterParams, intrinsics: CameraIntrinsics,

@@ -41,9 +41,6 @@ class Line3D:
             raise ValueError("line direction must be nonzero")
         object.__setattr__(self, "direction", d / norm)
 
-    def at(self, s: float) -> np.ndarray:
-        return self.point + s * self.direction
-
 
 @dataclass(frozen=True)
 class SlitPair:

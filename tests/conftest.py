@@ -1,31 +1,46 @@
 """Shared oracles for the test suite.
 
 The scan-time oracle here is deliberately independent of the solver under
-test: it evaluates the scanline-crossing residual through the generic camera
-matrix machinery and finds the root by dense scan plus plain bisection.  The
-Jacobian oracle takes central differences of the bundle-adjustment residuals.
+test: it evaluates the scanline-crossing residual through camera matrices
+K [R(t) | T(t)] of the moving camera and finds the root by dense scan plus
+plain bisection.  The Jacobian oracle takes central differences of the
+bundle-adjustment residuals.
 The single-point references write one point's arithmetic out with 1-D numpy
 calls; the batched helpers must reproduce them bit for bit.  The per-problem
 Levenberg-Marquardt loop and its normal equations (point sums by np.add.at,
 3x3 point blocks by np.linalg.solve) are the oracle of the batched LM, and the
-per-row checkerboard raster that of the block raster.
+per-row checkerboard raster that of the block raster.  `load_problem` reads
+the snapshots that `sfm.save_problem` writes, and so pins their format.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rscam import sfm
-from rscam.geometry import CameraIntrinsics, MotionState, Pose, camera_matrix_at, hat
-from rscam.shutter import project_rolling_shutter
+from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_exp
+from rscam.shutter import ShutterParams, project_rolling_shutter
 
 
-def scanline_residual(point, motion, intrinsics, shutter, t, linearized=True):
-    """pi_y(P(t) X) - (r t - v0) built directly from camera matrices."""
-    p = camera_matrix_at(motion, intrinsics, t, linearized=linearized)
+def camera_matrix_at(motion, intrinsics, t, linearized=False):
+    """3x4 camera matrix K [R(t) | T(t)] of the moving camera at time t;
+    linearized replaces exp(hat(w) t) with I + t hat(w)."""
+    r0, w = motion.pose0.rotation, motion.angular_velocity
+    rt = ((np.eye(3) + t * hat(w)) if linearized else rotation_exp(w, t)) @ r0
+    return intrinsics.K @ np.column_stack([rt, motion.pose0.translation
+                                           + motion.linear_velocity * t])
+
+
+def scanline_residual(point, motion, intrinsics, shutter, t, linearized=True,
+                      frame_start=0.0):
+    """pi_y(P(t0 + t) X) - (r t - v0) built directly from camera matrices, for
+    the frame starting at t0 = frame_start."""
+    p = camera_matrix_at(motion, intrinsics, frame_start + t, linearized=linearized)
     x = np.append(np.asarray(point, dtype=float), 1.0)
     q = p @ x
     return q[1] / q[2] - (shutter.scan_rate * t - shutter.first_row)
@@ -273,3 +288,29 @@ def render_checkerboard_rows(intrinsics, shutter, omega_z_rev_s, plane_depth, sq
         by = np.floor(y * scale / square_size).astype(int)
         image[row] = ((bx + by) % 2).astype(float)
     return image
+
+
+def load_problem(path) -> sfm.SfmProblem:
+    """The problem of a `sfm.save_problem` snapshot."""
+    payload = json.loads(Path(path).read_text())
+    cameras = []
+    for cam in payload["cameras"]:
+        pose = Pose(np.array(cam["rotation"]), np.array(cam["translation"]))
+        motion = MotionState(pose, np.array(cam["linear_velocity"]),
+                             np.array(cam["angular_velocity"]))
+        intrinsics = CameraIntrinsics(np.array(cam["K"]), cam["pixel_size"],
+                                      cam["width"], cam["height"])
+        shutter = ShutterParams(scan_rate=cam["scan_rate"], first_row=cam["first_row"],
+                                frame_delay=cam["frame_delay"], framerate=cam["framerate"])
+        cameras.append(sfm.SfmCamera(motion, intrinsics, shutter))
+    observations = tuple(
+        (np.array(obs["indices"], dtype=int), np.array(obs["pixels"], dtype=float))
+        for obs in payload["observations"]
+    )
+    return sfm.SfmProblem(
+        points=np.array(payload["points"], dtype=float),
+        cameras=tuple(cameras),
+        observations=observations,
+        noise_sigma=payload["noise_sigma"],
+        rng_seed=tuple(payload["rng_seed"]),
+    )

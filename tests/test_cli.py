@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from rscam import cli
+from rscam import cli, sfm
 from rscam.cli import main
+
+from conftest import load_problem
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +74,22 @@ class TestProject:
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "project")
         assert code == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("via_csv", [True, False])
+    @pytest.mark.parametrize("row", ["1,2", "0,nan,5", "0,0,inf", "0,0,-inf", "a,0,5"])
+    def test_points_need_three_finite_numbers(self, capsys, tmp_path, via_csv, row):
+        """A short, non-finite or non-numeric point is a usage error that names
+        its --point spec or its CSV line."""
+        if via_csv:
+            batch = tmp_path / "points.csv"
+            batch.write_text(f"x,y,z\n0,0,5\n{row}\n")
+            argv, source = ["--points-csv", str(batch)], f"{batch} line 3"
+        else:
+            argv, source = ["--point", "0,0,5", "--point", row], f"--point {row!r}"
+        code, out, err = run_cli(capsys, "project", *argv)
+        assert (code, out) == (1, "")
+        assert f"error: {source}: a point needs three finite numbers x,y,z" in err
 
     def test_config_file_and_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -199,6 +217,30 @@ class TestSfmGrid:
         assert float(rs_row["mean_rot_deg"]) < 1e-4
         assert float(rs_row["mean_reproj_px"]) < 1e-6
 
+    def test_saved_problems_are_the_grid_cells(self, capsys, tmp_path):
+        """Each --save-problems snapshot, reloaded and adjusted alone under
+        each model, reproduces its cell's row (one trial, so the mean is it)."""
+        velocities = (3.75, 7.5)
+        code, _, _ = run_cli(capsys, "sfm-grid", "--out-dir", str(tmp_path),
+                             "--set", "sfm.velocities_kmh=" + " ".join(map(str, velocities)),
+                             "--set", "sfm.sigmas_px=0.5",
+                             "--set", "sfm.trials=1",
+                             "--set", "sfm.n_points=40",
+                             "--save-problems")
+        assert code == 0
+        rows = csv_rows((tmp_path / "results.csv").read_text())
+        assert len(rows) == 2 * len(sfm.MODELS)
+        for vi, velocity in enumerate(velocities):
+            problem = load_problem(tmp_path / f"problem_v{vi}_s0_trial0.json")
+            for model in sfm.MODELS:
+                sol = sfm.bundle_adjust(problem, model)
+                row, = (r for r in rows
+                        if float(r["velocity_kmh"]) == velocity and r["model"] == model)
+                assert float(row["mean_rot_deg"]) == pytest.approx(
+                    sol.rotation_error_deg, rel=1e-9, abs=0)
+                assert float(row["mean_reproj_px"]) == pytest.approx(
+                    sol.reprojection_rms, rel=1e-9, abs=0)
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, capsys, tmp_path):
@@ -217,6 +259,13 @@ class TestExitCodes:
                                "--set", "sfm.trials=2.6")
         assert code == 1
         assert "sfm.trials must be an integer" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_fewer_than_one_trial_is_config_error(self, capsys, tmp_path, trials):
+        code, _, err = run_cli(capsys, "sfm-grid", "--out-dir", str(tmp_path),
+                               "--set", f"sfm.trials={trials}")
+        assert code == 1
+        assert f"trials must be at least 1, got {trials}" in err
 
     def test_singular_solve_is_numerical_failure(self, capsys, monkeypatch):
         """LinAlgError subclasses ValueError but is a numerical failure."""

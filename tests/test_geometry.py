@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rscam.geometry import (CameraIntrinsics, MotionState, Pose, camera_matrix_at,
-                            check_rotation, hat, project_perspective, rotation_exp,
-                            rotation_left_jacobian, rotation_log)
+from rscam.geometry import (CameraIntrinsics, MotionState, Pose, check_rotation, hat,
+                            project_perspective, rotation_exp, rotation_left_jacobian,
+                            rotation_log)
+
+from conftest import camera_matrix_at
 
 
 class TestHat:

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (NormalEquations, grouped_jacobian, levenberg_marquardt,
-                      one_problem_residuals, perspective_pixels)
+                      load_problem, one_problem_residuals, perspective_pixels)
 from rscam import sfm
 from rscam.errors import ConfigError
 from rscam.geometry import MotionState, Pose, rotation_exp, rotation_log
 from rscam.sfm import (GRID_CSV_COLUMNS, MODELS, PERSPECTIVE_MODEL, RS_MODEL,
-                       BundleOptions, SceneConfig, SfmSolution, bundle_adjust,
-                       error_metrics, generate_problem, grid_to_csv,
-                       load_problem, run_experiment_grid, save_problem)
-from rscam.sfm import _initial_points, _NormalEquations, _residuals
+                       BundleOptions, SceneConfig, bundle_adjust, generate_problem,
+                       grid_to_csv, run_experiment_grid, save_problem)
+from rscam.sfm import _initial_points, _NormalEquations, _pose_errors, _residuals
 
 
 @pytest.fixture(scope="module")
@@ -174,41 +173,26 @@ class TestBundleAdjust:
 class TestErrorMetrics:
     def test_truth_scores_zero(self, rs_problem):
         sol = bundle_adjust(rs_problem, RS_MODEL)
-        rot, trans, rms = error_metrics(rs_problem, sol)
-        assert rot < 1e-4 and trans < 1e-4 and rms < 1e-6
+        rot, trans = _pose_errors(rs_problem.cameras[1].motion.pose0, sol.poses[1])
+        assert (sol.rotation_error_deg, sol.translation_direction_error_deg) == (rot, trans)
+        assert rot < 1e-4 and trans < 1e-4 and sol.reprojection_rms < 1e-6
 
     def test_constructed_rotation_offset(self, rs_problem):
         truth_pose = rs_problem.cameras[1].motion.pose0
         offset = rotation_exp([0.0, 0.0, math.radians(1.0)])
-        est = SfmSolution(
-            poses=(rs_problem.cameras[0].motion.pose0,
-                   Pose(truth_pose.rotation @ offset, truth_pose.translation)),
-            points=rs_problem.points, velocities=None, reprojection_rms=0.0,
-            rotation_error_deg=0.0, translation_direction_error_deg=0.0,
-            model_used=RS_MODEL, iterations=0, converged=True)
-        rot, trans, _ = error_metrics(rs_problem, est)
+        rot, trans = _pose_errors(truth_pose, Pose(truth_pose.rotation @ offset,
+                                                   truth_pose.translation))
         assert abs(rot - 1.0) < 1e-9
         assert trans < 1e-9
 
     def test_antipodal_translation(self, rs_problem):
         truth_pose = rs_problem.cameras[1].motion.pose0
-        est = SfmSolution(
-            poses=(rs_problem.cameras[0].motion.pose0,
-                   Pose(truth_pose.rotation, -truth_pose.translation)),
-            points=rs_problem.points, velocities=None, reprojection_rms=0.0,
-            rotation_error_deg=0.0, translation_direction_error_deg=0.0,
-            model_used=RS_MODEL, iterations=0, converged=True)
-        _, trans, _ = error_metrics(rs_problem, est)
+        _, trans = _pose_errors(truth_pose, Pose(truth_pose.rotation, -truth_pose.translation))
         assert abs(trans - 180.0) < 1e-9
 
     def test_degenerate_translation_reported_missing(self, rs_problem):
-        est = SfmSolution(
-            poses=(rs_problem.cameras[0].motion.pose0,
-                   Pose(np.eye(3), np.zeros(3))),
-            points=rs_problem.points, velocities=None, reprojection_rms=0.0,
-            rotation_error_deg=0.0, translation_direction_error_deg=0.0,
-            model_used=RS_MODEL, iterations=0, converged=True)
-        _, trans, _ = error_metrics(rs_problem, est)
+        truth_pose = rs_problem.cameras[1].motion.pose0
+        _, trans = _pose_errors(truth_pose, Pose(np.eye(3), np.zeros(3)))
         assert math.isnan(trans)
 
 

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rscam.errors import NegativeDepth, NoScanTime, Singularity
-from rscam.geometry import (CameraIntrinsics, MotionState, Pose, camera_matrix_at,
-                            hat, rotation_exp)
+from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_exp
 from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
-                           ShutterParams, classify_case, constraint_residual,
-                           correction_magnitude, drift_per_row, invert_fronto_parallel,
+                           ShutterParams, classify_case, drift_per_row, invert_fronto_parallel,
                            limit_line, normalized_scan, project_rolling_shutter,
                            scan_time_gradient, solve_scan_time, solve_scan_times,
                            validate_frame_timing)
 
-from conftest import bisect_scan_time, drift_one, invert_one, scanline_residual
+from conftest import (bisect_scan_time, camera_matrix_at, drift_one, invert_one,
+                      scanline_residual)
 
 
 @pytest.fixture
@@ -31,6 +30,12 @@ def closed_form_reference(x, y, z, vx, vy, wz, r, v0):
     return np.array([u, v]), t_c
 
 
+def correction_norm(point, motion, intrinsics, shutter):
+    """Length, in pixels, of the rolling-shutter correction of one point."""
+    rs = project_rolling_shutter(point, motion, intrinsics, shutter)
+    return float(np.linalg.norm(rs.correction))
+
+
 class TestShutterParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -44,10 +49,6 @@ class TestShutterParams:
         s = ShutterParams.ideal(15.0, 480)
         assert s.scan_rate == 7200.0
         assert abs(s.scan_duration(480) - 1.0 / 15.0) < 1e-15
-
-    def test_frame_start_includes_delay(self):
-        s = ShutterParams(scan_rate=100.0, framerate=10.0, frame_delay=0.01)
-        assert abs(s.frame_start(3) - 3 * 0.11) < 1e-15
 
     def test_frame_timing_validation(self):
         validate_frame_timing(ShutterParams.ideal(15.0, 480), 480)
@@ -89,7 +90,7 @@ class TestConstraintResidual:
         m = MotionState()
         x = [0.0, 0.35, 1.0]
         for t in [0.0, 0.02, 0.07]:
-            res = constraint_residual(x, m, normalized_camera, shutter10, t)
+            res = scanline_residual(x, m, normalized_camera, shutter10, t)
             assert abs(res - (0.35 - 10.0 * t)) < 1e-15
         root = solve_scan_time(x, m, normalized_camera, shutter10)
         assert abs(root - 0.035) < 1e-15
@@ -103,7 +104,7 @@ class TestConstraintResidual:
                 t_c = solve_scan_time(x, m, normalized_camera, shutter10)
             except NoScanTime:
                 continue
-            res = constraint_residual(x, m, normalized_camera, shutter10, t_c)
+            res = scanline_residual(x, m, normalized_camera, shutter10, t_c)
             assert abs(res) < 1e-9
 
     def test_instantaneous_shutter_limit(self, normalized_camera):
@@ -117,11 +118,6 @@ class TestConstraintResidual:
             assert previous is None or t_c < previous
             previous = t_c
         assert previous < 1e-8
-
-    def test_depth_error(self, normalized_camera, shutter10):
-        with pytest.raises(NegativeDepth):
-            constraint_residual([0, 0, -1.0], MotionState(), normalized_camera,
-                                shutter10, 0.01)
 
 
 class TestSolveScanTime:
@@ -204,7 +200,7 @@ class TestSolveScanTime:
                 continue
             solved += 1
             assert 0.0 <= t_c <= t_max
-            res = constraint_residual(x, m, normalized_camera, shutter10, t_c)
+            res = scanline_residual(x, m, normalized_camera, shutter10, t_c)
             assert abs(res) < 1e-9
         assert solved > 100
 
@@ -213,8 +209,8 @@ class TestSolveScanTime:
         x = [0, 0.1, 1.0]
         t0 = 0.03
         t_c = solve_scan_time(x, m, normalized_camera, shutter10, frame_start=t0)
-        res = constraint_residual(x, m, normalized_camera, shutter10, t_c,
-                                  frame_start=t0)
+        res = scanline_residual(x, m, normalized_camera, shutter10, t_c,
+                                frame_start=t0)
         assert abs(res) < 1e-12
         # Expected from the shifted linear constraint.
         assert abs(t_c - (0.1 + t0 * 0.5) / 9.5) < 1e-12
@@ -261,7 +257,7 @@ class TestProjectRollingShutter:
         previous = None
         for r in [10.0, 20.0, 40.0, 80.0, 160.0]:
             s = ShutterParams(scan_rate=r, framerate=10.0)
-            magnitude = correction_magnitude(x, m, normalized_camera, s)
+            magnitude = correction_norm(x, m, normalized_camera, s)
             assert previous is None or magnitude < previous
             previous = magnitude
         assert previous < 5e-3
@@ -269,17 +265,17 @@ class TestProjectRollingShutter:
     def test_doubling_rate_halves_correction(self, normalized_camera):
         m = MotionState(Pose.identity(), [0.0, 0.4, 0], [0, 0, 0])
         x = [0.0, 0.2, 2.0]
-        c1 = correction_magnitude(x, m, normalized_camera,
-                                  ShutterParams(scan_rate=50.0, framerate=10.0))
-        c2 = correction_magnitude(x, m, normalized_camera,
-                                  ShutterParams(scan_rate=100.0, framerate=10.0))
+        c1 = correction_norm(x, m, normalized_camera,
+                             ShutterParams(scan_rate=50.0, framerate=10.0))
+        c2 = correction_norm(x, m, normalized_camera,
+                             ShutterParams(scan_rate=100.0, framerate=10.0))
         assert 1.9 < c1 / c2 < 2.1
 
     def test_correction_is_rs_minus_perspective(self, normalized_camera, shutter10):
         m = MotionState(Pose.identity(), [0.3, 0.5, 0], [0, 0, 0])
         x = [0.05, 0.25, 1.5]
         rs = project_rolling_shutter(x, m, normalized_camera, shutter10)
-        magnitude = correction_magnitude(x, m, normalized_camera, shutter10)
+        magnitude = correction_norm(x, m, normalized_camera, shutter10)
         assert abs(magnitude - np.linalg.norm(rs.pixel - rs.perspective_part)) < 1e-15
 
     def test_pixel_units_consistent_with_normalized(self, rng):

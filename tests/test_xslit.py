@@ -96,7 +96,7 @@ class TestBackproject:
             q = rng.uniform(0.05, 0.95, size=2)
             ray = backproject(q, m, shutter_norm)
             for span in rng.uniform(0.5, 5.0, size=3):
-                point = ray.at(span)
+                point = ray.point + span * ray.direction
                 if point[2] < 0.05:
                     continue
                 rs = project_rolling_shutter(point, m, k, shutter_norm,
