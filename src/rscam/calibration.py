@@ -64,7 +64,7 @@ def _row_times(shutter: ShutterParams, n_rows: int, n_frames: int) -> np.ndarray
     """Absolute exposure time of row y in frame k, shape (n_rows, n_frames)."""
     rows = np.arange(n_rows, dtype=float)
     frames = np.arange(n_frames, dtype=float)
-    start = frames * (1.0 / shutter.framerate + shutter.frame_delay)
+    start = frames * (1.0 / shutter.framerate)
     offset = (rows + shutter.first_row) / shutter.scan_rate
     return offset[:, None] + start[None, :]
 

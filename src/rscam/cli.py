@@ -105,12 +105,11 @@ class RunConfig:
             target, value = item.split("=", 1)
             section, key = target.split(".", 1)
             self.values[(section.strip().lower(), key.strip().lower())] = value.strip()
+        if unknown := [f"{s}.{k}" for s, k in self.values if k not in DEFAULTS.get(s, ())]:
+            raise ConfigError(f"unknown config key {unknown[0]}")
 
     def get(self, section: str, key: str) -> str:
-        try:
-            return self.values[(section, key)]
-        except KeyError:
-            raise ConfigError(f"missing config value {section}.{key}") from None
+        return self.values[(section, key)]
 
     def get_float(self, section: str, key: str) -> float:
         try:
@@ -187,14 +186,15 @@ def _outdir(args) -> Path:
     return out
 
 
-def _point(tokens: list[str], source: str) -> list[float]:
-    """The three finite coordinates x, y, z of a point given as text tokens."""
+def _point(tokens: list[str], *source) -> list[float]:
+    """The three finite coordinates x, y, z of a point given as text tokens;
+    the parts of source, joined by spaces, name them in an error."""
     try:
         point = [float(t) for t in tokens]
     except ValueError:
         point = []
     if len(point) != 3 or not all(map(math.isfinite, point)):
-        raise ConfigError(f"{source}: a point needs three finite numbers x,y,z")
+        raise ConfigError(" ".join(map(str, source)) + ": a point needs three finite numbers x,y,z")
     return point
 
 
@@ -209,7 +209,7 @@ def cmd_project(config: RunConfig, args) -> int:
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("x"):
                 continue
-            points.append(_point(line.split(",")[:3], f"{args.points_csv} line {number}"))
+            points.append(_point(line.split(",")[:3], args.points_csv, "line", number))
     if not points:
         raise ConfigError("no input points; pass --point or --points-csv")
 

@@ -80,36 +80,34 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     half = 0.5 * squares * square_size
     coords = np.linspace(-half, half, squares + 1)
     ts = -half + 2 * half * np.linspace(0.0, 1.0, samples_per_edge)
-    # Corners row by row, then each grid line sampled along its length.
-    board = [(gx, gy) for gy in coords for gx in coords]
-    lines = []
-    for fixed in coords:
-        for horizontal in (True, False):
-            lines.append(range(len(board), len(board) + len(ts)))
-            board.extend((t, fixed) if horizontal else (fixed, t) for t in ts)
-    points = np.column_stack([np.array(board), np.full(len(board), plane_depth)])
+    n, m = len(coords), len(ts)
+    # Corners row by row, then each grid line sampled along its length: per
+    # fixed coordinate, the horizontal line (t, fixed), then the vertical one.
+    points = np.full((n * n + 2 * n * m, 3), plane_depth)
+    board, lines = points[:n * n], points[n * n:].reshape(n, 2, m, 3)
+    board[:, 0], board[:, 1] = np.tile(coords, n), np.repeat(coords, n)
+    lines[:, 0, :, 0] = lines[:, 1, :, 1] = ts
+    lines[:, 0, :, 1] = lines[:, 1, :, 0] = coords[:, None]
     result = solve_scan_times(points, motion, intrinsics, shutter, exact=True)
     # Points the frame misses are left out; a point behind the camera raises.
-    kept = ~np.isin(result.reason, (NO_SCAN_TIME, SINGULARITY))
-    pixels = np.full((len(board), 2), np.nan)
+    kept = (result.reason != NO_SCAN_TIME) & (result.reason != SINGULARITY)
+    pixels = np.full((len(points), 2), np.nan)
     pixels[kept] = result.projection(kept, intrinsics).pixel
-    corners = pixels[:len(coords) ** 2][kept[:len(coords) ** 2]]
-    polylines = []
-    max_deflection = 0.0
-    for indices in lines:
-        pts = pixels[indices][kept[indices]]
-        if len(pts) < 3:
-            continue
-        polylines.append(pts)
-        a, b = pts[0], pts[-1]
-        chord = b - a
-        norm = np.linalg.norm(chord)
-        if norm < 1e-9:
-            continue
-        normal = np.array([-chord[1], chord[0]]) / norm
-        deflection = float(np.max(np.abs((pts - a) @ normal)))
-        max_deflection = max(max_deflection, deflection)
-    return np.array(corners), polylines, max_deflection
+    corners = pixels[:n * n][kept[:n * n]]
+    line_px, line_kept = pixels[n * n:].reshape(2 * n, m, 2), kept[n * n:].reshape(2 * n, m)
+    drawn = line_kept.sum(axis=1) >= 3
+    polylines = [px[k] for px, k, d in zip(line_px, line_kept, drawn) if d]
+    # Each line's chord joins its first and last kept points; the stacked
+    # products take one dot per line and per point, as np.linalg.norm and @ do.
+    line = np.arange(2 * n)
+    a = line_px[line, line_kept.argmax(axis=1)]
+    chord = line_px[line, m - 1 - line_kept[:, ::-1].argmax(axis=1)] - a
+    norm = np.sqrt((chord[:, None, :] @ chord[:, :, None])[:, 0, 0])
+    bent = drawn & (norm >= 1e-9)
+    normal = np.column_stack([-chord[:, 1], chord[:, 0]]) / np.where(bent, norm, 1.0)[:, None]
+    distance = np.abs(((line_px - a[:, None]) @ normal[:, :, None])[..., 0])
+    max_deflection = float(np.max(distance, initial=0.0, where=bent[:, None] & line_kept))
+    return corners, polylines, max_deflection
 
 
 def overlay_markers(image: np.ndarray, pixels: np.ndarray, radius: int = 1,

@@ -660,7 +660,6 @@ def save_problem(problem: SfmProblem, path) -> None:
                 "height": cam.intrinsics.height,
                 "scan_rate": cam.shutter.scan_rate,
                 "first_row": cam.shutter.first_row,
-                "frame_delay": cam.shutter.frame_delay,
                 "framerate": cam.shutter.framerate,
             }
             for cam in problem.cameras

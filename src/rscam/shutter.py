@@ -15,7 +15,9 @@ where P(t) = K [R(t) | T(t)].  Depending on the motion and on whether P(t) is
 linearized in t, this constraint is linear, quadratic, or fully nonlinear in
 t_c (`classify_case`).  One batched kernel, `solve_scan_times`, solves it for
 N points: linearized, in closed form; exact, by brackets on a fixed sample
-grid over the frame window, refined together by the Illinois method.  The
+grid over the frame window, refined together by the Illinois method.  As
+the exact path is a sum of 1, t, sin(|omega| t) and 1 - cos(|omega| t) terms,
+the grid's signs come from one matrix product per block of points.  The
 scalar `solve_scan_time` and `project_rolling_shutter` are a batch of one.
 
 For fronto-parallel motion (v_z = 0, omega about the optical axis only) the
@@ -63,7 +65,6 @@ class ShutterParams:
 
     scan_rate: float            # rows / second, nonzero
     first_row: float = 0.0      # row offset v0 (pixels)
-    frame_delay: float = 0.0    # seconds between frames
     framerate: float = 30.0     # frames / second
 
     def __post_init__(self):
@@ -71,12 +72,10 @@ class ShutterParams:
             raise ValueError("scan_rate must be finite and nonzero")
         if self.framerate <= 0.0:
             raise ValueError("framerate must be positive")
-        if self.frame_delay < 0.0:
-            raise ValueError("frame_delay must be >= 0")
 
     @staticmethod
     def ideal(framerate: float, n_rows: int) -> "ShutterParams":
-        """Zero-delay sensor whose scan spans the whole frame period."""
+        """Sensor whose scan spans the whole frame period."""
         return ShutterParams(scan_rate=n_rows * framerate, framerate=framerate)
 
     def scan_duration(self, n_rows: int) -> float:
@@ -158,19 +157,21 @@ def _linear_path(x: np.ndarray, motion: MotionState,
 
 
 def _exact_path(x: np.ndarray, motion: MotionState):
-    """at(tau, rows, cols): exact camera-frame positions of static points (N, 3).
+    """(at, coef, speed): exact camera-frame paths of static points (N, 3).
 
     The camera turns about a fixed axis n, so R(tau) R0 x = rx + sin(theta) k1
-    + (1 - cos theta) k2 with theta = |omega| tau, k1 = n x rx, k2 = n x k1.
-    tau broadcasts against the selected rows and coordinate columns.
+    + (1 - cos theta) k2 with theta = speed tau, k1 = n x rx, k2 = n x k1, and
+    p(tau) = [1, tau, sin theta, 1 - cos theta] @ coef (4, N, 3).  at(tau, rows,
+    cols) sums the terms, tau broadcasting against the rows and columns.
     """
     rx = x @ motion.pose0.rotation.T
-    base = rx + motion.pose0.translation
     v = motion.linear_velocity
     speed = float(np.linalg.norm(motion.angular_velocity))
     axis = hat(motion.angular_velocity / speed) if speed > 0.0 else np.zeros((3, 3))
     k1 = rx @ axis.T
-    k2 = k1 @ axis.T
+    coef = np.array([rx + motion.pose0.translation, rx, k1, k1 @ axis.T])
+    coef[1] = v
+    base, _, k1, k2 = coef
 
     def at(tau, rows=slice(None), cols=slice(None)):
         p = base[rows, cols] + tau * v[cols]
@@ -180,7 +181,7 @@ def _exact_path(x: np.ndarray, motion: MotionState):
         return (p + np.sin(theta) * k1[rows, cols]
                 + (1.0 - np.cos(theta)) * k2[rows, cols])
 
-    return at
+    return at, coef, speed
 
 
 def _points(points) -> np.ndarray:
@@ -254,8 +255,8 @@ def solve_scan_times(points, motion: MotionState, intrinsics: CameraIntrinsics,
     if not exact:
         return solve_path_times(*_linear_path(x, motion, frame_start), intrinsics,
                                 shutter, windowed)
-    at = _exact_path(x, motion)
-    t, reason, twice = _exact_roots(at, len(x), intrinsics, shutter, frame_start,
+    at, *terms = _exact_path(x, motion)
+    t, reason, twice = _exact_roots(at, *terms, intrinsics, shutter, frame_start,
                                     shutter.scan_duration(intrinsics.height))
     return ScanTimes(t, reason, twice, at(frame_start), at((frame_start + t)[:, None]))
 
@@ -338,10 +339,11 @@ def _closed_form_roots(y, w, intrinsics, shutter, t_max, windowed):
     return np.where(found, t, 0.0), reason, twice
 
 
-def _exact_roots(at, n, intrinsics, shutter, frame_start, t_max):
-    """Scan times of the exact paths at(tau): (t, reason, caught_twice)."""
+def _exact_roots(at, coef, speed, intrinsics, shutter, frame_start, t_max):
+    """Scan times of the exact paths at(tau), of terms coef: (t, reason, caught_twice)."""
     fy, cy = intrinsics.focal_y, intrinsics.center_y
     r, v0 = shutter.scan_rate, shutter.first_row
+    n = coef.shape[1]
 
     def residual(t, rows):
         p = at((frame_start + t)[..., None], rows, slice(1, 3))
@@ -349,22 +351,40 @@ def _exact_roots(at, n, intrinsics, shutter, frame_start, t_max):
         row = (fy * p[..., 0] + cy * p[..., 1]) / np.where(front, p[..., 1], 1.0)
         return row - (r * t - v0), front
 
-    # Bracket the roots on the sample grid, a block of points at a time and
-    # from the y and z coordinates only; a sample that is a root is its own
-    # bracket [a, b] with f_b = 0.
+    # Bracket the roots on the sample grid, a block of points at a time.  In
+    # front of the camera the residual has the sign of g = fy p_y + (cy + v0
+    # - r t) p_z, one product per block.  Both round within ~1e-15 of the
+    # size of g's terms, which |terms| bound; a point within 1e-12 of that
+    # size of 0 at a sample takes the residual on the grid instead.  A sample
+    # that is a root is its own bracket.
     ts = t_max * _UNIT_SAMPLES
+    basis = np.zeros((EXACT_SAMPLES, 4))
+    basis[:, 0], basis[:, 1] = 1.0, frame_start + ts
+    if speed:
+        basis[:, 2], basis[:, 3] = np.sin(speed * basis[:, 1]), 1.0 - np.cos(speed * basis[:, 1])
+    sweep = (cy + v0 - r * ts)[:, None]
+    sweep_size = abs(cy) + abs(v0) + abs(r) * t_max
+    bound = 1e-12 * np.array([1.0, abs(frame_start) + t_max, 1.0, 2.0])[:, None] * [fy, sweep_size]
     behind = np.zeros(n, dtype=bool)
     brackets = []
     for first in range(0, n, EXACT_BLOCK):
-        rows = slice(first, first + EXACT_BLOCK)
-        f, front = residual(ts[:, None], rows)
-        behind[rows] = ~front.all(axis=0)
-        f[~front] = np.nan
-        s, k = np.nonzero(f == 0.0)
-        brackets.append((first + k, ts[s], ts[s], f[s, k], f[s, k]))
-        s, k = np.nonzero(f[:-1] * f[1:] < 0.0)
-        brackets.append((first + k, ts[s], ts[s + 1], f[s, k], f[s + 1, k]))
-    owner, a, b, f_a, f_b = (np.concatenate(parts) for parts in zip(*brackets))
+        terms = coef[:, first:first + EXACT_BLOCK, 1:3]
+        p = (basis @ terms.reshape(4, -1)).reshape(EXACT_SAMPLES, -1, 2)
+        back = ~(p[..., 1] > DEPTH_EPS)
+        g = fy * p[..., 0] + sweep * p[..., 1]
+        g[back] = np.nan
+        if (doubt := np.abs(g) <= np.einsum("jkc,jc->k", np.abs(terms), bound)).any():
+            cols = np.flatnonzero(doubt.any(axis=0))
+            f, front = residual(ts[:, None], first + cols)
+            g[:, cols], back[:, cols] = np.where(front, f, np.nan), ~front
+        behind[first:first + EXACT_BLOCK] = back.any(axis=0)
+        s, k = np.nonzero(g == 0.0)
+        brackets.append((first + k, s, s))
+        s, k = np.nonzero(g[:-1] * g[1:] < 0.0)
+        brackets.append((first + k, s, s + 1))
+    owner, s_a, s_b = (np.concatenate(parts) for parts in zip(*brackets))
+    a, b = ends = ts[np.array([s_a, s_b])]
+    f_a, f_b = residual(ends, owner)[0]
 
     # Refine every bracket together: regula falsi with the Illinois halving of
     # a retained end, and the midpoint when the secant point is not strictly

@@ -3,13 +3,16 @@
 The scan-time oracle here is deliberately independent of the solver under
 test: it evaluates the scanline-crossing residual through camera matrices
 K [R(t) | T(t)] of the moving camera and finds the root by dense scan plus
-plain bisection.  The Jacobian oracle takes central differences of the
-bundle-adjustment residuals.
+plain bisection.  `exact_scan_times` is the exact solver with brackets from
+the residual itself on the sample grid, the oracle of the solver's brackets
+from one product per block.  The Jacobian oracle takes central differences
+of the bundle-adjustment residuals.
 The single-point references write one point's arithmetic out with 1-D numpy
 calls; the batched helpers must reproduce them bit for bit.  The per-problem
 Levenberg-Marquardt loop and its normal equations (point sums by np.add.at,
 3x3 point blocks by np.linalg.solve) are the oracle of the batched LM, and the
-per-row checkerboard raster that of the block raster.  `load_problem` reads
+per-row checkerboard raster that of the block raster, and the line-by-line
+board lattice that of the array-built one.  `load_problem` reads
 the snapshots that `sfm.save_problem` writes, and so pins their format.
 """
 
@@ -22,9 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rscam import sfm
+from rscam import render, sfm
 from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_exp
-from rscam.shutter import ShutterParams, project_rolling_shutter
+from rscam.shutter import (DEPTH_EPS, EXACT_BLOCK, EXACT_MAX_STEPS, EXACT_SAMPLES, IMAGED,
+                           NEGATIVE_DEPTH, NO_SCAN_TIME, SINGULARITY, ShutterParams,
+                           project_rolling_shutter, solve_scan_times)
 
 
 def camera_matrix_at(motion, intrinsics, t, linearized=False):
@@ -72,6 +77,79 @@ def bisect_scan_time(point, motion, intrinsics, shutter, linearized=True,
                 lo, f_lo = mid, f_mid
         return 0.5 * (lo + hi)
     raise AssertionError("oracle found no scan time in the frame window")
+
+
+def exact_scan_times(points, motion, intrinsics, shutter, frame_start=0.0):
+    """(t, reason, caught_twice, capture) of `solve_scan_times(..., exact=True)`,
+    bracketing on the residual's own signs over the sample grid, a block of
+    points at a time, then refining every bracket by the Illinois method."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))[:, :3]
+    n = len(x)
+    rx = x @ motion.pose0.rotation.T
+    base = rx + motion.pose0.translation
+    v = motion.linear_velocity
+    speed = float(np.linalg.norm(motion.angular_velocity))
+    axis = hat(motion.angular_velocity / speed) if speed > 0.0 else np.zeros((3, 3))
+    k1 = rx @ axis.T
+    k2 = k1 @ axis.T
+
+    def at(tau, rows=slice(None), cols=slice(None)):
+        p = base[rows, cols] + tau * v[cols]
+        if speed == 0.0:
+            return p
+        theta = speed * tau
+        return (p + np.sin(theta) * k1[rows, cols]
+                + (1.0 - np.cos(theta)) * k2[rows, cols])
+
+    fy, cy = intrinsics.focal_y, intrinsics.center_y
+    r, v0 = shutter.scan_rate, shutter.first_row
+    t_max = shutter.scan_duration(intrinsics.height)
+
+    def residual(t, rows):
+        p = at((frame_start + t)[..., None], rows, slice(1, 3))
+        front = p[..., 1] > DEPTH_EPS
+        row = (fy * p[..., 0] + cy * p[..., 1]) / np.where(front, p[..., 1], 1.0)
+        return row - (r * t - v0), front
+
+    ts = t_max * np.linspace(0.0, 1.0, EXACT_SAMPLES)
+    behind = np.zeros(n, dtype=bool)
+    brackets = []
+    for first in range(0, n, EXACT_BLOCK):
+        rows = slice(first, first + EXACT_BLOCK)
+        f, front = residual(ts[:, None], rows)
+        behind[rows] = ~front.all(axis=0)
+        f[~front] = np.nan
+        s, k = np.nonzero(f == 0.0)
+        brackets.append((first + k, ts[s], ts[s], f[s, k], f[s, k]))
+        s, k = np.nonzero(f[:-1] * f[1:] < 0.0)
+        brackets.append((first + k, ts[s], ts[s + 1], f[s, k], f[s + 1, k]))
+    owner, a, b, f_a, f_b = (np.concatenate(parts) for parts in zip(*brackets))
+
+    alive = np.ones(len(a), dtype=bool)
+    active = f_b != 0.0
+    for _ in range(EXACT_MAX_STEPS):
+        k = np.flatnonzero(active)
+        if k.size == 0:
+            break
+        ak, bk, fak, fbk = a[k], b[k], f_a[k], f_b[k]
+        t = bk - fbk * (bk - ak) / (fbk - fak)
+        t = np.where((t - ak) * (t - bk) < 0.0, t, 0.5 * (ak + bk))
+        ft, alive[k] = residual(t, owner[k])
+        swap = ft * fbk < 0.0
+        a[k], f_a[k] = np.where(swap, bk, ak), np.where(swap, fbk, 0.5 * fak)
+        b[k], f_b[k] = t, ft
+        active[k] = alive[k] & (ft != 0.0) & (np.abs(t - a[k]) > 1e-14 * t_max)
+    behind[owner[~alive]] = True
+
+    earliest = np.full(n, np.inf)
+    latest = np.full(n, -np.inf)
+    np.minimum.at(earliest, owner[alive], b[alive])
+    np.maximum.at(latest, owner[alive], b[alive])
+    found = earliest < np.inf
+    twice = found & (latest - earliest > 1e-9 * max(1.0, t_max))
+    reason = np.where(found, IMAGED, np.where(behind, NEGATIVE_DEPTH, NO_SCAN_TIME))
+    t = np.where(found, earliest, 0.0)
+    return t, reason, twice, at((frame_start + t)[:, None])
 
 
 def grouped_jacobian(fun, x: np.ndarray, n_cam: int, point_cols: np.ndarray,
@@ -290,6 +368,44 @@ def render_checkerboard_rows(intrinsics, shutter, omega_z_rev_s, plane_depth, sq
     return image
 
 
+def project_board_lattice_lines(intrinsics, shutter, omega_z_rev_s, plane_depth, square_size,
+                                squares, samples_per_edge):
+    """render.project_board_lattice from a point list built line by line, and
+    each grid line's deflection in a loop over the lines."""
+    half = 0.5 * squares * square_size
+    coords = np.linspace(-half, half, squares + 1)
+    ts = -half + 2 * half * np.linspace(0.0, 1.0, samples_per_edge)
+    board = [(gx, gy) for gy in coords for gx in coords]
+    lines = []
+    for fixed in coords:
+        for horizontal in (True, False):
+            lines.append(range(len(board), len(board) + len(ts)))
+            board.extend((t, fixed) if horizontal else (fixed, t) for t in ts)
+    points = np.column_stack([np.array(board), np.full(len(board), plane_depth)])
+    result = solve_scan_times(points, render.spin_motion(omega_z_rev_s), intrinsics, shutter,
+                              exact=True)
+    kept = ~np.isin(result.reason, (NO_SCAN_TIME, SINGULARITY))
+    pixels = np.full((len(board), 2), np.nan)
+    pixels[kept] = result.projection(kept, intrinsics).pixel
+    corners = pixels[:len(coords) ** 2][kept[:len(coords) ** 2]]
+    polylines = []
+    max_deflection = 0.0
+    for indices in lines:
+        pts = pixels[indices][kept[indices]]
+        if len(pts) < 3:
+            continue
+        polylines.append(pts)
+        a, b = pts[0], pts[-1]
+        chord = b - a
+        norm = np.linalg.norm(chord)
+        if norm < 1e-9:
+            continue
+        normal = np.array([-chord[1], chord[0]]) / norm
+        deflection = float(np.max(np.abs((pts - a) @ normal)))
+        max_deflection = max(max_deflection, deflection)
+    return corners, polylines, max_deflection
+
+
 def load_problem(path) -> sfm.SfmProblem:
     """The problem of a `sfm.save_problem` snapshot."""
     payload = json.loads(Path(path).read_text())
@@ -301,7 +417,7 @@ def load_problem(path) -> sfm.SfmProblem:
         intrinsics = CameraIntrinsics(np.array(cam["K"]), cam["pixel_size"],
                                       cam["width"], cam["height"])
         shutter = ShutterParams(scan_rate=cam["scan_rate"], first_row=cam["first_row"],
-                                frame_delay=cam["frame_delay"], framerate=cam["framerate"])
+                                framerate=cam["framerate"])
         cameras.append(sfm.SfmCamera(motion, intrinsics, shutter))
     observations = tuple(
         (np.array(obs["indices"], dtype=int), np.array(obs["pixels"], dtype=float))

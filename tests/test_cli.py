@@ -267,6 +267,20 @@ class TestExitCodes:
         assert code == 1
         assert f"trials must be at least 1, got {trials}" in err
 
+    @pytest.mark.parametrize("override", ["sfm.trails=5", "shutter.frame_delay=0.01"])
+    def test_unknown_override_key_is_config_error(self, capsys, override):
+        """A misspelt or removed key is a usage error that names the key."""
+        code, out, err = run_cli(capsys, "project", "--set", override, "--point", "0,0.2,5")
+        assert (code, out) == (1, "")
+        assert f"unknown config key {override.split('=')[0]}" in err
+
+    def test_unknown_config_file_key_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[motion]\nvelocity_kmh = 0 7.5 0\n[Render]\nSquare = 4\n")
+        code, out, err = run_cli(capsys, "project", "--config", str(cfg), "--point", "0,0.2,5")
+        assert (code, out) == (1, "")
+        assert "error: unknown config key render.square" in err
+
     def test_singular_solve_is_numerical_failure(self, capsys, monkeypatch):
         """LinAlgError subclasses ValueError but is a numerical failure."""
         def singular(config, args):

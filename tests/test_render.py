@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import render_checkerboard_rows
+from conftest import project_board_lattice_lines, render_checkerboard_rows
 from rscam.geometry import CameraIntrinsics
 from rscam.render import (RASTER_BLOCK, overlay_markers, project_board_lattice,
                           render_checkerboard, spin_motion)
@@ -114,6 +114,23 @@ class TestRenderCheckerboard:
                                              samples_per_edge=9)[2]
                        for w in (0.25, 0.5, 0.75, 1.0)]
         assert all(b > a for a, b in zip(deflections, deflections[1:]))
+
+    @pytest.mark.parametrize("omega", [0.0, 0.3, 1.0, -2.5, 6.0])
+    def test_lattice_equals_line_by_line_oracle(self, omega):
+        """Corners, polylines and deflection are the line-by-line oracle's bit
+        for bit: the render-checker board, and boards larger than the frame
+        whose lines are cut short or left out, scanned either way."""
+        scenes = [(CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480),
+                   0.06, 8, 17),
+                  (small_camera(), ShutterParams.ideal(30.0, 120), 0.11, 9, 12),
+                  (CameraIntrinsics.from_fov(55.0, 150, 97),
+                   ShutterParams(scan_rate=-97 * 25.0, first_row=-90.0, framerate=25.0), 0.2, 5, 4)]
+        for k, s, square, squares, samples in scenes:
+            got = project_board_lattice(k, s, omega, 0.5, square, squares, samples)
+            want = project_board_lattice_lines(k, s, omega, 0.5, square, squares, samples)
+            assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+            assert [p.tobytes() for p in got[1]] == [p.tobytes() for p in want[1]]
+            assert type(got[2]) is float and got[2] == want[2]
 
     def test_forward_projection_lands_on_rendered_pattern(self):
         """Corners projected by the solver coincide with the inverse-rendered

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rscam.errors import NegativeDepth, NoScanTime, Singularity
 from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_exp
@@ -12,8 +12,8 @@ from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
                            scan_time_gradient, solve_scan_time, solve_scan_times,
                            validate_frame_timing)
 
-from conftest import (bisect_scan_time, camera_matrix_at, drift_one, invert_one,
-                      scanline_residual)
+from conftest import (bisect_scan_time, camera_matrix_at, drift_one, exact_scan_times,
+                      invert_one, scanline_residual)
 
 
 @pytest.fixture
@@ -42,8 +42,6 @@ class TestShutterParams:
             ShutterParams(scan_rate=0.0)
         with pytest.raises(ValueError):
             ShutterParams(scan_rate=10.0, framerate=0.0)
-        with pytest.raises(ValueError):
-            ShutterParams(scan_rate=10.0, frame_delay=-1.0)
 
     def test_ideal(self):
         s = ShutterParams.ideal(15.0, 480)
@@ -495,6 +493,13 @@ def kernel_motion(case: ScanTimeCase, v, w) -> MotionState:
     return motion
 
 
+# Exact-model draws: omega = 0, a spin about the optical axis, a general axis,
+# or an approach fast enough to carry points behind the camera mid-window;
+# points on the optical axis, and one the frame never images.
+EXACT_MOTIONS = ("still", "optical axis", "general axis", "approaching")
+EXACT_POINTS = [(0.0, 0.0, 1.0), (0.0, 0.0, 2.5), (40.0, 0.0, 1.0)]
+
+
 class TestScanTimeKernel:
     @KERNEL_SETTINGS
     @given(case=st.sampled_from(list(ScanTimeCase)), v=velocity3, w=velocity3,
@@ -614,6 +619,51 @@ class TestScanTimeKernel:
         t_c = solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
                               exact=not linearized)
         assert abs(t_c - oracle) <= 1e-10 * KERNEL_T_MAX
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @KERNEL_SETTINGS
+    @given(kind=st.sampled_from(EXACT_MOTIONS), v=velocity3, w=velocity3,
+           identity_pose=st.booleans(), backwards=st.booleans(),
+           first_row=st.sampled_from([0.0, 3.0]),
+           frame_start=st.sampled_from([0.0, 0.0125]) | st.floats(-0.1, 0.1),
+           points=st.lists(st.sampled_from(EXACT_POINTS) | st.tuples(
+               st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(-0.5, 4.0)),
+               min_size=1, max_size=10),
+           repeats=st.sampled_from([1, 7, 13]))
+    @example(kind="optical axis", v=(0.0, 0.0, 0.0), w=(0.0, 0.0, 0.0), identity_pose=True,
+             backwards=False, first_row=0.0, frame_start=0.0, points=[(0.0, 0.0, 1.0)],
+             repeats=1)
+    def test_exact_matches_grid_bracketing(self, kind, v, w, identity_pose, backwards,
+                                           first_row, frame_start, points, repeats):
+        """The exact model's scan times, reasons, double catches and capture
+        positions are bitwise those of brackets from the residual's own signs
+        on the sample grid (`conftest.exact_scan_times`): for one point and for
+        batches across blocks, scanning either way, from any frame start, with
+        points on the spin axis, passing behind the camera or never imaged."""
+        pose = (Pose.identity() if identity_pose
+                else Pose(rotation_exp([0.05, -0.1, 0.02]), [0.1, -0.2, 0.3]))
+        w = [10.0 * c for c in w]
+        if kind == "still":
+            w = [0.0, 0.0, 0.0]
+        elif kind == "optical axis":
+            v, w = [v[0], v[1], 0.0], [0.0, 0.0, w[2] or 20.0]
+        elif kind == "general axis":
+            w = [w[0] or 5.0, w[1], w[2]]
+        else:
+            v = [v[0], v[1], -40.0 - 20.0 * abs(v[2])]
+        motion = MotionState(pose, v, w)
+        rate = KERNEL_SHUTTER.scan_rate
+        shutter = ShutterParams(scan_rate=-rate if backwards else rate,
+                                first_row=first_row - 48.0 if backwards else first_row,
+                                framerate=KERNEL_SHUTTER.framerate)
+        batch = points * repeats
+        times = solve_scan_times(batch, motion, KERNEL_CAMERA, shutter, exact=True,
+                                 frame_start=frame_start)
+        oracle = exact_scan_times(batch, motion, KERNEL_CAMERA, shutter, frame_start)
+        for got, want in zip((times.t, times.reason, times.caught_twice, times.capture),
+                             oracle):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # A batch is bitwise a loop of batches of one: the helpers give each point
