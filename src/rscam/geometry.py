@@ -44,8 +44,8 @@ def rotation_exp(omega, t: float = 1.0) -> np.ndarray:
     small = theta < 1e-12
     # Below 1e-12 the first-order term only; its error is O(theta^2) < 1e-24.
     k = hat(w / np.where(small, 1.0, theta)[..., 0])
-    return np.where(small, np.eye(3) + hat(w),
-                    np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k))
+    rotation = np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    return np.where(small, np.eye(3) + hat(w), rotation) if small.any() else rotation
 
 
 def rotation_left_jacobian(omega) -> np.ndarray:

@@ -15,7 +15,9 @@ so the translation metric is direction-only), with an analytic Jacobian and
 steps from the 6x6 (18x18 with velocities) reduced camera system left after
 eliminating the 3x3 point blocks.  One array-shaped LM runs every trial and
 model of a grid cell, each problem at its own lambda with the iterates of a
-run alone; `bundle_adjust` is a batch of one.
+run alone; `bundle_adjust` is a batch of one.  One camera images both views
+of every problem in a batch, and each round keeps the residuals and Jacobian
+blocks of all rows in one array.
 
 Every random quantity is drawn from a generator seeded by the caller, and
 per-trial streams derive from (seed, cell, trial): results are reproducible.
@@ -216,52 +218,41 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
     )
 
 
-def _triangulate_midpoint(obs1: np.ndarray, obs2: np.ndarray, pose1: Pose,
-                          pose2: Pose, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Midpoint triangulation of pixel correspondences from two poses."""
-    k_inv = np.linalg.inv(intrinsics.K)
-
-    def rays(obs, pose):
-        h = np.column_stack([obs, np.ones(len(obs))])
-        d = (k_inv @ h.T).T @ pose.rotation
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-    c1, c2 = pose1.viewpoint(), pose2.viewpoint()
-    d1, d2 = rays(obs1, pose1), rays(obs2, pose2)
-    dd = np.einsum("ij,ij->i", d1, d2)
-    rhs = c2 - c1
-    b1 = d1 @ rhs
-    b2 = d2 @ rhs
-    det = np.maximum(1.0 - dd * dd, 1e-12)
-    a = (b1 - dd * b2) / det
-    b = (dd * b1 - b2) / det
-    return 0.5 * (c1 + a[:, None] * d1 + c2 + b[:, None] * d2)
-
-
 def _initial_points(obs1: np.ndarray, obs2: np.ndarray, pose1: Pose, pose2: Pose,
                     intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Triangulated starting points, regularized onto the camera-1 rays.
+    """Starting points from pixel correspondences, regularized onto the camera-1 rays.
 
-    Midpoint depths from a 20:1 depth-to-baseline scene are noisy; each point
-    is placed on its camera-1 ray (camera 1 is the frozen gauge) at its
-    midpoint depth clamped into a robust band around the median, keeping
-    every start point in front of both cameras with smooth residuals.
+    Midpoint triangulation gives depths that are noisy in a 20:1
+    depth-to-baseline scene; each point is placed on its camera-1 ray (camera
+    1 is the frozen gauge) at its midpoint depth clamped into a robust band
+    around the median, keeping every start point in front of both cameras
+    with smooth residuals.
     """
-    mid = _triangulate_midpoint(obs1, obs2, pose1, pose2, intrinsics)
+    k_inv = np.linalg.inv(intrinsics.K)
+    rays_cam = [(k_inv @ np.column_stack([obs, np.ones(len(obs))]).T).T for obs in (obs1, obs2)]
+    d1, d2 = (d / np.linalg.norm(d, axis=1, keepdims=True) for d in (
+        ray @ pose.rotation for ray, pose in zip(rays_cam, (pose1, pose2))))
+    c1, c2 = pose1.viewpoint(), pose2.viewpoint()
+    dd = np.einsum("ij,ij->i", d1, d2)
+    rhs = c2 - c1
+    b1, b2 = d1 @ rhs, d2 @ rhs
+    det = np.maximum(1.0 - dd * dd, 1e-12)
+    a, b = (b1 - dd * b2) / det, (dd * b1 - b2) / det
+    mid = 0.5 * (c1 + a[:, None] * d1 + c2 + b[:, None] * d2)
     depth1 = (mid @ pose1.rotation.T + pose1.translation)[:, 2]
     positive = depth1[depth1 > 0]
     z_med = float(np.median(positive)) if positive.size else 1.0
     depths = np.clip(depth1, 0.1 * z_med, 10.0 * z_med)
-    h = np.column_stack([obs1, np.ones(len(obs1))])
-    rays_cam = (np.linalg.inv(intrinsics.K) @ h.T).T
-    p_cam = rays_cam * (depths / rays_cam[:, 2])[:, None]
+    p_cam = rays_cam[0] * (depths / rays_cam[0][:, 2])[:, None]
     return (p_cam - pose1.translation) @ pose1.rotation
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.cross over the last axis, broadcast, in components (much cheaper)."""
     a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    out = np.empty(np.broadcast(a, b).shape)
+    out[..., 0], out[..., 1], out[..., 2] = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return out
 
 
 def _translations(d: np.ndarray, baseline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,26 +271,32 @@ def _translations(d: np.ndarray, baseline: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass(eq=False)
 class _Batch:
-    """Constants of P bundle adjustments run together.  A row is one point of
-    a problem, seen in both views (bundle_adjust requires the same points in
-    the same order), so row arrays (M, 2, ...) carry the views on axis 1.
+    """Constants of P bundle adjustments run together, imaged by one camera.  A
+    row is one point of a problem, seen in both views (bundle_adjust requires
+    the same points in the same order), so row arrays (M, 2, ...) carry the views.
     """
 
     owner: np.ndarray         # (M,) problem of each row, nondecreasing
     observed: np.ndarray      # (M, 2, 2) pixels in views 1 and 2
-    rotation1: np.ndarray     # (P, 3, 3) and (P, 3): the frozen camera 1
+    rotation1: np.ndarray     # (M, 3, 3) and (M, 3): the frozen camera 1 of each row
     translation1: np.ndarray
     baseline: np.ndarray      # (P,) gauge: camera 2's translation length
     velocity: np.ndarray      # (P, 2, 2, 3) known (v, omega) of each view
     rolling: np.ndarray       # (P,) rolling-shutter model, these first; pin-hole otherwise
-    views: tuple[tuple[CameraIntrinsics, ShutterParams], ...]  # shared by all problems
+    camera: tuple[CameraIntrinsics, ShutterParams]  # of both views of every problem
     n_cam: int
     starts: np.ndarray = field(init=False)  # each problem's first row, for reduceat
+    motion_rows: tuple = field(init=False)  # v, omega (M, 2, 3); omega per coordinate
+    n_rolling: int = field(init=False)      # the rolling-shutter rows, a prefix
 
     def __post_init__(self):
-        self.starts = np.flatnonzero(np.diff(self.owner, prepend=-1))
         if np.any(self.rolling[1:] > self.rolling[:-1]):
             raise ValueError("rolling-shutter problems must come first in a batch")
+        self.starts = np.flatnonzero(np.diff(self.owner, prepend=-1))
+        v, spin = np.moveaxis(self.velocity.take(self.owner, axis=0), 2, 0)
+        # Contiguous rows, which spare `_residuals` short inner loops.
+        self.motion_rows = (v.copy(), spin.copy(), np.repeat(spin[:, :, None], 2, axis=2))
+        self.n_rolling = int(np.count_nonzero(self.rolling[self.owner]))
 
     def sums(self, rows: np.ndarray) -> np.ndarray:
         """Sum of each problem's rows (M, ...) over its rows and trailing axes: (P,)."""
@@ -307,66 +304,75 @@ class _Batch:
 
     def take(self, keep: np.ndarray) -> "_Batch":
         rows, owner = keep[self.owner], (np.cumsum(keep) - 1)[self.owner]
-        per_problem = ("rotation1", "translation1", "baseline", "velocity", "rolling")
-        return replace(self, owner=owner[rows], observed=self.observed[rows],
-                       **{name: getattr(self, name)[keep] for name in per_problem})
+        return replace(self, owner=owner[rows], **{
+            name: getattr(self, name)[rows] for name in ("observed", "rotation1", "translation1")},
+            **{name: getattr(self, name)[keep] for name in ("baseline", "velocity", "rolling")})
 
 
-def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray):
-    """Residuals (M, 2, 2) of every row and view at camera parameters cam (P,
-    n_cam) and points (M, 3), and their Jacobian blocks by the camera (M, 2,
-    2, n_cam) and by the point (M, 2, 2, 3).  Along p = y + t w, y = R x + T,
-    w = omega x R x + v: dp = (I + w g^T)(dy + t dw), g = dt/dy from
-    `scan_time_gradient`; the pin-hole model is this with t = 0 and g = 0.
+def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Residuals of every row, view and pixel coordinate at camera parameters
+    cam (P, n_cam) and points (M, 3), with their Jacobian blocks, in one array
+    (M, 2, 2, n_cam + 4): by the camera [..., :n_cam], the residual
+    [..., n_cam] and by the point [..., n_cam + 1:].  Along p = y + t w,
+    y = R x + T, w = omega x R x + v: dp = (I + w g^T)(dy + t dw), g = dt/dy
+    from `scan_time_gradient`; the pin-hole model is this with t = 0, g = 0.
     """
-    own, n_cam = batch.owner, batch.n_cam
-    rotation2, left = rotation_exp(cam[:, :3]), rotation_left_jacobian(cam[:, :3])
+    batch = replace(batch, velocity=cam[:, 6:].reshape(-1, 2, 2, 3)) if batch.n_cam > 6 else batch
+    (own, n, rs), (v, spin, spin2) = (batch.owner, batch.n_cam, batch.n_rolling), batch.motion_rows
+    intrinsics, shutter = batch.camera
+    left = rotation_left_jacobian(cam[:, :3])
     translation2, d_translation = _translations(cam[:, 3:6], batch.baseline)
-    rotation = np.stack([batch.rotation1, rotation2], axis=1)[own]      # (M, 2, 3, 3)
-    translation = np.stack([batch.translation1, translation2], axis=1)[own]
-    velocity = (cam[:, 6:].reshape(-1, 2, 2, 3) if n_cam > 6 else batch.velocity)[own]
-    v, spin = velocity[:, :, 0], velocity[:, :, 1]
+    rotation, translation = np.empty((len(own), 2, 3, 3)), np.empty((len(own), 2, 3))
+    rotation[:, 0], rotation[:, 1] = batch.rotation1, rotation_exp(cam[:, :3]).take(own, axis=0)
+    translation[:, 0], translation[:, 1] = batch.translation1, translation2.take(own, axis=0)
     rx = np.einsum("mvij,mj->mvi", rotation, points)
     y = rx + translation
     w = _cross(spin, rx) + v
-    rs = np.count_nonzero(batch.rolling[own])    # the rolling-shutter rows, a prefix
     t, ok = np.zeros(y.shape[:2]), y[..., 2] > DEPTH_EPS
-    grad, q = np.zeros_like(y), np.empty_like(y)
-    for j, (intrinsics, shutter) in enumerate(batch.views):
-        times = solve_path_times(y[:rs, j], w[:rs, j], intrinsics, shutter, windowed=False)
-        t[:rs, j], ok[:rs, j] = times.t, times.ok
-        grad[:rs, j] = scan_time_gradient(times, intrinsics, shutter)
-        q[:, j] = (y[:, j] + t[:, j, None] * w[:, j]) @ intrinsics.K.T
+    if rs:      # both views of the rolling-shutter rows, as 2 rs paths
+        times = solve_path_times(y[:rs].reshape(-1, 3), w[:rs].reshape(-1, 3), intrinsics,
+                                 shutter, windowed=False)
+        t[:rs], ok[:rs] = times.t.reshape(rs, 2), times.ok.reshape(rs, 2)
+        grad = scan_time_gradient(times, intrinsics, shutter).reshape(rs, 2, 1, 3)
+    k = intrinsics.K
+    q = ((y + t[..., None] * w).reshape(-1, 3) @ k.T).reshape(y.shape)
     depth = np.where(ok, q[..., 2], 1.0)[..., None]
     uv = q[..., :2] / depth
+    out = np.zeros(y.shape[:2] + (2, n + 4))
     # A point that wandered behind a camera gets a large constant penalty
     # instead of NaN (so the optimizer can back out) and zero rows.
-    residual = np.where(ok[..., None], uv - batch.observed, 1e4)
-    k = np.stack([intrinsics.K for intrinsics, _ in batch.views])       # (2, 3, 3)
-    pixel = (k[:, :2] - uv[..., None] * k[:, None, 2]) / depth[..., None]
-    chained = pixel + np.sum(pixel * w[:, :, None], axis=-1)[..., None] * grad[:, :, None]
-    a = np.where(ok[..., None, None], chained, 0.0)                     # dr / d(y + t w)
-    b = a + t[..., None, None] * _cross(a, spin[:, :, None])            # dr / d(R x)
-    cam_jac = np.zeros(a.shape[:3] + (n_cam,))
-    # d(R x) = -hat(R x) J_l(phi) d(phi), J_l the SO(3) left Jacobian.
-    cam_jac[:, 1, :, :3] = _cross(rx[:, 1, None], b[:, 1]) @ left[own]
-    cam_jac[:, 1, :, 3:6] = a[:, 1] @ d_translation[own]
-    if n_cam > 6:               # dw = dv - hat(R x) d(omega)
+    residual = np.subtract(uv, batch.observed, out=out[..., n])
+    residual[~ok] = 1e4
+    a = (k[:2] - uv[..., None] * k[2]) / depth[..., None]        # dr / d(y + t w)
+    if rs:      # the scan time's terms; t = 0 and g = 0 on pin-hole rows
+        pw = a[:rs] * w[:rs, :, None]
+        a[:rs] += (pw[..., 0] + pw[..., 1] + pw[..., 2])[..., None] * grad
+    a[~ok] = 0.0
+    b = a.copy()                                                    # dr / d(R x)
+    b[:rs] += t[:rs, :, None, None] * _cross(a[:rs], spin2[:rs])
+    # d(R x) = -hat(R x) J_l(phi) d(phi), J_l the SO(3) left Jacobian (operands contiguous).
+    np.matmul(_cross(np.repeat(rx[:, 1, None], 2, axis=1), b[:, 1].copy()),
+              left.take(own, axis=0), out=out[:, 1, :, :3])
+    np.matmul(a[:, 1], d_translation.take(own, axis=0), out=out[:, 1, :, 3:6])
+    if n > 6:                   # dw = dv - hat(R x) d(omega)
         velocity_jac = np.concatenate([a, _cross(rx[:, :, None], a)], axis=-1)
-        cam_jac[:, 0, :, 6:12] = t[:, 0, None, None] * velocity_jac[:, 0]
-        cam_jac[:, 1, :, 12:18] = t[:, 1, None, None] * velocity_jac[:, 1]
-    return residual, cam_jac, b @ rotation
+        out[:, 0, :, 6:12] = t[:, 0, None, None] * velocity_jac[:, 0]
+        out[:, 1, :, 12:18] = t[:, 1, None, None] * velocity_jac[:, 1]
+    np.matmul(b, rotation, out=out[..., n + 1:])
+    return out
 
 
 def _inverse_spd3(v: np.ndarray) -> np.ndarray:
     """Inverses of symmetric 3x3 matrices (M, 3, 3) by the adjugate; NaN where singular."""
     a, b, c = v[:, 0, 0], v[:, 0, 1], v[:, 0, 2]
     d, e, f = v[:, 1, 1], v[:, 1, 2], v[:, 2, 2]
-    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
-    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
-    det = a * c00 + b * c01 + c * c02
-    return np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=1).reshape(
-        -1, 3, 3) / np.where(det == 0.0, np.nan, det)[:, None, None]
+    inv = np.empty((len(v), 3, 3))
+    inv[:, 0, 0], inv[:, 0, 1], inv[:, 0, 2] = d * f - e * e, c * e - b * f, b * e - c * d
+    inv[:, 1, 1], inv[:, 1, 2], inv[:, 2, 2] = a * f - c * c, b * c - a * e, a * d - b * b
+    inv[:, 1, 0], inv[:, 2, 0], inv[:, 2, 1] = inv[:, 0, 1], inv[:, 0, 2], inv[:, 1, 2]
+    det = a * inv[:, 0, 0] + b * inv[:, 0, 1] + c * inv[:, 0, 2]
+    inv /= np.where(det == 0.0, np.nan, det)[:, None, None]
+    return inv
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,11 +390,10 @@ class _NormalEquations:
     point[m] = Jp^T [Jc | r | Jp] = [W_m^T | g_m | V_m] row m's two views.
     """
 
-    def __init__(self, batch: _Batch, residual, cam_jac, point_jac):
-        m, n = len(residual), batch.n_cam
+    def __init__(self, batch: _Batch, state: np.ndarray):
+        n = batch.n_cam
         self.batch, self.n = batch, n
-        rows = np.concatenate([cam_jac.reshape(m, 4, n), residual.reshape(m, 4, 1),
-                               point_jac.reshape(m, 4, 3)], axis=2)
+        rows = state.reshape(len(state), 4, n + 4)      # the layout of `_residuals`
         self.cam = np.add.reduceat(rows[:, :, :n].transpose(0, 2, 1) @ rows[:, :, :n + 1],
                                    batch.starts, axis=0)
         self.point = rows[:, :, n + 1:].transpose(0, 2, 1) @ rows
@@ -410,13 +415,15 @@ class _NormalEquations:
         """
         n, own, starts = self.n, self.batch.owner, self.batch.starts
         damping = (lam[:, None] * self.diag[0], lam[own, None] * self.diag[1])
-        v = self.point[:, :, n + 1:] + damping[1][:, :, None] * np.eye(3)
+        v = self.point[:, :, n + 1:].copy()
+        v.reshape(-1, 9)[:, ::4] += damping[1]                   # the damped V_m
         solved = _inverse_spd3(v) @ self.point[:, :, :n + 1]     # V_m^-1 [W_m^T | g_m]
         reduced = self.cam - np.add.reduceat(
             self.point[:, :, :n].transpose(0, 2, 1) @ solved, starts, axis=0)
-        d_cam = _solve_each(reduced[:, :, :n] + damping[0][:, :, None] * np.eye(n),
-                            -reduced[:, :, n])
-        d_point = -(solved[:, :, n] + (solved[:, :, :n] @ d_cam[own][:, :, None])[:, :, 0])
+        u = reduced[:, :, :n].copy()
+        u.reshape(-1, n * n)[:, ::n + 1] += damping[0]
+        d_cam = _solve_each(u, -reduced[:, :, n])
+        d_point = -(solved[:, :, n] + (solved[:, :, :n] @ d_cam.take(own, 0)[:, :, None])[:, :, 0])
         gain = [d * (damp * d - g) for d, damp, g in zip((d_cam, d_point), damping, self.gradient)]
         return d_cam, d_point, 0.5 * (gain[0].sum(axis=1) + self.batch.sums(gain[1]))
 
@@ -434,29 +441,32 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
     answers by raising lambda, as a loop over one problem would.  A trial
     point brings its Jacobian.  Finished problems leave the arrays.
     """
+    n = batch.n_cam
     state = _residuals(batch, cam, points)
-    cost = 0.5 * batch.sums(state[0] ** 2)
+    cost = 0.5 * batch.sums(state[..., n] ** 2)
     history = [[c] for c in cost.tolist()]
     lam, nu, iteration = np.zeros(len(cam)), np.full(len(cam), 2.0), np.ones(len(cam), int)
     ids, results = np.arange(len(cam)), [None] * len(cam)
     while len(ids):
-        system = _NormalEquations(batch, *state)
+        system = _NormalEquations(batch, state)
         gradient = system.problem_max(tuple(np.abs(g) for g in system.gradient))
         stop = np.where(iteration > options.max_iterations, _LIMIT, np.where(
             gradient < options.gradient_tolerance, _GRADIENT, _RUNNING))
         lam = np.where(lam > 0.0, lam, 1e-3 * system.problem_max(system.diag))
         d_cam, d_point, predicted = system.step(lam)
-        trial = _residuals(batch, cam + d_cam, points + d_point)
-        cost_new = 0.5 * batch.sums(trial[0] ** 2)
+        cam_new, points_new = cam + d_cam, points + d_point
+        trial = _residuals(batch, cam_new, points_new)
+        cost_new = 0.5 * batch.sums(trial[..., n] ** 2)
         # A singular system's NaN step predicts NaN and is rejected.
         good = predicted > 0.0
         rho = np.where(good, (cost - cost_new) / np.where(good, predicted, 1.0), -1.0)
-        accept, reject = (stop == _RUNNING) & (rho > 0.0), (stop == _RUNNING) & ~(rho > 0.0)
-        rows = accept[batch.owner]
-        cam[accept] += d_cam[accept]
-        points[rows] += d_point[rows]
-        for new, old in zip(trial, state):
-            old[rows] = new[rows]
+        running = stop == _RUNNING
+        accept, reject = running & (rho > 0.0), running & ~(rho > 0.0)
+        if accept.all():        # every problem steps: the trial is the new state
+            cam, points, state = cam_new, points_new, trial
+        else:
+            rows = accept[batch.owner]
+            cam[accept], points[rows], state[rows] = cam_new[accept], points_new[rows], trial[rows]
         del trial, system       # before the next round's arrays are made
         for i in np.flatnonzero(accept):
             history[ids[i]].append(float(cost_new[i]))
@@ -475,25 +485,32 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
             continue
         for i in np.flatnonzero(~keep):
             own = batch.owner == i
-            results[ids[i]] = (cam[i], points[own], state[0][own], iteration[i] - (
+            results[ids[i]] = (cam[i], points[own], state[own, ..., n], iteration[i] - (
                 stop[i] == _LIMIT), TERMINATIONS[stop[i]], tuple(history[ids[i]]))
         rows = keep[batch.owner]
         batch = batch.take(keep)
         cam, lam, nu, cost, iteration, ids = (a[keep] for a in (cam, lam, nu, cost, iteration, ids))
-        points, state = points[rows], [a[rows] for a in state]
+        points, state = points[rows], state[rows]
     return results
 
 
 def _initial_batch(problems, models, options: BundleOptions):
     """The batch of the problems under their models, and LM's start: camera
-    parameters (P, n_cam) and points (M, 3).  All problems must share each
-    view's intrinsics and shutter, as the problems of one grid cell do, and
-    the rolling-shutter problems must come first.
+    parameters (P, n_cam) and points (M, 3).  One camera (K, pixel size,
+    image size and shutter) must image both views of every problem, as in a
+    grid cell, and the rolling-shutter problems must come first.  A problem
+    listed once per model gets its start computed once.
     """
-    cams, points = [], []
+    if len({(tuple(c.intrinsics.K.ravel()), c.intrinsics.pixel_size, c.intrinsics.width,
+             c.intrinsics.height, c.shutter) for p in problems for c in p.cameras}) > 1:
+        raise ConfigError("bundle adjustment expects one camera: both views must share "
+                          "K, pixel size, image size and shutter")
+    starts = {}
     for problem, model in zip(problems, models):
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+        if id(problem) in starts:
+            continue
         rng = np.random.default_rng((*problem.rng_seed, 7919))     # the start's noise
         axis, t_dir = (v / np.linalg.norm(v) for v in (rng.normal(size=3), rng.normal(size=3)))
         pose1, pose2 = (cam.motion.pose0 for cam in problem.cameras)
@@ -502,7 +519,6 @@ def _initial_batch(problems, models, options: BundleOptions):
         if baseline >= 1e-12:
             translation = translation / max(np.linalg.norm(translation), 1e-300)
         rotation = rotation_exp(axis * math.radians(options.init_rotation_deg)) @ pose2.rotation
-        cams.append(np.concatenate([rotation_log(rotation), translation]))
         (idx1, obs1), (idx2, obs2) = problem.observations
         if not np.array_equal(idx1, idx2):
             raise ConfigError("bundle adjustment expects the same points in both views")
@@ -510,18 +526,22 @@ def _initial_batch(problems, models, options: BundleOptions):
         # with a near-forward baseline, a 2-degree attitude error scatters
         # midpoint depths beyond recovery, while the pose parameters still
         # start from the perturbed values.
-        points.append(_initial_points(obs1, obs2, pose1, pose2, problem.cameras[0].intrinsics))
+        starts[id(problem)] = (np.concatenate([rotation_log(rotation), translation]),
+                               _initial_points(obs1, obs2, pose1, pose2,
+                                               problem.cameras[0].intrinsics))
+    cams, points = zip(*(starts[id(problem)] for problem in problems))
     velocity = np.array([[[cam.motion.linear_velocity, cam.motion.angular_velocity]
                           for cam in problem.cameras] for problem in problems])
-    batch = _Batch(owner=np.repeat(np.arange(len(points)), [len(p) for p in points]),
+    owner = np.repeat(np.arange(len(points)), [len(p) for p in points])
+    first, second = ([problem.cameras[j].motion.pose0 for problem in problems] for j in (0, 1))
+    batch = _Batch(owner=owner,
                    observed=np.concatenate([np.stack([obs for _, obs in problem.observations],
                                                      axis=1) for problem in problems]),
-                   rotation1=np.array([p.cameras[0].motion.pose0.rotation for p in problems]),
-                   translation1=np.array([p.cameras[0].motion.pose0.translation for p in problems]),
-                   baseline=np.array([np.linalg.norm(p.cameras[1].motion.pose0.translation)
-                                      for p in problems]),
+                   rotation1=np.array([pose.rotation for pose in first])[owner],
+                   translation1=np.array([pose.translation for pose in first])[owner],
+                   baseline=np.array([np.linalg.norm(pose.translation) for pose in second]),
                    velocity=velocity, rolling=np.array([m == RS_MODEL for m in models]),
-                   views=tuple((cam.intrinsics, cam.shutter) for cam in problems[0].cameras),
+                   camera=(problems[0].cameras[0].intrinsics, problems[0].cameras[0].shutter),
                    n_cam=18 if options.estimate_velocities else 6)
     if options.estimate_velocities:
         cams = np.concatenate([cams, velocity.reshape(-1, 12)], axis=1)
@@ -561,8 +581,9 @@ def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,
     Camera 1 is frozen (gauge).  The initial guess perturbs the true camera 2
     by the configured rotation/translation noise and triangulates points from
     the observations; velocities are known model inputs unless
-    options.estimate_velocities is set.  Non-convergence is reported in the
-    solution flags, never raised.  A batch of one for the grid's batched LM.
+    options.estimate_velocities is set.  Both views must share one camera,
+    else ConfigError.  Non-convergence is reported in the solution flags,
+    never raised.  A batch of one for the grid's batched LM.
     """
     return _bundle_adjust_batch([problem], [model], options)[0]
 

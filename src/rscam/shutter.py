@@ -273,7 +273,8 @@ def solve_path_times(start: np.ndarray, velocity: np.ndarray, intrinsics: Camera
 def scan_time_gradient(times: ScanTimes, intrinsics: CameraIntrinsics,
                        shutter: ShutterParams) -> np.ndarray:
     """Gradient (N, 3) of closed-form scan times by the path starts y; t times
-    it is the gradient by the path velocities w.  Points not imaged get 0.
+    it is the gradient by the path velocities w.  It is 0 where not imaged or
+    at a double root (zero slope), where t has no derivative.
 
     `_closed_form_roots` solves n(t) . (y + t w) = 0 as a t^2 + b t + c = 0,
     with n(t) = (0, fy, cy + v0 - r t) normal to the scanline's plane, so
@@ -284,7 +285,7 @@ def scan_time_gradient(times: ScanTimes, intrinsics: CameraIntrinsics,
                               intrinsics.center_y + shutter.first_row - shutter.scan_rate * t])
     slope = (shutter.scan_rate * times.capture[:, 2]
              - np.einsum("ij,ij->i", normal, times.velocity))
-    return normal / np.where(times.ok, slope, np.inf)[:, None]
+    return normal / np.where(times.ok & (slope != 0.0), slope, np.inf)[:, None]
 
 
 def _closed_form_roots(y, w, intrinsics, shutter, t_max, windowed):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NormalEquations, grouped_jacobian, levenberg_marquardt,
-                      load_problem, one_problem_residuals, perspective_pixels)
-from rscam import sfm
+from conftest import (NormalEquations, bisect_scan_time, camera_matrix_at, grouped_jacobian,
+                      levenberg_marquardt, load_problem, one_problem_residuals,
+                      perspective_pixels)
+from rscam import cli, sfm
 from rscam.errors import ConfigError
-from rscam.geometry import MotionState, Pose, rotation_exp, rotation_log
+from rscam.geometry import CameraIntrinsics, MotionState, Pose, rotation_exp, rotation_log
 from rscam.sfm import (GRID_CSV_COLUMNS, MODELS, PERSPECTIVE_MODEL, RS_MODEL,
                        BundleOptions, SceneConfig, bundle_adjust, generate_problem,
                        grid_to_csv, run_experiment_grid, save_problem)
@@ -256,9 +257,9 @@ class TestJacobian:
         problem = _with_motion(rs_problem, [0.2, 2.0, 0.4], [0.05, -0.1, 0.2])
         batch, x = _start(problem, estimate_velocities)
         n_cam = batch.n_cam
-        r, cam_jac, point_jac = _residuals(batch, x[None, :n_cam], x[n_cam:].reshape(-1, 3))
-        assert cam_jac.shape[3] == (18 if estimate_velocities else 6)
-        system = _NormalEquations(batch, r, cam_jac, point_jac)
+        state = _residuals(batch, x[None, :n_cam], x[n_cam:].reshape(-1, 3))
+        assert state.shape[3] == (18 if estimate_velocities else 6) + 4
+        system = _NormalEquations(batch, state)
         jac = _dense(batch, *one_problem_residuals(batch, x)[1:])
         r_flat = one_problem_residuals(batch, x)[0]
         jtj, g = jac.T @ jac, jac.T @ r_flat
@@ -322,6 +323,36 @@ class TestJacobian:
         assert len(history) >= 2 and np.all(np.isfinite(history))
         assert np.all(np.diff(history) <= 0)
         assert math.isfinite(sol.reprojection_rms)
+
+
+class TestResiduals:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_match_per_point_camera_matrix_projection(self, rs_problem, model, rng):
+        """The residuals at a perturbed state under general motion equal, point
+        by point, the projection by the moving camera's matrix at the bisected
+        scan time (t = 0 for the pin-hole model), minus the observation.  A
+        point behind camera 2 gets the constant 1e4 in that view."""
+        problem = _with_motion(rs_problem, [0.4, 2.0, -0.6], [0.05, -0.1, 0.2])
+        batch, cam, points = sfm._initial_batch([problem], [model], BundleOptions())
+        points += rng.normal(scale=0.02, size=points.shape)
+        pose2 = Pose(rotation_exp(cam[0, :3]), cam[0, 3:6] / np.linalg.norm(cam[0, 3:6])
+                     * np.linalg.norm(problem.cameras[1].motion.pose0.translation))
+        points[0] = pose2.viewpoint() - pose2.rotation[2]       # 1 m behind camera 2
+        residual = _residuals(batch, cam, points)[..., batch.n_cam]
+        np.testing.assert_array_equal(residual[0, 1], 1e4)
+        # Rows well inside the frame, so that each scan time is in the window.
+        rows = [i for i in range(1, len(points)) if all(
+            40 < obs[i, 1] < 440 for _, obs in problem.observations)][:8]
+        for view, pose in enumerate((problem.cameras[0].motion.pose0, pose2)):
+            camera = problem.cameras[view]
+            motion = replace(camera.motion, pose0=pose)
+            for i in rows:
+                t = (bisect_scan_time(points[i], motion, camera.intrinsics, camera.shutter,
+                                      n_scan=400) if model == RS_MODEL else 0.0)
+                q = camera_matrix_at(motion, camera.intrinsics, t, linearized=True) @ np.append(
+                    points[i], 1.0)
+                expected = q[:2] / q[2] - problem.observations[view][1][i]
+                np.testing.assert_allclose(residual[i, view], expected, rtol=0, atol=1e-7)
 
 
 REDUCED_GRID = ([1.875, 3.75, 7.5], [0.5, 2.16, 4.66], 2, 0)
@@ -443,6 +474,66 @@ class TestBatchedLM:
                 np.testing.assert_array_equal(v, v1)
                 np.testing.assert_array_equal(w, w1)
 
+    def test_batched_round_equals_batches_of_one(self):
+        """On a reduced-grid cell, the residuals and Jacobians, the normal
+        equations and the step of a batch equal those of each problem run as a
+        batch of one bit for bit, at the start and at the trial point."""
+        pairs = sorted(_grid_problems(REDUCED_GRID[0][2:], REDUCED_GRID[1][1:2], 2, 0),
+                       key=lambda pair: pair[1] != RS_MODEL)
+        batch, cam, points = sfm._initial_batch([p for p, _ in pairs], [m for _, m in pairs],
+                                                BundleOptions())
+        ones = [sfm._initial_batch([p], [m], BundleOptions()) for p, m in pairs]
+        for _ in range(2):
+            state = _residuals(batch, cam, points)
+            system = _NormalEquations(batch, state)
+            lam = 1e-3 * system.problem_max(system.diag)
+            d_cam, d_point, predicted = system.step(lam)
+            alone = []
+            for i, (one, cam1, points1) in enumerate(ones):
+                state1 = _residuals(one, cam1, points1)
+                alone.append((state1, *_NormalEquations(one, state1).step(lam[i:i + 1])))
+            for got, parts in zip((state, d_cam, d_point, predicted), zip(*alone)):
+                assert np.array_equal(got, np.concatenate(parts))
+            cam, points = cam + d_cam, points + d_point
+            ones = [(one, cam[i:i + 1], points[batch.owner == i])
+                    for i, (one, _, _) in enumerate(ones)]
+
+    @pytest.mark.parametrize("change", ["K", "pixel_size", "size", "shutter"])
+    def test_views_share_one_camera(self, rs_problem, change, monkeypatch, tmp_path, capsys):
+        """Both views must be imaged by one camera: any other K, pixel size,
+        image size or shutter in view 2 is a ConfigError, which sfm-grid
+        reports as a usage error (exit 1)."""
+        first, second = rs_problem.cameras
+        k = first.intrinsics
+        changed = {"K": CameraIntrinsics.from_fov(41.0, k.width, k.height),
+                   "pixel_size": CameraIntrinsics(k.K, 2.0 * k.pixel_size, k.width, k.height),
+                   "size": CameraIntrinsics(k.K, k.pixel_size, k.width + 2, k.height),
+                   "shutter": replace(first.shutter, scan_rate=2.0 * first.shutter.scan_rate)}
+        second = replace(second, **{"shutter" if change == "shutter" else "intrinsics":
+                                    changed[change]})
+        with pytest.raises(ConfigError, match="one camera"):
+            bundle_adjust(replace(rs_problem, cameras=(first, second)))
+
+        generate = sfm.generate_problem
+        monkeypatch.setattr(sfm, "generate_problem", lambda config, seed: replace(
+            generate(config, seed), cameras=(first, second)))
+        code = cli.main(["sfm-grid", "--out-dir", str(tmp_path), "--set", "sfm.trials=1",
+                         "--set", "sfm.velocities_kmh=3.75", "--set", "sfm.sigmas_px=1"])
+        assert code == 1 and "one camera" in capsys.readouterr().err
+
+    def test_grid_triangulates_each_problem_once(self, monkeypatch):
+        """run_experiment_grid lists each trial's problem once per model; its
+        start is computed once."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _initial_points(*args)
+
+        monkeypatch.setattr(sfm, "_initial_points", counted)
+        run_experiment_grid([3.75], [1.0], trials=3, seed=4, config=SceneConfig(n_points=40))
+        assert len(calls) == 3
+
 
 class TestExperimentGrid:
     def test_grid_shape_and_determinism(self, tmp_path):
@@ -496,7 +587,10 @@ class TestSnapshot:
         path = tmp_path / "problem.json"
         save_problem(rs_problem, path)
         loaded = load_problem(path)
+        # The views' cameras are equal in value but separate objects.
+        assert loaded.cameras[0].intrinsics is not loaded.cameras[1].intrinsics
         original = bundle_adjust(rs_problem, RS_MODEL)
         replayed = bundle_adjust(loaded, RS_MODEL)
+        assert original.cost_history == replayed.cost_history
         assert original.reprojection_rms == replayed.reprojection_rms
         np.testing.assert_array_equal(original.points, replayed.points)

@@ -9,8 +9,8 @@ from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_ex
 from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
                            ShutterParams, classify_case, drift_per_row, invert_fronto_parallel,
                            limit_line, normalized_scan, project_rolling_shutter,
-                           scan_time_gradient, solve_scan_time, solve_scan_times,
-                           validate_frame_timing)
+                           scan_time_gradient, solve_path_times, solve_scan_time,
+                           solve_scan_times, validate_frame_timing)
 
 from conftest import (bisect_scan_time, camera_matrix_at, drift_one, exact_scan_times,
                       invert_one, scanline_residual)
@@ -560,6 +560,18 @@ class TestScanTimeKernel:
         assert times.ok.tolist() == [True, False]
         gradient = scan_time_gradient(times, normalized_camera, shutter10)
         assert np.all(gradient[1] == 0.0) and np.all(np.isfinite(gradient))
+
+    def test_gradient_is_zero_at_a_double_root(self):
+        """The path (0, -1, 1) + t (0, 3, 1) meets the scanline of a normalized
+        camera where t^2 - 2 t + 1 = 0: a double root at t = 1, at which the
+        slope r p_z - n . w is zero and the scan time has no derivative."""
+        k = CameraIntrinsics.normalized(width=1, height=2)
+        s = ShutterParams(scan_rate=1.0, framerate=0.5)
+        times = solve_path_times(np.array([[0.0, -1.0, 1.0]]), np.array([[0.0, 3.0, 1.0]]),
+                                 k, s, windowed=False)
+        assert times.ok[0] and times.t[0] == 1.0
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(scan_time_gradient(times, k, s), 0.0)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_batch_carries_every_reason(self, exact):
