@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -325,12 +325,9 @@ def cmd_sfm_grid(config: RunConfig, args) -> int:
         "\n".join(config.resolved_lines()) + "\n")
     sfm.grid_to_csv(rows, out / "results.csv", _config_comments(config))
 
-    if args.save_problems:
-        for vi, velocity in enumerate(velocities):
-            for si, sigma in enumerate(sigmas):
-                cfg = replace(scene, velocity_kmh=velocity, noise_sigma=sigma)
-                problem = sfm.generate_problem(cfg, (seed, vi, si, 0))
-                sfm.save_problem(problem, out / f"problem_v{vi}_s{si}_trial0.json")
+    if args.save_problems:      # trial 0 of each cell
+        for (vi, si), _, (problem,) in sfm.grid_cells(velocities, sigmas, 1, seed, scene):
+            sfm.save_problem(problem, out / f"problem_v{vi}_s{si}_trial0.json")
 
     metric_map = [
         ("mean_reproj_px", "Reprojection error (px)", "plot_reprojection.svg"),
@@ -417,6 +414,7 @@ def cmd_slits(config: RunConfig, args) -> int:
     return 0
 
 
+@functools.cache        # one parser per process; each parse starts from its defaults
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rscam",
@@ -435,38 +433,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="use the nonlinear solver instead of the closed form")
     p.add_argument("--out", help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("render-checker", parents=[common], help="render rotating-checkerboard frames")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_render_checker)
 
     p = sub.add_parser("calibrate-sim", parents=[common], help="simulate LED scan-rate calibration")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_calibrate_sim)
 
     p = sub.add_parser("sfm-grid", parents=[common], help="run the two-view SfM benchmark grid")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--save-problems", action="store_true",
                    help="write a JSON problem snapshot per grid cell")
-    p.set_defaults(func=cmd_sfm_grid)
 
     p = sub.add_parser("flow", parents=[common], help="tabulate analytic vs finite-difference flow")
     p.add_argument("--out", help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("slits", parents=[common], help="report slit geometry and incidence residuals")
     p.add_argument("--out", help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_slits)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = RunConfig(args.config, args.set)
-        return args.func(config, args)
+        # Looked up per call (not stored in the cached parser), so a replaced cmd_* is run.
+        return {"project": cmd_project, "render-checker": cmd_render_checker,
+                "calibrate-sim": cmd_calibrate_sim, "sfm-grid": cmd_sfm_grid,
+                "flow": cmd_flow, "slits": cmd_slits}[args.command](config, args)
     except (NoScanTime, NegativeDepth, Singularity, DegenerateSlits, NoPeak,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

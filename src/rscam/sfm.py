@@ -12,12 +12,12 @@ the scan spanning the full frame period, camera row-velocity given in km/h,
 and i.i.d. Gaussian pixel noise.  Bundle adjustment is Levenberg-Marquardt
 on all reprojection residuals, camera 1 frozen and the baseline held (gauge,
 so the translation metric is direction-only), with an analytic Jacobian and
-steps from the 6x6 (18x18 with velocities) reduced camera system left after
-eliminating the 3x3 point blocks.  One array-shaped LM runs every trial and
-model of a grid cell, each problem at its own lambda with the iterates of a
-run alone; `bundle_adjust` is a batch of one.  One camera images both views
-of every problem in a batch, and each round keeps the residuals and Jacobian
-blocks of all rows in one array.
+steps from the 6x6 reduced camera system left after eliminating the 3x3
+point blocks.  One array-shaped LM runs every trial and model of a grid cell,
+each problem at its own lambda with the iterates of a run alone;
+`bundle_adjust` is a batch of one.  One camera images both views of every
+problem in a batch, and each round keeps the residuals and Jacobian blocks
+of all rows in one array.
 
 Every random quantity is drawn from a generator seeded by the caller, and
 per-trial streams derive from (seed, cell, trial): results are reproducible.
@@ -100,7 +100,6 @@ class SfmProblem:
 class SfmSolution:
     poses: tuple[Pose, ...]
     points: np.ndarray
-    velocities: tuple[tuple[np.ndarray, np.ndarray], ...] | None
     reprojection_rms: float
     rotation_error_deg: float
     translation_direction_error_deg: float
@@ -118,7 +117,6 @@ class BundleOptions:
     gradient_tolerance: float = 1e-8
     init_rotation_deg: float = 2.0
     init_translation_frac: float = 0.02
-    estimate_velocities: bool = False
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -256,17 +254,16 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _translations(d: np.ndarray, baseline: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Camera 2's translations b d / |d| (P, 3) from the directions d, and their
-    derivatives b / |d| (I - n n^T).  Freezing the baseline b (scale gauge)
-    removes the pin-hole model's scale null space and keeps the rolling-shutter
-    model from inflating the scene until its corrections vanish; b = 0 frees d."""
-    norm = np.sqrt(row_dot(d, d))[:, None]
-    free, zero, b = (baseline < 1e-12)[:, None], norm < 1e-12, baseline[:, None]
-    safe = np.where(free | zero, 1.0, norm)
-    n = (d / safe)[:, :, None]
-    translation = np.where(free, d, np.where(zero, b * [0.0, 0.0, 1.0], b * d / safe))
-    jacobian = np.where(zero, 0.0, b / safe)[:, :, None] * (np.eye(3) - n * n.transpose(0, 2, 1))
-    return translation, np.where(free[:, :, None], np.eye(3), jacobian)
+    """Camera 2's translations b d / |d| (P, 3) from directions d and baselines b,
+    and their derivatives b / |d| (I - n n^T), n = d / |d|.  Freezing the baseline
+    (scale gauge) removes the pin-hole model's scale null space and keeps the
+    rolling-shutter model from inflating the scene until its corrections vanish."""
+    norm, b = np.sqrt(row_dot(d, d))[:, None], baseline[:, None]
+    n = (d / norm)[:, :, None]
+    return b * d / norm, (b / norm)[:, :, None] * (np.eye(3) - n * n.transpose(0, 2, 1))
+
+
+_N_CAM = 6      # camera parameters: camera 2's rotation vector and translation direction
 
 
 @dataclass(eq=False)
@@ -284,7 +281,6 @@ class _Batch:
     velocity: np.ndarray      # (P, 2, 2, 3) known (v, omega) of each view
     rolling: np.ndarray       # (P,) rolling-shutter model, these first; pin-hole otherwise
     camera: tuple[CameraIntrinsics, ShutterParams]  # of both views of every problem
-    n_cam: int
     starts: np.ndarray = field(init=False)  # each problem's first row, for reduceat
     motion_rows: tuple = field(init=False)  # v, omega (M, 2, 3); omega per coordinate
     n_rolling: int = field(init=False)      # the rolling-shutter rows, a prefix
@@ -311,14 +307,13 @@ class _Batch:
 
 def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Residuals of every row, view and pixel coordinate at camera parameters
-    cam (P, n_cam) and points (M, 3), with their Jacobian blocks, in one array
-    (M, 2, 2, n_cam + 4): by the camera [..., :n_cam], the residual
-    [..., n_cam] and by the point [..., n_cam + 1:].  Along p = y + t w,
+    cam (P, _N_CAM) and points (M, 3), with their Jacobian blocks, in one array
+    (M, 2, 2, _N_CAM + 4): by the camera [..., :_N_CAM], the residual
+    [..., _N_CAM] and by the point [..., _N_CAM + 1:].  Along p = y + t w,
     y = R x + T, w = omega x R x + v: dp = (I + w g^T)(dy + t dw), g = dt/dy
     from `scan_time_gradient`; the pin-hole model is this with t = 0, g = 0.
     """
-    batch = replace(batch, velocity=cam[:, 6:].reshape(-1, 2, 2, 3)) if batch.n_cam > 6 else batch
-    (own, n, rs), (v, spin, spin2) = (batch.owner, batch.n_cam, batch.n_rolling), batch.motion_rows
+    (own, n, rs), (v, spin, spin2) = (batch.owner, _N_CAM, batch.n_rolling), batch.motion_rows
     intrinsics, shutter = batch.camera
     left = rotation_left_jacobian(cam[:, :3])
     translation2, d_translation = _translations(cam[:, 3:6], batch.baseline)
@@ -354,10 +349,6 @@ def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> np.ndarray
     np.matmul(_cross(np.repeat(rx[:, 1, None], 2, axis=1), b[:, 1].copy()),
               left.take(own, axis=0), out=out[:, 1, :, :3])
     np.matmul(a[:, 1], d_translation.take(own, axis=0), out=out[:, 1, :, 3:6])
-    if n > 6:                   # dw = dv - hat(R x) d(omega)
-        velocity_jac = np.concatenate([a, _cross(rx[:, :, None], a)], axis=-1)
-        out[:, 0, :, 6:12] = t[:, 0, None, None] * velocity_jac[:, 0]
-        out[:, 1, :, 12:18] = t[:, 1, None, None] * velocity_jac[:, 1]
     np.matmul(b, rotation, out=out[..., n + 1:])
     return out
 
@@ -391,8 +382,8 @@ class _NormalEquations:
     """
 
     def __init__(self, batch: _Batch, state: np.ndarray):
-        n = batch.n_cam
-        self.batch, self.n = batch, n
+        n = _N_CAM
+        self.batch = batch
         rows = state.reshape(len(state), 4, n + 4)      # the layout of `_residuals`
         self.cam = np.add.reduceat(rows[:, :, :n].transpose(0, 2, 1) @ rows[:, :, :n + 1],
                                    batch.starts, axis=0)
@@ -413,7 +404,7 @@ class _NormalEquations:
         damped V_m leaves the reduced camera system (U - sum W_m V_m^-1 W_m^T)
         d_c = -(g_c - sum W_m V_m^-1 g_m), U damped; the points follow.
         """
-        n, own, starts = self.n, self.batch.owner, self.batch.starts
+        n, own, starts = _N_CAM, self.batch.owner, self.batch.starts
         damping = (lam[:, None] * self.diag[0], lam[own, None] * self.diag[1])
         v = self.point[:, :, n + 1:].copy()
         v.reshape(-1, 9)[:, ::4] += damping[1]                   # the damped V_m
@@ -441,9 +432,8 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
     answers by raising lambda, as a loop over one problem would.  A trial
     point brings its Jacobian.  Finished problems leave the arrays.
     """
-    n = batch.n_cam
     state = _residuals(batch, cam, points)
-    cost = 0.5 * batch.sums(state[..., n] ** 2)
+    cost = 0.5 * batch.sums(state[..., _N_CAM] ** 2)
     history = [[c] for c in cost.tolist()]
     lam, nu, iteration = np.zeros(len(cam)), np.full(len(cam), 2.0), np.ones(len(cam), int)
     ids, results = np.arange(len(cam)), [None] * len(cam)
@@ -456,7 +446,7 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
         d_cam, d_point, predicted = system.step(lam)
         cam_new, points_new = cam + d_cam, points + d_point
         trial = _residuals(batch, cam_new, points_new)
-        cost_new = 0.5 * batch.sums(trial[..., n] ** 2)
+        cost_new = 0.5 * batch.sums(trial[..., _N_CAM] ** 2)
         # A singular system's NaN step predicts NaN and is rejected.
         good = predicted > 0.0
         rho = np.where(good, (cost - cost_new) / np.where(good, predicted, 1.0), -1.0)
@@ -485,7 +475,7 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
             continue
         for i in np.flatnonzero(~keep):
             own = batch.owner == i
-            results[ids[i]] = (cam[i], points[own], state[own, ..., n], iteration[i] - (
+            results[ids[i]] = (cam[i], points[own], state[own, ..., _N_CAM], iteration[i] - (
                 stop[i] == _LIMIT), TERMINATIONS[stop[i]], tuple(history[ids[i]]))
         rows = keep[batch.owner]
         batch = batch.take(keep)
@@ -496,7 +486,7 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
 
 def _initial_batch(problems, models, options: BundleOptions):
     """The batch of the problems under their models, and LM's start: camera
-    parameters (P, n_cam) and points (M, 3).  One camera (K, pixel size,
+    parameters (P, _N_CAM) and points (M, 3).  One camera (K, pixel size,
     image size and shutter) must image both views of every problem, as in a
     grid cell, and the rolling-shutter problems must come first.  A problem
     listed once per model gets its start computed once.
@@ -515,9 +505,10 @@ def _initial_batch(problems, models, options: BundleOptions):
         axis, t_dir = (v / np.linalg.norm(v) for v in (rng.normal(size=3), rng.normal(size=3)))
         pose1, pose2 = (cam.motion.pose0 for cam in problem.cameras)
         baseline = float(np.linalg.norm(pose2.translation))
+        if baseline < 1e-12:
+            raise ConfigError("zero baseline: camera 2 sits at camera 1 (under-constrained)")
         translation = pose2.translation + options.init_translation_frac * baseline * t_dir
-        if baseline >= 1e-12:
-            translation = translation / max(np.linalg.norm(translation), 1e-300)
+        translation = translation / np.linalg.norm(translation)
         rotation = rotation_exp(axis * math.radians(options.init_rotation_deg)) @ pose2.rotation
         (idx1, obs1), (idx2, obs2) = problem.observations
         if not np.array_equal(idx1, idx2):
@@ -541,10 +532,7 @@ def _initial_batch(problems, models, options: BundleOptions):
                    translation1=np.array([pose.translation for pose in first])[owner],
                    baseline=np.array([np.linalg.norm(pose.translation) for pose in second]),
                    velocity=velocity, rolling=np.array([m == RS_MODEL for m in models]),
-                   camera=(problems[0].cameras[0].intrinsics, problems[0].cameras[0].shutter),
-                   n_cam=18 if options.estimate_velocities else 6)
-    if options.estimate_velocities:
-        cams = np.concatenate([cams, velocity.reshape(-1, 12)], axis=1)
+                   camera=(problems[0].cameras[0].intrinsics, problems[0].cameras[0].shutter))
     return batch, np.array(cams), np.concatenate(points)
 
 
@@ -565,8 +553,6 @@ def _bundle_adjust_batch(problems, models, options: BundleOptions | None = None
         residual = residual.transpose(1, 0, 2).ravel()     # camera 1's observations first
         solutions.append(SfmSolution(
             poses=(problem.cameras[0].motion.pose0, pose2), points=points,
-            velocities=tuple((cam[c:c + 3], cam[c + 3:c + 6]) for c in (6, 12))
-            if opts.estimate_velocities else None,
             reprojection_rms=math.sqrt(float(residual @ residual) / (len(residual) // 2)),
             rotation_error_deg=rot_err, translation_direction_error_deg=trans_err,
             model_used=model, iterations=int(iterations), converged=termination != "limit",
@@ -580,10 +566,10 @@ def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,
 
     Camera 1 is frozen (gauge).  The initial guess perturbs the true camera 2
     by the configured rotation/translation noise and triangulates points from
-    the observations; velocities are known model inputs unless
-    options.estimate_velocities is set.  Both views must share one camera,
-    else ConfigError.  Non-convergence is reported in the solution flags,
-    never raised.  A batch of one for the grid's batched LM.
+    the observations; velocities are known model inputs.  ConfigError if the
+    views do not share one camera, or if camera 2 sits at camera 1 (a zero
+    baseline is under-constrained).  Non-convergence is reported in the
+    solution flags, never raised.  A batch of one for the grid's batched LM.
     """
     return _bundle_adjust_batch([problem], [model], options)[0]
 
@@ -612,14 +598,24 @@ GRID_CSV_COLUMNS = [
 ]
 
 
+def grid_cells(velocities_kmh, sigmas_px, trials: int, seed, config: SceneConfig | None = None):
+    """((vi, si), scene, problems) of each grid cell in order: the scene is `config`
+    at that velocity and noise, and trial k is drawn from rng stream (seed, vi, si, k)."""
+    base, seed_t = config or SceneConfig(), _seed_tuple(seed)
+    for vi, velocity in enumerate(velocities_kmh):
+        for si, sigma in enumerate(sigmas_px):
+            cfg = replace(base, velocity_kmh=velocity, noise_sigma=sigma)
+            yield (vi, si), cfg, [generate_problem(cfg, (*seed_t, vi, si, trial))
+                                  for trial in range(trials)]
+
+
 def run_experiment_grid(velocities_kmh, sigmas_px, trials: int, seed,
                         config: SceneConfig | None = None,
                         models=MODELS,
                         options: BundleOptions | None = None) -> list[dict]:
     """Mean errors of each model over a (velocity x noise) grid of trials.
 
-    Each trial generates a fresh scene from an rng stream derived from
-    (seed, velocity index, sigma index, trial index) and runs bundle
+    Each trial generates a fresh scene (`grid_cells`) and runs bundle
     adjustment under every requested model on the same observations.
     Returns one row dict per (velocity, sigma, model) cell.
     """
@@ -627,27 +623,22 @@ def run_experiment_grid(velocities_kmh, sigmas_px, trials: int, seed,
         raise ConfigError("velocity and sigma lists must be nonempty")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
-    base = config or SceneConfig()
-    seed_t = _seed_tuple(seed)
     rows = []
-    for vi, velocity in enumerate(velocities_kmh):
-        for si, sigma in enumerate(sigmas_px):
-            cfg = replace(base, velocity_kmh=velocity, noise_sigma=sigma)
-            problems = [problem for trial in range(trials) for problem in
-                        [generate_problem(cfg, (*seed_t, vi, si, trial))] * len(models)]
-            solutions = _bundle_adjust_batch(problems, list(models) * trials, options)
-            for m in models:
-                mine = [sol for sol in solutions if sol.model_used == m]
-                row = {"velocity_kmh": velocity, "sigma_px": sigma, "model": m, "trials": trials,
-                       "nonconverged_count": sum(not sol.converged for sol in mine)}
-                for name, unit, error in (("reproj", "px", "reprojection_rms"),
-                                          ("rot", "deg", "rotation_error_deg"),
-                                          ("trans", "deg", "translation_direction_error_deg")):
-                    vals = np.array([getattr(sol, error) for sol in mine], dtype=float)
-                    row[f"mean_{name}_{unit}"] = float(np.mean(vals))
-                    row[f"se_{name}"] = (float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-                                         if len(vals) > 1 else 0.0)
-                rows.append(row)
+    for _, cfg, cell in grid_cells(velocities_kmh, sigmas_px, trials, seed, config):
+        problems = [problem for problem in cell for _ in models]
+        solutions = _bundle_adjust_batch(problems, list(models) * trials, options)
+        for m in models:
+            mine = [sol for sol in solutions if sol.model_used == m]
+            row = {"velocity_kmh": cfg.velocity_kmh, "sigma_px": cfg.noise_sigma, "model": m,
+                   "trials": trials, "nonconverged_count": sum(not sol.converged for sol in mine)}
+            for name, unit, error in (("reproj", "px", "reprojection_rms"),
+                                      ("rot", "deg", "rotation_error_deg"),
+                                      ("trans", "deg", "translation_direction_error_deg")):
+                vals = np.array([getattr(sol, error) for sol in mine], dtype=float)
+                row[f"mean_{name}_{unit}"] = float(np.mean(vals))
+                row[f"se_{name}"] = (float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+                                     if len(vals) > 1 else 0.0)
+            rows.append(row)
     return rows
 
 

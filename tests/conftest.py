@@ -252,7 +252,7 @@ def one_problem_residuals(batch, x):
     """sfm._residuals of a one-problem batch at x (camera parameters, then
     points), laid out per observation, camera 1's first: (residuals (2N,
     2)-raveled, camera blocks (2N, 2, n_cam), point blocks (2N, 2, 3))."""
-    n_cam = batch.n_cam
+    n_cam = sfm._N_CAM
     state = sfm._residuals(batch, x[None, :n_cam], x[n_cam:].reshape(-1, 3))
     r, cam_jac, point_jac = state[..., n_cam], state[..., :n_cam], state[..., n_cam + 1:]
     return (r.transpose(1, 0, 2).ravel(), cam_jac.transpose(1, 0, 2, 3).reshape(-1, 2, n_cam),

@@ -1,6 +1,10 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +255,26 @@ class TestDeterminism:
         assert run_cli(capsys, "sfm-grid", "--out-dir", str(dir_b), *args)[0] == 0
         for name in ("results.csv", "plot_rotation.svg", "config_resolved.txt"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_in_process_calls_match_fresh_processes(self, tmp_path):
+        """main reuses one parser: a call with --set, then one without, write
+        what each writes in a fresh process, so no --set carries over."""
+        assert cli.build_parser() is cli.build_parser()
+        calls = [["project", "--point", "0.2,0.4,6", "--set", "motion.velocity_kmh=0 7.5 0"],
+                 ["project", "--point", "0.2,0.4,6"]]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs = []
+        for i, argv in enumerate(calls):
+            fresh = tmp_path / f"fresh{i}.csv"
+            subprocess.run([sys.executable, "-m", "rscam.cli", *argv, "--out", str(fresh)],
+                           env=env, check=True)
+            outputs.append(fresh.read_bytes())
+        for i, argv in enumerate(calls):
+            assert main([*argv, "--out", str(tmp_path / f"in_process{i}.csv")]) == 0
+        assert [(tmp_path / f"in_process{i}.csv").read_bytes() for i in range(2)] == outputs
+        assert outputs[0] != outputs[1]
 
 
 class TestExitCodes:

@@ -23,24 +23,23 @@ def rs_problem():
     return generate_problem(SceneConfig(velocity_kmh=7.5, noise_sigma=0.0), seed=11)
 
 
-def _start(problem, estimate_velocities=False, model=RS_MODEL):
+def _start(problem, model=RS_MODEL):
     """A one-problem batch and the x (camera parameters, then points) that
     bundle_adjust would start LM from, but with camera 2 at the truth."""
-    batch, cam, points = sfm._initial_batch(
-        [problem], [model], BundleOptions(estimate_velocities=estimate_velocities))
+    batch, cam, points = sfm._initial_batch([problem], [model], BundleOptions())
     pose2 = problem.cameras[1].motion.pose0
-    cam[0, :6] = np.concatenate([rotation_log(pose2.rotation),
-                                 pose2.translation / np.linalg.norm(pose2.translation)])
+    cam[0] = np.concatenate([rotation_log(pose2.rotation),
+                             pose2.translation / np.linalg.norm(pose2.translation)])
     return batch, np.concatenate([cam[0], points.ravel()])
 
 
 def _point_cols(batch):
-    return np.tile(batch.n_cam + 3 * np.repeat(np.arange(len(batch.owner)), 2), 2)
+    return np.tile(sfm._N_CAM + 3 * np.repeat(np.arange(len(batch.owner)), 2), 2)
 
 
 def _dense(batch, cam_jac, point_jac):
     """The full (residuals x parameters) Jacobian assembled from its blocks."""
-    n_res, n_cam = 2 * len(cam_jac), batch.n_cam
+    n_res, n_cam = 2 * len(cam_jac), sfm._N_CAM
     jac = np.zeros((n_res, n_cam + 3 * len(batch.owner)))
     jac[:, :n_cam] = cam_jac.reshape(n_res, n_cam)
     rows, cols = np.arange(n_res), _point_cols(batch)
@@ -55,10 +54,10 @@ def _with_motion(problem, velocity, omega):
     return replace(problem, cameras=cameras)
 
 
-def _assert_matches_oracle(problem, model, estimate_velocities):
+def _assert_matches_oracle(problem, model):
     """Analytic Jacobian equals central differences column by column, to 1e-6
     of each column's largest entry."""
-    batch, x = _start(problem, estimate_velocities, model)
+    batch, x = _start(problem, model)
 
     def fun(x_):
         return one_problem_residuals(batch, x_)[0]
@@ -66,12 +65,11 @@ def _assert_matches_oracle(problem, model, estimate_velocities):
     r, cam_jac, point_jac = one_problem_residuals(batch, x)
     assert np.all(np.abs(r) < 1e4), "every observation must be imaged"
     analytic = _dense(batch, cam_jac, point_jac)
-    oracle = grouped_jacobian(fun, x, batch.n_cam, _point_cols(batch), len(r))
+    oracle = grouped_jacobian(fun, x, sfm._N_CAM, _point_cols(batch), len(r))
     for col in range(len(x)):
         scale = float(np.max(np.abs(oracle[:, col])))
         np.testing.assert_allclose(analytic[:, col], oracle[:, col], rtol=0,
                                    atol=1e-6 * scale, err_msg=f"column {col}")
-    return analytic
 
 
 class TestGenerateProblem:
@@ -158,17 +156,14 @@ class TestBundleAdjust:
         with pytest.raises(ValueError):
             bundle_adjust(rs_problem, "affine")
 
-    def test_joint_velocity_estimation_converges(self):
-        cfg = SceneConfig(n_points=40, velocity_kmh=7.5, noise_sigma=0.0)
-        problem = generate_problem(cfg, seed=9)
-        sol = bundle_adjust(problem, RS_MODEL,
-                            BundleOptions(estimate_velocities=True,
-                                          max_iterations=300))
-        assert sol.velocities is not None
-        assert sol.reprojection_rms < 1e-4
-        v2 = sol.velocities[1][0]
-        truth = problem.cameras[1].motion.linear_velocity
-        np.testing.assert_allclose(v2, truth, atol=0.2)
+    def test_zero_baseline_is_config_error(self):
+        """Camera 2 at camera 1 leaves the translation direction undefined."""
+        problem = generate_problem(SceneConfig(velocity_kmh=7.5), 3)
+        first, second = problem.cameras
+        pose2 = Pose(second.motion.pose0.rotation, np.zeros(3))
+        second = replace(second, motion=replace(second.motion, pose0=pose2))
+        with pytest.raises(ConfigError, match="zero baseline"):
+            bundle_adjust(replace(problem, cameras=(first, second)))
 
 
 class TestErrorMetrics:
@@ -205,8 +200,8 @@ class TestJacobian:
         def fun(x_):
             return one_problem_residuals(batch, x_)[0]
 
-        jac = grouped_jacobian(fun, x, batch.n_cam, _point_cols(batch), len(fun(x)))
-        for col in [0, 3, 5, batch.n_cam + 1, batch.n_cam + 30, len(x) - 1]:
+        jac = grouped_jacobian(fun, x, sfm._N_CAM, _point_cols(batch), len(fun(x)))
+        for col in [0, 3, 5, sfm._N_CAM + 1, sfm._N_CAM + 30, len(x) - 1]:
             h = 1e-6 * max(1.0, abs(x[col]))
             xp, xm = x.copy(), x.copy()
             xp[col] += h
@@ -222,7 +217,7 @@ class TestJacobian:
         def fun(x_):
             return one_problem_residuals(batch, x_)[0]
 
-        n_res, point_cols, n_cam = len(fun(x)), _point_cols(batch), batch.n_cam
+        n_res, point_cols, n_cam = len(fun(x)), _point_cols(batch), sfm._N_CAM
         j1 = grouped_jacobian(fun, x, n_cam, point_cols, n_res, step=4e-3)
         j2 = grouped_jacobian(fun, x, n_cam, point_cols, n_res, step=2e-3)
         j4 = grouped_jacobian(fun, x, n_cam, point_cols, n_res, step=1e-3)
@@ -231,34 +226,25 @@ class TestJacobian:
         assert 3.5 < d1 / d2 < 7.0, d1 / d2
 
     @pytest.mark.parametrize("model", MODELS)
-    @pytest.mark.parametrize("estimate_velocities", [False, True])
-    def test_analytic_matches_oracle(self, rs_problem, model, estimate_velocities):
-        analytic = _assert_matches_oracle(rs_problem, model, estimate_velocities)
-        velocity_cols = analytic[:, 6:18] if estimate_velocities else analytic[:, :0]
-        # The rolling-shutter model depends on both cameras' velocities; the
-        # pin-hole model on none.
-        assert np.any(velocity_cols) == (estimate_velocities and model == RS_MODEL)
+    def test_analytic_matches_oracle(self, rs_problem, model):
+        _assert_matches_oracle(rs_problem, model)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(velocity=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
                               st.floats(0.5, 3.0)),
            omega=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
-                           st.floats(0.1, 0.5)),
-           estimate_velocities=st.booleans())
-    def test_analytic_matches_oracle_general_motion(self, rs_problem, velocity,
-                                                    omega, estimate_velocities):
+                           st.floats(0.1, 0.5)))
+    def test_analytic_matches_oracle_general_motion(self, rs_problem, velocity, omega):
         """omega != 0 and v_z != 0 make the scan-time constraint quadratic."""
         problem = _with_motion(rs_problem, velocity, omega)
-        _assert_matches_oracle(problem, RS_MODEL, estimate_velocities)
+        _assert_matches_oracle(problem, RS_MODEL)
 
-    @pytest.mark.parametrize("estimate_velocities", [False, True])
-    def test_reduced_camera_step_equals_dense_solve(self, rs_problem,
-                                                    estimate_velocities, rng):
+    def test_reduced_camera_step_equals_dense_solve(self, rs_problem, rng):
         problem = _with_motion(rs_problem, [0.2, 2.0, 0.4], [0.05, -0.1, 0.2])
-        batch, x = _start(problem, estimate_velocities)
-        n_cam = batch.n_cam
+        batch, x = _start(problem)
+        n_cam = sfm._N_CAM
         state = _residuals(batch, x[None, :n_cam], x[n_cam:].reshape(-1, 3))
-        assert state.shape[3] == (18 if estimate_velocities else 6) + 4
+        assert state.shape[3] == 6 + 4
         system = _NormalEquations(batch, state)
         jac = _dense(batch, *one_problem_residuals(batch, x)[1:])
         r_flat = one_problem_residuals(batch, x)[0]
@@ -300,7 +286,7 @@ class TestJacobian:
         batch, x = _start(rs_problem, model=model)
         pose2 = rs_problem.cameras[1].motion.pose0
         # One meter behind camera 2, on its optical axis.
-        x[batch.n_cam:batch.n_cam + 3] = pose2.viewpoint() - pose2.rotation[2]
+        x[sfm._N_CAM:sfm._N_CAM + 3] = pose2.viewpoint() - pose2.rotation[2]
         r, cam_jac, point_jac = one_problem_residuals(batch, x)
         assert np.all(np.isfinite(r))
         n1 = len(rs_problem.observations[0][0])
@@ -338,7 +324,7 @@ class TestResiduals:
         pose2 = Pose(rotation_exp(cam[0, :3]), cam[0, 3:6] / np.linalg.norm(cam[0, 3:6])
                      * np.linalg.norm(problem.cameras[1].motion.pose0.translation))
         points[0] = pose2.viewpoint() - pose2.rotation[2]       # 1 m behind camera 2
-        residual = _residuals(batch, cam, points)[..., batch.n_cam]
+        residual = _residuals(batch, cam, points)[..., sfm._N_CAM]
         np.testing.assert_array_equal(residual[0, 1], 1e4)
         # Rows well inside the frame, so that each scan time is in the window.
         rows = [i for i in range(1, len(points)) if all(
@@ -371,7 +357,7 @@ def _oracle(problem, model, options=BundleOptions()):
     x0 = np.concatenate([cam[0], points.ravel()])
     index = np.tile(np.arange(len(points)), 2)
     return batch, levenberg_marquardt(lambda x: one_problem_residuals(batch, x), x0,
-                                      batch.n_cam, index, options)
+                                      sfm._N_CAM, index, options)
 
 
 class TestBatchedLM:
@@ -386,7 +372,7 @@ class TestBatchedLM:
             assert sol.converged == (termination != "limit")
             assert len(sol.cost_history) == len(history)
             np.testing.assert_allclose(sol.cost_history, history, rtol=1e-9)
-            points = x[batch.n_cam:].reshape(-1, 3)
+            points = x[sfm._N_CAM:].reshape(-1, 3)
             np.testing.assert_allclose(sol.points, points, rtol=0,
                                        atol=1e-9 * np.abs(points).max())
             np.testing.assert_allclose(sol.poses[1].rotation, rotation_exp(x[:3]),
@@ -460,8 +446,8 @@ class TestBatchedLM:
                            BundleOptions())
 
     def test_batch_of_mixed_sizes_matches_single_runs(self):
-        """Ragged point counts and both models in one batch, velocities estimated."""
-        options = BundleOptions(estimate_velocities=True, max_iterations=15)
+        """Ragged point counts and both models in one batch."""
+        options = BundleOptions(max_iterations=15)
         pairs = [(generate_problem(SceneConfig(n_points=n, velocity_kmh=7.5, noise_sigma=0.5),
                                    (3, n)), m) for n, m in ((20, RS_MODEL), (60, PERSPECTIVE_MODEL),
                                                             (35, RS_MODEL))]
@@ -469,10 +455,11 @@ class TestBatchedLM:
         for (problem, model), sol in zip(pairs, batched):
             single = bundle_adjust(problem, model, options)
             assert sol.cost_history == single.cost_history
+            assert (sol.iterations, sol.termination) == (single.iterations, single.termination)
             np.testing.assert_array_equal(sol.points, single.points)
-            for (v, w), (v1, w1) in zip(sol.velocities, single.velocities):
-                np.testing.assert_array_equal(v, v1)
-                np.testing.assert_array_equal(w, w1)
+            for pose, pose1 in zip(sol.poses, single.poses):
+                np.testing.assert_array_equal(pose.rotation, pose1.rotation)
+                np.testing.assert_array_equal(pose.translation, pose1.translation)
 
     def test_batched_round_equals_batches_of_one(self):
         """On a reduced-grid cell, the residuals and Jacobians, the normal
