@@ -13,7 +13,7 @@ from .flow import (FlowVector, flow_finite_difference, flow_perspective,
 from .calibration import (CalibrationEstimate, SpatioTemporalImage,
                           estimate_scan_rate, ideal_seconds_per_row,
                           marginalized_spectrum, synthesize_led_image)
-from .sfm import (BundleOptions, SceneConfig, SfmProblem, SfmSolution,
+from .sfm import (SceneConfig, SfmProblem, SfmSolution,
                   bundle_adjust, generate_problem, run_experiment_grid)
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "flow_finite_difference",
     "SpatioTemporalImage", "CalibrationEstimate", "synthesize_led_image",
     "estimate_scan_rate", "ideal_seconds_per_row", "marginalized_spectrum",
-    "SceneConfig", "SfmProblem", "SfmSolution", "BundleOptions",
+    "SceneConfig", "SfmProblem", "SfmSolution",
     "generate_problem", "bundle_adjust", "run_experiment_grid",
     "RscamError", "NoScanTime", "NegativeDepth", "Singularity",
     "DegenerateSlits", "NoPeak", "ConfigError",

@@ -145,13 +145,12 @@ class RunConfig:
                                          self.get_int("camera", "width"),
                                          self.get_int("camera", "height"))
 
-    def shutter(self, framerate: float | None = None) -> ShutterParams:
-        rate_text = self.get("shutter", "scan_rate")
-        f = framerate if framerate is not None else self.get_float("shutter", "framerate")
-        if rate_text.strip().lower() == "auto":
+    def shutter(self) -> ShutterParams:
+        f = self.get_float("shutter", "framerate")
+        if self.get("shutter", "scan_rate").strip().lower() == "auto":
             rate = self.get_int("camera", "height") * f
         else:
-            rate = float(rate_text)
+            rate = self.get_float("shutter", "scan_rate")
         shutter = ShutterParams(
             scan_rate=rate,
             first_row=self.get_float("shutter", "first_row"),
@@ -465,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:   # OSError: a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

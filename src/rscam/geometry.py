@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ROTATION_ATOL = 1e-10
+ROTATION_TOL = 1e-9         # of R R^T - I and of det R - 1
 
 
 def hat(omega) -> np.ndarray:
@@ -36,10 +36,10 @@ def row_dot(a, b) -> np.ndarray:
     return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
 
 
-def rotation_exp(omega, t: float = 1.0) -> np.ndarray:
-    """Rodrigues exponential: the rotations (..., 3, 3) reached after time t at
-    the rates omega (..., 3)."""
-    w = np.asarray(omega, dtype=float) * float(t)
+def rotation_exp(omega) -> np.ndarray:
+    """Rodrigues exponential: the rotations (..., 3, 3) of the rotation vectors
+    omega (..., 3)."""
+    w = np.asarray(omega, dtype=float)
     theta = np.sqrt(row_dot(w, w))[..., None, None]
     small = theta < 1e-12
     # Below 1e-12 the first-order term only; its error is O(theta^2) < 1e-24.
@@ -61,7 +61,7 @@ def rotation_left_jacobian(omega) -> np.ndarray:
 
 
 def rotation_log(rotation) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix (inverse of rotation_exp at t=1).
+    """Axis-angle vector of a rotation matrix (inverse of rotation_exp).
 
     Angles near pi are recovered from the symmetric part R + I, whose columns
     are parallel to the rotation axis, avoiding division by sin(theta) ~ 0.
@@ -91,15 +91,15 @@ def rotation_log(rotation) -> np.ndarray:
     return axis * theta
 
 
-def check_rotation(r: np.ndarray, atol: float = ROTATION_ATOL) -> None:
+def check_rotation(r: np.ndarray) -> None:
     """Raise ValueError unless r is orthogonal with determinant +1."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     # One bound on and off the diagonal (NaN and inf fail it).
-    if not (np.abs(r @ r.T - np.eye(3)) <= max(atol, 1e-9)).all():
+    if not (np.abs(r @ r.T - np.eye(3)) <= ROTATION_TOL).all():
         raise ValueError("matrix is not orthogonal")
-    if abs(float(np.linalg.det(r)) - 1.0) > max(atol, 1e-9):
+    if abs(float(np.linalg.det(r)) - 1.0) > ROTATION_TOL:
         raise ValueError("matrix determinant is not +1")
 
 

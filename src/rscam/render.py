@@ -110,14 +110,12 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     return corners, polylines, max_deflection
 
 
-def overlay_markers(image: np.ndarray, pixels: np.ndarray, radius: int = 1,
-                    value: float = 0.5) -> np.ndarray:
-    """Splat square markers into a copy of the image at the given pixels."""
+def overlay_markers(image: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """Splat 3x3 gray (0.5) markers into a copy of the image at the given pixels."""
     out = image.copy()
     h, w = out.shape
     for u, v in np.atleast_2d(pixels):
         cu, cv = int(round(u)), int(round(v))
         if 0 <= cu < w and 0 <= cv < h:
-            out[max(0, cv - radius):cv + radius + 1,
-                max(0, cu - radius):cu + radius + 1] = value
+            out[max(0, cv - 1):cv + 2, max(0, cu - 1):cu + 2] = 0.5
     return out

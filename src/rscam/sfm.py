@@ -43,6 +43,14 @@ PERSPECTIVE_MODEL = "perspective"
 MODELS = (RS_MODEL, PERSPECTIVE_MODEL)
 
 KMH_TO_MS = 1.0 / 3.6
+DISTANCE_JITTER = 0.2           # camera-2 distance spread about the cloud distance (fraction)
+
+# The protocol's LM limits and the start's perturbation of camera 2, read at call time.
+MAX_ITERATIONS = 200
+COST_TOLERANCE = 1e-10
+GRADIENT_TOLERANCE = 1e-8
+INIT_ROTATION_DEG = 2.0
+INIT_TRANSLATION_FRAC = 0.02
 
 
 @dataclass(frozen=True)
@@ -59,18 +67,10 @@ class SceneConfig:
     velocity_kmh: float = 0.0           # camera-frame row velocity v_y
     noise_sigma: float = 0.0            # pixels, per coordinate
     view_cone_deg: float = 40.0         # camera-2 direction cone about camera 1's axis
-    distance_jitter: float = 0.2        # camera-2 distance spread (fraction)
     attitude_noise_deg: float = 2.0     # extra random attitude error on camera 2
-    scan_rate: float | None = None      # rows/s; default height * framerate
-    first_row: float = 0.0
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics.from_fov(self.fov_deg, self.width, self.height)
-
-    def shutter(self) -> ShutterParams:
-        rate = self.scan_rate if self.scan_rate is not None else self.height * self.framerate
-        return ShutterParams(scan_rate=rate, first_row=self.first_row,
-                             framerate=self.framerate)
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,12 @@ class SfmSolution:
     translation_direction_error_deg: float
     model_used: str
     iterations: int
-    converged: bool
-    cost_history: tuple[float, ...] = ()  # half sum-of-squares after each accepted step
-    termination: str = ""   # one of TERMINATIONS; only "limit" is not converged
+    cost_history: tuple[float, ...]     # half sum-of-squares after each accepted step
+    termination: str                    # one of TERMINATIONS
 
-
-@dataclass(frozen=True)
-class BundleOptions:
-    max_iterations: int = 200
-    cost_tolerance: float = 1e-10
-    gradient_tolerance: float = 1e-8
-    init_rotation_deg: float = 2.0
-    init_translation_frac: float = 0.02
+    @property
+    def converged(self) -> bool:
+        return self.termination != "limit"
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -156,7 +150,7 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
     points[:, 2] += config.cloud_distance
 
     intrinsics = config.intrinsics()
-    shutter = config.shutter()
+    shutter = ShutterParams.ideal(config.framerate, config.height)
     v_ms = config.velocity_kmh * KMH_TO_MS
     velocity = np.array([0.0, v_ms, 0.0])
 
@@ -171,7 +165,7 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
         math.sin(polar) * math.sin(azimuth),
         math.cos(polar),
     ])
-    distance2 = config.cloud_distance * (1.0 + config.distance_jitter * rng.uniform(-1.0, 1.0))
+    distance2 = config.cloud_distance * (1.0 + DISTANCE_JITTER * rng.uniform(-1.0, 1.0))
     center2 = cloud_center - distance2 * view_dir
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -423,8 +417,7 @@ TERMINATIONS = ("gradient", "cost", "lambda", "limit")
 _RUNNING, _GRADIENT, _COST, _LAMBDA, _LIMIT = -1, 0, 1, 2, 3
 
 
-def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
-                         options: BundleOptions) -> list[tuple]:
+def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> list[tuple]:
     """(camera parameters, points, residuals, iterations, termination, cost
     history) of each problem's LM run, all run in lockstep.  In each round
     every running problem forms its normal equations, stops if its gradient
@@ -440,8 +433,8 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
     while len(ids):
         system = _NormalEquations(batch, state)
         gradient = system.problem_max(tuple(np.abs(g) for g in system.gradient))
-        stop = np.where(iteration > options.max_iterations, _LIMIT, np.where(
-            gradient < options.gradient_tolerance, _GRADIENT, _RUNNING))
+        stop = np.where(iteration > MAX_ITERATIONS, _LIMIT, np.where(
+            gradient < GRADIENT_TOLERANCE, _GRADIENT, _RUNNING))
         lam = np.where(lam > 0.0, lam, 1e-3 * system.problem_max(system.diag))
         d_cam, d_point, predicted = system.step(lam)
         cam_new, points_new = cam + d_cam, points + d_point
@@ -467,7 +460,7 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
         nu = np.where(accept, 2.0, np.where(reject, 2.0 * nu, nu))
         # Too small a decrease ends the run, and so does lambda overflow: no step
         # of any length decreases the cost (the criterion met with zero decrease).
-        stop = np.where(accept & (decrease < options.cost_tolerance), _COST,
+        stop = np.where(accept & (decrease < COST_TOLERANCE), _COST,
                         np.where(reject & (lam > 1e16), _LAMBDA, stop))
         keep = stop == _RUNNING
         iteration += accept & keep
@@ -484,7 +477,7 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray,
     return results
 
 
-def _initial_batch(problems, models, options: BundleOptions):
+def _initial_batch(problems, models):
     """The batch of the problems under their models, and LM's start: camera
     parameters (P, _N_CAM) and points (M, 3).  One camera (K, pixel size,
     image size and shutter) must image both views of every problem, as in a
@@ -507,9 +500,9 @@ def _initial_batch(problems, models, options: BundleOptions):
         baseline = float(np.linalg.norm(pose2.translation))
         if baseline < 1e-12:
             raise ConfigError("zero baseline: camera 2 sits at camera 1 (under-constrained)")
-        translation = pose2.translation + options.init_translation_frac * baseline * t_dir
+        translation = pose2.translation + INIT_TRANSLATION_FRAC * baseline * t_dir
         translation = translation / np.linalg.norm(translation)
-        rotation = rotation_exp(axis * math.radians(options.init_rotation_deg)) @ pose2.rotation
+        rotation = rotation_exp(axis * math.radians(INIT_ROTATION_DEG)) @ pose2.rotation
         (idx1, obs1), (idx2, obs2) = problem.observations
         if not np.array_equal(idx1, idx2):
             raise ConfigError("bundle adjustment expects the same points in both views")
@@ -536,14 +529,13 @@ def _initial_batch(problems, models, options: BundleOptions):
     return batch, np.array(cams), np.concatenate(points)
 
 
-def _bundle_adjust_batch(problems, models, options: BundleOptions | None = None
-                         ) -> list[SfmSolution]:
+def _bundle_adjust_batch(problems, models) -> list[SfmSolution]:
     """`bundle_adjust` of each problem under its model, as one batched LM."""
-    opts, solutions = options or BundleOptions(), []
+    solutions = []
     # Rolling-shutter problems first, so that their rows stay a prefix of the batch.
     order = sorted(range(len(problems)), key=lambda i: models[i] != RS_MODEL)
     problems, models = [problems[i] for i in order], [models[i] for i in order]
-    runs = _levenberg_marquardt(*_initial_batch(problems, models, opts), opts) if problems else []
+    runs = _levenberg_marquardt(*_initial_batch(problems, models)) if problems else []
     for problem, model, (cam, points, residual, iterations, termination, history) in zip(
             problems, models, runs):
         pose2_true = problem.cameras[1].motion.pose0
@@ -555,39 +547,38 @@ def _bundle_adjust_batch(problems, models, options: BundleOptions | None = None
             poses=(problem.cameras[0].motion.pose0, pose2), points=points,
             reprojection_rms=math.sqrt(float(residual @ residual) / (len(residual) // 2)),
             rotation_error_deg=rot_err, translation_direction_error_deg=trans_err,
-            model_used=model, iterations=int(iterations), converged=termination != "limit",
-            cost_history=history, termination=termination))
+            model_used=model, iterations=int(iterations), cost_history=history,
+            termination=termination))
     return [solutions[i] for i in np.argsort(order)]
 
 
-def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL,
-                  options: BundleOptions | None = None) -> SfmSolution:
+def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL) -> SfmSolution:
     """Levenberg-Marquardt refinement of camera 2 and the scene points.
 
-    Camera 1 is frozen (gauge).  The initial guess perturbs the true camera 2
-    by the configured rotation/translation noise and triangulates points from
-    the observations; velocities are known model inputs.  ConfigError if the
-    views do not share one camera, or if camera 2 sits at camera 1 (a zero
-    baseline is under-constrained).  Non-convergence is reported in the
-    solution flags, never raised.  A batch of one for the grid's batched LM.
+    Camera 1 is frozen (gauge).  The initial guess turns the true camera 2 by
+    INIT_ROTATION_DEG about a random axis, moves its translation by
+    INIT_TRANSLATION_FRAC of the baseline in a random direction, and
+    triangulates points from the observations; velocities are known model
+    inputs.  LM stops after MAX_ITERATIONS steps or on COST_TOLERANCE or
+    GRADIENT_TOLERANCE.  ConfigError if the views do not share one camera, or
+    if camera 2 sits at camera 1 (a zero baseline is under-constrained).
+    Non-convergence is reported in the solution flags, never raised.  A batch
+    of one for the grid's batched LM.
     """
-    return _bundle_adjust_batch([problem], [model], options)[0]
+    return _bundle_adjust_batch([problem], [model])[0]
 
 
 def _pose_errors(pose_true: Pose, pose_est: Pose) -> tuple[float, float]:
     """(rotation error deg, translation direction error deg) of a camera-2 pose.
 
     The geodesic angle between the attitudes and the angle between the
-    translations (camera 1 fixes the gauge); a near-zero translation makes
-    the direction undefined and is reported as NaN.
+    translations (camera 1 fixes the gauge; both have the nonzero baseline's
+    length).
     """
     rot = math.degrees(float(np.linalg.norm(
         rotation_log(pose_true.rotation.T @ pose_est.rotation))))
     t0, t1 = pose_true.translation, pose_est.translation
-    n0, n1 = np.linalg.norm(t0), np.linalg.norm(t1)
-    if n0 < 1e-12 or n1 < 1e-12:
-        return rot, float("nan")
-    cosine = float(np.clip(t0 @ t1 / (n0 * n1), -1.0, 1.0))
+    cosine = float(np.clip(t0 @ t1 / (np.linalg.norm(t0) * np.linalg.norm(t1)), -1.0, 1.0))
     return rot, math.degrees(math.acos(cosine))
 
 
@@ -610,13 +601,11 @@ def grid_cells(velocities_kmh, sigmas_px, trials: int, seed, config: SceneConfig
 
 
 def run_experiment_grid(velocities_kmh, sigmas_px, trials: int, seed,
-                        config: SceneConfig | None = None,
-                        models=MODELS,
-                        options: BundleOptions | None = None) -> list[dict]:
+                        config: SceneConfig | None = None) -> list[dict]:
     """Mean errors of each model over a (velocity x noise) grid of trials.
 
     Each trial generates a fresh scene (`grid_cells`) and runs bundle
-    adjustment under every requested model on the same observations.
+    adjustment under both MODELS on the same observations.
     Returns one row dict per (velocity, sigma, model) cell.
     """
     if not velocities_kmh or not sigmas_px:
@@ -625,9 +614,9 @@ def run_experiment_grid(velocities_kmh, sigmas_px, trials: int, seed,
         raise ConfigError(f"trials must be at least 1, got {trials}")
     rows = []
     for _, cfg, cell in grid_cells(velocities_kmh, sigmas_px, trials, seed, config):
-        problems = [problem for problem in cell for _ in models]
-        solutions = _bundle_adjust_batch(problems, list(models) * trials, options)
-        for m in models:
+        problems = [problem for problem in cell for _ in MODELS]
+        solutions = _bundle_adjust_batch(problems, list(MODELS) * trials)
+        for m in MODELS:
             mine = [sol for sol in solutions if sol.model_used == m]
             row = {"velocity_kmh": cfg.velocity_kmh, "sigma_px": cfg.noise_sigma, "model": m,
                    "trials": trials, "nonconverged_count": sum(not sol.converged for sol in mine)}

@@ -128,16 +128,14 @@ def normalized_scan(shutter: ShutterParams, intrinsics: CameraIntrinsics) -> tup
     return shutter.scan_rate / fy, (shutter.first_row + intrinsics.center_y) / fy
 
 
-def classify_case(motion: MotionState, exact: bool = False) -> ScanTimeCase:
-    """Pick the scan-time solution branch for a motion state.
+def classify_case(motion: MotionState) -> ScanTimeCase:
+    """Pick the linearized scan-time solution branch for a motion state.
 
     Fronto-parallel motion (v_z = 0, rotation only about the optical axis)
     gives a linear constraint; translation along the axis alone gives a
-    quadratic; any other linearized motion is quadratic as well.  Passing
-    exact=True requests the non-linearized model regardless of motion.
+    quadratic; any other linearized motion is quadratic as well.  The exact
+    model is EXACT_NONLINEAR whatever the motion.
     """
-    if exact:
-        return ScanTimeCase.EXACT_NONLINEAR
     if motion.is_fronto_parallel:
         return ScanTimeCase.FRONTO_PARALLEL_LINEAR
     v = motion.linear_velocity
@@ -451,9 +449,9 @@ def project_rolling_shutter(point, motion: MotionState, intrinsics: CameraIntrin
 
 
 def invert_fronto_parallel(pixel, depth, motion: MotionState,
-                           intrinsics: CameraIntrinsics, shutter: ShutterParams,
-                           frame_start: float = 0.0) -> np.ndarray:
-    """World points (N, 3), at one depth or at N depths, imaged at the pixels (N, 2).
+                           intrinsics: CameraIntrinsics, shutter: ShutterParams) -> np.ndarray:
+    """World points (N, 3), at one depth or at N depths, imaged at the pixels (N, 2)
+    by the frame starting at time 0.
 
     Under fronto-parallel motion the captured row alone fixes the scan time,
     t_c = (row + v0) / r, which makes the projection invertible up to the
@@ -463,7 +461,7 @@ def invert_fronto_parallel(pixel, depth, motion: MotionState,
     if not motion.is_fronto_parallel:
         raise ValueError("inversion requires fronto-parallel motion")
     q = np.asarray(pixel, dtype=float)
-    tau = frame_start + (q[..., 1] + shutter.first_row) / shutter.scan_rate
+    tau = (q[..., 1] + shutter.first_row) / shutter.scan_rate
     ray = np.linalg.solve(intrinsics.K, np.insert(q, 2, 1.0, axis=-1)[..., None])[..., 0]
     p_capture = np.asarray(depth, dtype=float)[..., None] * ray / ray[..., 2:]
     pose = motion.pose0

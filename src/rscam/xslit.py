@@ -68,17 +68,17 @@ def compute_slits(motion: MotionState, shutter: ShutterParams) -> SlitPair:
     return SlitPair(slit1=slit1, slit2=slit2)
 
 
-def backproject(q, motion: MotionState, shutter: ShutterParams,
-                depths: tuple[float, float, float] = (1.0, 2.0, 3.0)) -> Line3D:
+def backproject(q, motion: MotionState, shutter: ShutterParams) -> Line3D:
     """Inverse images of normalized image points (N, 2) as N 3-D lines.
 
-    Solves the projection for the world points at two sample depths, fits the
-    lines through them, and verifies collinearity at a third depth (ValueError
+    Solves the projection for the world points at depths 1 and 2, fits the
+    lines through them, and verifies collinearity at depth 3 (ValueError
     for the first point off its line).  Valid for fronto-parallel motion; with
     a stationary camera this is the pin-hole ray through (u, v, 1).
     """
     intrinsics = CameraIntrinsics.normalized()
-    p1, p2, p3 = (invert_fronto_parallel(q, z, motion, intrinsics, shutter) for z in depths)
+    p1, p2, p3 = (invert_fronto_parallel(q, z, motion, intrinsics, shutter)
+                  for z in (1.0, 2.0, 3.0))
     line = Line3D(p1, p2 - p1)
     off_line = p3 - line.point
     off_line = off_line - row_dot(off_line, line.direction)[..., None] * line.direction

@@ -36,7 +36,7 @@ def camera_matrix_at(motion, intrinsics, t, linearized=False):
     """3x4 camera matrix K [R(t) | T(t)] of the moving camera at time t;
     linearized replaces exp(hat(w) t) with I + t hat(w)."""
     r0, w = motion.pose0.rotation, motion.angular_velocity
-    rt = ((np.eye(3) + t * hat(w)) if linearized else rotation_exp(w, t)) @ r0
+    rt = ((np.eye(3) + t * hat(w)) if linearized else rotation_exp(w * t)) @ r0
     return intrinsics.K @ np.column_stack([rt, motion.pose0.translation
                                            + motion.linear_velocity * t])
 
@@ -290,11 +290,12 @@ class NormalEquations:
         return np.concatenate([d_cam, d_point.ravel()])
 
 
-def levenberg_marquardt(fun, x0, n_cam, point_index, options):
+def levenberg_marquardt(fun, x0, n_cam, point_index):
     """(x, residuals at x, iterations, termination, cost history) of one LM run.
 
     fun(x) gives the residuals and their blocks (see `one_problem_residuals`).
-    Termination is "gradient", "cost", "lambda" or "limit".
+    Termination is "gradient", "cost", "lambda" or "limit".  The limits are
+    the protocol's constants in `sfm`, read at call time.
     """
     x = x0.copy()
     r, *blocks = fun(x)
@@ -302,10 +303,10 @@ def levenberg_marquardt(fun, x0, n_cam, point_index, options):
     history = [cost]
     lam, nu, termination, iterations = None, 2.0, "limit", 0
     n_points = (len(x) - n_cam) // 3
-    for iterations in range(1, options.max_iterations + 1):
+    for iterations in range(1, sfm.MAX_ITERATIONS + 1):
         system = NormalEquations(*blocks, point_index, r, n_points)
         g = system.gradient
-        if float(np.max(np.abs(g))) < options.gradient_tolerance:
+        if float(np.max(np.abs(g))) < sfm.GRADIENT_TOLERANCE:
             termination = "gradient"
             break
         diag = system.diag
@@ -332,7 +333,7 @@ def levenberg_marquardt(fun, x0, n_cam, point_index, options):
                 history.append(cost)
                 lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
-                if rel_decrease < options.cost_tolerance:
+                if rel_decrease < sfm.COST_TOLERANCE:
                     termination = "cost"
             else:
                 lam *= nu

@@ -305,6 +305,32 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "error: unknown config key render.square" in err
 
+    def test_non_numeric_scan_rate_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "project", "--set", "shutter.scan_rate=abc",
+                                 "--point", "0,0.2,5")
+        assert (code, out) == (1, "")
+        assert err == "error: shutter.scan_rate must be a number\n"
+
+    def test_missing_points_csv_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run_cli(capsys, "project", "--points-csv", str(missing))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing_dir" / "x.csv"
+        code, out, err = run_cli(capsys, "project", "--point", "1,2,10", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(out_path) in err
+
+    def test_out_dir_that_is_a_file_is_usage_error(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run_cli(capsys, "render-checker", "--out-dir", str(taken))
+        assert code == 1
+        assert err.startswith("error: ") and str(taken) in err
+        assert taken.read_text() == ""
+
     def test_singular_solve_is_numerical_failure(self, capsys, monkeypatch):
         """LinAlgError subclasses ValueError but is a numerical failure."""
         def singular(config, args):

@@ -32,10 +32,10 @@ class TestHat:
 
 class TestRotationExp:
     def test_zero_rate_is_identity(self):
-        np.testing.assert_allclose(rotation_exp([0, 0, 0], 3.7), np.eye(3), atol=0)
+        np.testing.assert_allclose(rotation_exp(np.asarray([0, 0, 0]) * 3.7), np.eye(3), atol=0)
 
     def test_half_turn_about_z(self):
-        r = rotation_exp([0, 0, math.pi], 1.0)
+        r = rotation_exp([0, 0, math.pi])
         np.testing.assert_allclose(r, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
 
     def test_one_parameter_group(self, rng):
@@ -43,8 +43,8 @@ class TestRotationExp:
         for _ in range(30):
             w = rng.normal(size=3)
             t, s = rng.uniform(-2, 2, size=2)
-            left = rotation_exp(w, t) @ rotation_exp(w, s)
-            np.testing.assert_allclose(left, rotation_exp(w, t + s), atol=1e-9)
+            left = rotation_exp(w * t) @ rotation_exp(w * s)
+            np.testing.assert_allclose(left, rotation_exp(w * (t + s)), atol=1e-9)
 
     def test_is_rotation(self, rng):
         for _ in range(20):

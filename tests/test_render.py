@@ -150,7 +150,7 @@ class TestRenderCheckerboard:
 
     def test_overlay_markers(self):
         image = np.zeros((10, 10))
-        out = overlay_markers(image, np.array([[5.0, 5.0]]), radius=1, value=0.5)
+        out = overlay_markers(image, np.array([[5.0, 5.0]]))
         assert out[5, 5] == 0.5 and out[4, 5] == 0.5
         assert image[5, 5] == 0.0
 

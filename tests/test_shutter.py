@@ -78,9 +78,6 @@ class TestClassifyCase:
         m = MotionState(Pose.identity(), [1.0, 0, 0.5], [0.1, 0, 0])
         assert classify_case(m) is ScanTimeCase.GENERAL_QUADRATIC
 
-    def test_exact_flag(self):
-        assert classify_case(MotionState(), exact=True) is ScanTimeCase.EXACT_NONLINEAR
-
 
 class TestConstraintResidual:
     def test_static_camera_affine(self, normalized_camera, shutter10):
