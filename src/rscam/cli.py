@@ -15,6 +15,7 @@ import argparse
 import configparser
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -453,7 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):   # argparse takes "-0.5,0,5" for an option
+        if argv[i - 1] == "--point" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--point={argv[i]}"]
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:               # argparse has printed the help or the error
+        return 0 if exc.code == 0 else 1
     try:
         config = RunConfig(args.config, args.set)
         # Looked up per call (not stored in the cached parser), so a replaced cmd_* is run.

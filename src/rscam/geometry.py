@@ -26,8 +26,10 @@ ROTATION_TOL = 1e-9         # of R R^T - I and of det R - 1
 def hat(omega) -> np.ndarray:
     """Skew-symmetric matrices (..., 3, 3) of 3-vectors (..., 3): hat(w) @ u == cross(w, u)."""
     w = np.asarray(omega, dtype=float)
-    x, y, z, zero = w[..., 0], w[..., 1], w[..., 2], np.zeros(w.shape[:-1])
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(w.shape + (3,))
+    k = np.zeros(w.shape + (3,))
+    k[..., 2, 1], k[..., 0, 2], k[..., 1, 0] = w[..., 0], w[..., 1], w[..., 2]
+    k[..., 1, 2], k[..., 2, 0], k[..., 0, 1] = -w[..., 0], -w[..., 1], -w[..., 2]
+    return k
 
 
 def row_dot(a, b) -> np.ndarray:
@@ -39,25 +41,27 @@ def row_dot(a, b) -> np.ndarray:
 def rotation_exp(omega) -> np.ndarray:
     """Rodrigues exponential: the rotations (..., 3, 3) of the rotation vectors
     omega (..., 3)."""
+    return rotation_exp_and_jacobian(omega)[0]
+
+
+def rotation_exp_and_jacobian(omega) -> tuple[np.ndarray, np.ndarray]:
+    """`rotation_exp` of omega (..., 3) and the SO(3) left Jacobians J (..., 3, 3)
+    there, exp(omega + d) ~ exp(J d) exp(omega) for small d, from one angle."""
     w = np.asarray(omega, dtype=float)
     theta = np.sqrt(row_dot(w, w))[..., None, None]
-    small = theta < 1e-12
+    small, series = theta < 1e-12, theta < 1e-4     # J's series is exact to O(theta^2)
+    sin, cos, safe, eye = np.sin(theta), np.cos(theta), np.where(series, 1.0, theta), np.eye(3)
+    # hat and its square of the unit axis (the rotation's) and of omega (J's).
+    k = hat(np.concatenate([w / np.where(small, 1.0, theta)[..., 0], w], axis=-1).reshape(
+        w.shape[:-1] + (2, 3)))
+    kk = k @ k
+    rotation = eye + sin * k[..., 0, :, :] + (1.0 - cos) * kk[..., 0, :, :]
     # Below 1e-12 the first-order term only; its error is O(theta^2) < 1e-24.
-    k = hat(w / np.where(small, 1.0, theta)[..., 0])
-    rotation = np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-    return np.where(small, np.eye(3) + hat(w), rotation) if small.any() else rotation
-
-
-def rotation_left_jacobian(omega) -> np.ndarray:
-    """Left Jacobians J (..., 3, 3) of SO(3) at omega (..., 3):
-    exp(omega + d) ~ exp(J d) exp(omega) for small d."""
-    theta = np.sqrt(row_dot(omega, omega))[..., None, None]
-    series = theta < 1e-4       # the series is exact to O(theta^2)
-    safe = np.where(series, 1.0, theta)
-    a = np.where(series, 0.5, (1.0 - np.cos(safe)) / safe ** 2)
-    b = np.where(series, 1.0 / 6.0, (safe - np.sin(safe)) / safe ** 3)
-    k = hat(omega)
-    return np.eye(3) + a * k + b * (k @ k)
+    if small.any():
+        rotation = np.where(small, eye + k[..., 1, :, :], rotation)
+    a = np.where(series, 0.5, (1.0 - cos) / safe ** 2)
+    b = np.where(series, 1.0 / 6.0, (safe - sin) / safe ** 3)
+    return rotation, eye + a * k[..., 1, :, :] + b * kk[..., 1, :, :]
 
 
 def rotation_log(rotation) -> np.ndarray:

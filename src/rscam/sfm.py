@@ -16,8 +16,8 @@ steps from the 6x6 reduced camera system left after eliminating the 3x3
 point blocks.  One array-shaped LM runs every trial and model of a grid cell,
 each problem at its own lambda with the iterates of a run alone;
 `bundle_adjust` is a batch of one.  One camera images both views of every
-problem in a batch, and each round keeps the residuals and Jacobian blocks
-of all rows in one array.
+problem in a batch.  A round keeps all rows' residuals and Jacobian blocks in
+one array and drops the omega terms from a batch whose cameras do not spin.
 
 Every random quantity is drawn from a generator seeded by the caller, and
 per-trial streams derive from (seed, cell, trial): results are reproducible.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import (CameraIntrinsics, MotionState, Pose, rotation_exp,
-                       rotation_left_jacobian, rotation_log, row_dot)
+                       rotation_exp_and_jacobian, rotation_log, row_dot)
 from .shutter import (DEPTH_EPS, ShutterParams, scan_time_gradient, solve_path_times,
                       solve_scan_times)
 
@@ -269,15 +269,16 @@ class _Batch:
 
     owner: np.ndarray         # (M,) problem of each row, nondecreasing
     observed: np.ndarray      # (M, 2, 2) pixels in views 1 and 2
-    rotation1: np.ndarray     # (M, 3, 3) and (M, 3): the frozen camera 1 of each row
-    translation1: np.ndarray
+    rotation: np.ndarray      # (M, 2, 3, 3) and (M, 2, 3): each row's cameras, the frozen
+    translation: np.ndarray   # camera 1 and the camera 2 that each `_residuals` writes
     baseline: np.ndarray      # (P,) gauge: camera 2's translation length
     velocity: np.ndarray      # (P, 2, 2, 3) known (v, omega) of each view
     rolling: np.ndarray       # (P,) rolling-shutter model, these first; pin-hole otherwise
     camera: tuple[CameraIntrinsics, ShutterParams]  # of both views of every problem
     starts: np.ndarray = field(init=False)  # each problem's first row, for reduceat
-    motion_rows: tuple = field(init=False)  # v, omega (M, 2, 3); omega per coordinate
+    motion_rows: tuple = field(init=False)  # v, omega (M, 2, 3)
     n_rolling: int = field(init=False)      # the rolling-shutter rows, a prefix
+    spins: bool = field(init=False)         # some view has omega != 0
 
     def __post_init__(self):
         if np.any(self.rolling[1:] > self.rolling[:-1]):
@@ -285,17 +286,19 @@ class _Batch:
         self.starts = np.flatnonzero(np.diff(self.owner, prepend=-1))
         v, spin = np.moveaxis(self.velocity.take(self.owner, axis=0), 2, 0)
         # Contiguous rows, which spare `_residuals` short inner loops.
-        self.motion_rows = (v.copy(), spin.copy(), np.repeat(spin[:, :, None], 2, axis=2))
+        self.motion_rows = (v.copy(), spin.copy())
         self.n_rolling = int(np.count_nonzero(self.rolling[self.owner]))
+        self.spins = bool(self.velocity[:, :, 1].any())
 
     def sums(self, rows: np.ndarray) -> np.ndarray:
-        """Sum of each problem's rows (M, ...) over its rows and trailing axes: (P,)."""
-        return np.add.reduceat(rows.reshape(len(rows), -1).sum(axis=1), self.starts)
+        """Sum of each problem's rows (M, ...) over its rows and trailing axes: (P,).
+        A row's entries are added column by column, the order in which ndarray.sum adds so few."""
+        return np.add.reduceat(sum(rows.reshape(len(rows), -1).T), self.starts)
 
     def take(self, keep: np.ndarray) -> "_Batch":
         rows, owner = keep[self.owner], (np.cumsum(keep) - 1)[self.owner]
         return replace(self, owner=owner[rows], **{
-            name: getattr(self, name)[rows] for name in ("observed", "rotation1", "translation1")},
+            name: getattr(self, name)[rows] for name in ("observed", "rotation", "translation")},
             **{name: getattr(self, name)[keep] for name in ("baseline", "velocity", "rolling")})
 
 
@@ -307,50 +310,49 @@ def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> np.ndarray
     y = R x + T, w = omega x R x + v: dp = (I + w g^T)(dy + t dw), g = dt/dy
     from `scan_time_gradient`; the pin-hole model is this with t = 0, g = 0.
     """
-    (own, n, rs), (v, spin, spin2) = (batch.owner, _N_CAM, batch.n_rolling), batch.motion_rows
+    (own, n, rs), (v, spin) = (batch.owner, _N_CAM, batch.n_rolling), batch.motion_rows
     intrinsics, shutter = batch.camera
-    left = rotation_left_jacobian(cam[:, :3])
+    rotation2, left = rotation_exp_and_jacobian(cam[:, :3])
     translation2, d_translation = _translations(cam[:, 3:6], batch.baseline)
-    rotation, translation = np.empty((len(own), 2, 3, 3)), np.empty((len(own), 2, 3))
-    rotation[:, 0], rotation[:, 1] = batch.rotation1, rotation_exp(cam[:, :3]).take(own, axis=0)
-    translation[:, 0], translation[:, 1] = batch.translation1, translation2.take(own, axis=0)
+    rotation, translation = batch.rotation, batch.translation
+    rotation[:, 1], translation[:, 1] = rotation2.take(own, axis=0), translation2.take(own, axis=0)
     rx = np.einsum("mvij,mj->mvi", rotation, points)
     y = rx + translation
-    w = _cross(spin, rx) + v
-    t, ok = np.zeros(y.shape[:2]), y[..., 2] > DEPTH_EPS
+    w = _cross(spin, rx) + v if batch.spins else v
+    ok = y[..., 2] > DEPTH_EPS
     if rs:      # both views of the rolling-shutter rows, as 2 rs paths
         times = solve_path_times(y[:rs].reshape(-1, 3), w[:rs].reshape(-1, 3), intrinsics,
                                  shutter, windowed=False)
-        t[:rs], ok[:rs] = times.t.reshape(rs, 2), times.ok.reshape(rs, 2)
+        t, ok[:rs] = times.t.reshape(rs, 2), times.ok.reshape(rs, 2)
         grad = scan_time_gradient(times, intrinsics, shutter).reshape(rs, 2, 1, 3)
+        y[:rs] = times.capture.reshape(rs, 2, 3)      # y + t w; t = 0 on pin-hole rows
     k = intrinsics.K
-    q = ((y + t[..., None] * w).reshape(-1, 3) @ k.T).reshape(y.shape)
+    q = (y.reshape(-1, 3) @ k.T).reshape(y.shape)
     depth = np.where(ok, q[..., 2], 1.0)[..., None]
     uv = q[..., :2] / depth
     out = np.zeros(y.shape[:2] + (2, n + 4))
-    # A point that wandered behind a camera gets a large constant penalty
-    # instead of NaN (so the optimizer can back out) and zero rows.
     residual = np.subtract(uv, batch.observed, out=out[..., n])
-    residual[~ok] = 1e4
     a = (k[:2] - uv[..., None] * k[2]) / depth[..., None]        # dr / d(y + t w)
     if rs:      # the scan time's terms; t = 0 and g = 0 on pin-hole rows
-        pw = a[:rs] * w[:rs, :, None]
-        a[:rs] += (pw[..., 0] + pw[..., 1] + pw[..., 2])[..., None] * grad
-    a[~ok] = 0.0
-    b = a.copy()                                                    # dr / d(R x)
-    b[:rs] += t[:rs, :, None, None] * _cross(a[:rs], spin2[:rs])
+        a[:rs] += np.einsum("mvcj,mvj->mvc", a[:rs], w[:rs])[..., None] * grad
+    # A point that wandered behind a camera gets a large constant penalty
+    # instead of NaN (so the optimizer can back out) and zero rows.
+    if not ok.all():
+        residual[~ok], a[~ok] = 1e4, 0.0
+    b = a if not (rs and batch.spins) else np.concatenate(          # dr / d(R x)
+        [a[:rs] + t[..., None, None] * _cross(a[:rs], spin[:rs, :, None]), a[rs:]])
     # d(R x) = -hat(R x) J_l(phi) d(phi), J_l the SO(3) left Jacobian (operands contiguous).
-    np.matmul(_cross(np.repeat(rx[:, 1, None], 2, axis=1), b[:, 1].copy()),
+    np.matmul(_cross(rx[:, 1, None].repeat(2, axis=1), b[:, 1].copy()),
               left.take(own, axis=0), out=out[:, 1, :, :3])
     np.matmul(a[:, 1], d_translation.take(own, axis=0), out=out[:, 1, :, 3:6])
     np.matmul(b, rotation, out=out[..., n + 1:])
     return out
 
 
-def _inverse_spd3(v: np.ndarray) -> np.ndarray:
-    """Inverses of symmetric 3x3 matrices (M, 3, 3) by the adjugate; NaN where singular."""
-    a, b, c = v[:, 0, 0], v[:, 0, 1], v[:, 0, 2]
-    d, e, f = v[:, 1, 1], v[:, 1, 2], v[:, 2, 2]
+def _inverse_spd3(v: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """Adjugate inverses of v (M, 3, 3) + diag(damping (M, 3)), v symmetric; NaN where singular."""
+    a, d, f = (v[:, i, i] + damping[:, i] for i in range(3))
+    b, c, e = v[:, 0, 1], v[:, 0, 2], v[:, 1, 2]
     inv = np.empty((len(v), 3, 3))
     inv[:, 0, 0], inv[:, 0, 1], inv[:, 0, 2] = d * f - e * e, c * e - b * f, b * e - c * d
     inv[:, 1, 1], inv[:, 1, 2], inv[:, 2, 2] = a * f - c * c, b * c - a * e, a * d - b * b
@@ -383,13 +385,13 @@ class _NormalEquations:
                                    batch.starts, axis=0)
         self.point = rows[:, :, n + 1:].transpose(0, 2, 1) @ rows
         self.gradient = (self.cam[:, :, n], self.point[:, :, n])
-        self.diag = (np.maximum(np.einsum("pii->pi", self.cam[:, :, :n]), 1e-12),
-                     np.maximum(np.einsum("mii->mi", self.point[:, :, n + 1:]), 1e-12))
+        self.diag = tuple(np.maximum(part.diagonal(axis1=1, axis2=2), 1e-12)
+                          for part in (self.cam[:, :, :n], self.point[:, :, n + 1:]))
 
     def problem_max(self, parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Largest entry of each problem's camera (P, n) and point (M, 3) parts."""
         return np.maximum(parts[0].max(axis=1), np.maximum.reduceat(
-            parts[1].max(axis=1), self.batch.starts))
+            parts[1], self.batch.starts).max(axis=1))
 
     def step(self, lam: np.ndarray):
         """Each problem's solution of (J^T J + lam diag(J^T J)) delta = -g, in
@@ -400,9 +402,8 @@ class _NormalEquations:
         """
         n, own, starts = _N_CAM, self.batch.owner, self.batch.starts
         damping = (lam[:, None] * self.diag[0], lam[own, None] * self.diag[1])
-        v = self.point[:, :, n + 1:].copy()
-        v.reshape(-1, 9)[:, ::4] += damping[1]                   # the damped V_m
-        solved = _inverse_spd3(v) @ self.point[:, :, :n + 1]     # V_m^-1 [W_m^T | g_m]
+        # V_m^-1 [W_m^T | g_m], V_m damped
+        solved = _inverse_spd3(self.point[:, :, n + 1:], damping[1]) @ self.point[:, :, :n + 1]
         reduced = self.cam - np.add.reduceat(
             self.point[:, :, :n].transpose(0, 2, 1) @ solved, starts, axis=0)
         u = reduced[:, :, :n].copy()
@@ -435,7 +436,8 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> 
         gradient = system.problem_max(tuple(np.abs(g) for g in system.gradient))
         stop = np.where(iteration > MAX_ITERATIONS, _LIMIT, np.where(
             gradient < GRADIENT_TOLERANCE, _GRADIENT, _RUNNING))
-        lam = np.where(lam > 0.0, lam, 1e-3 * system.problem_max(system.diag))
+        if not (lam > 0.0).all():       # some problem's first round
+            lam = np.where(lam > 0.0, lam, 1e-3 * system.problem_max(system.diag))
         d_cam, d_point, predicted = system.step(lam)
         cam_new, points_new = cam + d_cam, points + d_point
         trial = _residuals(batch, cam_new, points_new)
@@ -451,8 +453,8 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> 
             rows = accept[batch.owner]
             cam[accept], points[rows], state[rows] = cam_new[accept], points_new[rows], trial[rows]
         del trial, system       # before the next round's arrays are made
-        for i in np.flatnonzero(accept):
-            history[ids[i]].append(float(cost_new[i]))
+        for i, c in zip(ids[accept].tolist(), cost_new[accept].tolist()):
+            history[i].append(c)
         decrease = (cost - cost_new) / np.maximum(cost, 1e-300)
         cost = np.where(accept, cost_new, cost)
         lam = np.where(accept, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
@@ -467,9 +469,10 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> 
         if keep.all():
             continue
         for i in np.flatnonzero(~keep):
-            own = batch.owner == i
-            results[ids[i]] = (cam[i], points[own], state[own, ..., _N_CAM], iteration[i] - (
-                stop[i] == _LIMIT), TERMINATIONS[stop[i]], tuple(history[ids[i]]))
+            own = slice(*np.append(batch.starts, len(points))[i:i + 2])
+            results[ids[i]] = (cam[i], points[own].copy(), state[own, ..., _N_CAM].copy(),
+                               iteration[i] - (stop[i] == _LIMIT), TERMINATIONS[stop[i]],
+                               tuple(history[ids[i]]))
         rows = keep[batch.owner]
         batch = batch.take(keep)
         cam, lam, nu, cost, iteration, ids = (a[keep] for a in (cam, lam, nu, cost, iteration, ids))
@@ -521,8 +524,8 @@ def _initial_batch(problems, models):
     batch = _Batch(owner=owner,
                    observed=np.concatenate([np.stack([obs for _, obs in problem.observations],
                                                      axis=1) for problem in problems]),
-                   rotation1=np.array([pose.rotation for pose in first])[owner],
-                   translation1=np.array([pose.translation for pose in first])[owner],
+                   rotation=np.array([p.rotation for p in first])[owner, None].repeat(2, 1),
+                   translation=np.array([p.translation for p in first])[owner, None].repeat(2, 1),
                    baseline=np.array([np.linalg.norm(pose.translation) for pose in second]),
                    velocity=velocity, rolling=np.array([m == RS_MODEL for m in models]),
                    camera=(problems[0].cameras[0].intrinsics, problems[0].cameras[0].shutter))

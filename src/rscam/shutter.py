@@ -278,9 +278,9 @@ def scan_time_gradient(times: ScanTimes, intrinsics: CameraIntrinsics,
     with n(t) = (0, fy, cy + v0 - r t) normal to the scanline's plane, so
     dt = -(t^2 da + t db + dc) / (2 a t + b) = n . (dy + t dw) / (r p_z - n . w).
     """
-    t = times.t
-    normal = np.column_stack([np.zeros_like(t), np.full_like(t, intrinsics.focal_y),
-                              intrinsics.center_y + shutter.first_row - shutter.scan_rate * t])
+    normal = np.zeros(times.velocity.shape)
+    normal[:, 1] = intrinsics.focal_y
+    normal[:, 2] = intrinsics.center_y + shutter.first_row - shutter.scan_rate * times.t
     slope = (shutter.scan_rate * times.capture[:, 2]
              - np.einsum("ij,ij->i", normal, times.velocity))
     return normal / np.where(times.ok & (slope != 0.0), slope, np.inf)[:, None]

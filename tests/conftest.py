@@ -12,8 +12,11 @@ calls; the batched helpers must reproduce them bit for bit.  The per-problem
 Levenberg-Marquardt loop and its normal equations (point sums by np.add.at,
 3x3 point blocks by np.linalg.solve) are the oracle of the batched LM, and the
 per-row checkerboard raster that of the block raster, and the line-by-line
-board lattice that of the array-built one.  `load_problem` reads
-the snapshots that `sfm.save_problem` writes, and so pins their format.
+board lattice that of the array-built one.  `hat_stack`, `rodrigues` and
+`rotation_left_jacobian` write the pose algebra out one formula each, the
+oracles of `geometry.hat` and of the fused `geometry.rotation_exp_and_jacobian`.
+`load_problem` reads the snapshots that `sfm.save_problem` writes, and so
+pins their format.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 import pytest
 
 from rscam import render, sfm
-from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_exp
+from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_exp, row_dot
 from rscam.shutter import (DEPTH_EPS, EXACT_BLOCK, EXACT_MAX_STEPS, EXACT_SAMPLES, IMAGED,
                            NEGATIVE_DEPTH, NO_SCAN_TIME, SINGULARITY, ShutterParams,
                            project_rolling_shutter, solve_scan_times)
@@ -178,6 +181,38 @@ def grouped_jacobian(fun, x: np.ndarray, n_cam: int, point_cols: np.ndarray,
         delta = (fun(xp) - fun(xm)) / (2.0 * h)
         jac[rows, point_cols + c] = delta
     return jac
+
+
+def hat_stack(omega):
+    """Skew-symmetric matrices (..., 3, 3) of omega (..., 3) from one np.stack of
+    their nine entries."""
+    w = np.asarray(omega, dtype=float)
+    x, y, z, zero = w[..., 0], w[..., 1], w[..., 2], np.zeros(w.shape[:-1])
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(w.shape + (3,))
+
+
+def rodrigues(omega):
+    """Rotations (..., 3, 3) of omega (..., 3): I + sin(theta) k + (1 - cos(theta)) k^2,
+    k the unit axis's skew matrix; I + hat(omega) below theta = 1e-12."""
+    w = np.asarray(omega, dtype=float)
+    theta = np.sqrt(row_dot(w, w))[..., None, None]
+    small = theta < 1e-12
+    k = hat_stack(w / np.where(small, 1.0, theta)[..., 0])
+    rotation = np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    return np.where(small, np.eye(3) + hat_stack(w), rotation) if small.any() else rotation
+
+
+def rotation_left_jacobian(omega):
+    """SO(3) left Jacobians (..., 3, 3) at omega (..., 3): I + a k + b k^2, k = hat(omega),
+    a = (1 - cos(theta)) / theta^2 and b = (theta - sin(theta)) / theta^3, or their
+    series limits 1/2 and 1/6 below theta = 1e-4."""
+    theta = np.sqrt(row_dot(omega, omega))[..., None, None]
+    series = theta < 1e-4
+    safe = np.where(series, 1.0, theta)
+    a = np.where(series, 0.5, (1.0 - np.cos(safe)) / safe ** 2)
+    b = np.where(series, 1.0 / 6.0, (safe - np.sin(safe)) / safe ** 3)
+    k = hat_stack(omega)
+    return np.eye(3) + a * k + b * (k @ k)
 
 
 @pytest.fixture

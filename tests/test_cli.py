@@ -76,8 +76,21 @@ class TestProject:
         assert "Singularity" in err
 
     def test_usage_error_exit_code(self, capsys):
+        """A usage error exits 1 (2 is a numerical failure), argparse's too,
+        with its message; --help exits 0.  A negative first coordinate is a
+        point, not an option."""
         code, _, err = run_cli(capsys, "project")
         assert code == 1
+        code, _, err = run_cli(capsys, "project", "--bogus")
+        assert code == 1 and "unrecognized arguments: --bogus" in err
+        code, _, err = run_cli(capsys, "project", "--point")
+        assert code == 1 and "argument --point: expected one argument" in err
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--help"]) == 0
+        assert run_cli(capsys, "project", "--point", "-0.5,0.2,5") == run_cli(
+            capsys, "project", "--point=-0.5,0.2,5")
+        code, out, _ = run_cli(capsys, "project", "--point", "0,0,5", "--point", "-.5,0.2,5")
+        assert code == 0 and len(csv_rows(out)) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("via_csv", [True, False])

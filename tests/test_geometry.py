@@ -5,10 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rscam.geometry import (CameraIntrinsics, MotionState, Pose, check_rotation, hat,
-                            project_perspective, rotation_exp, rotation_left_jacobian,
+                            project_perspective, rotation_exp, rotation_exp_and_jacobian,
                             rotation_log)
 
-from conftest import camera_matrix_at
+from conftest import camera_matrix_at, hat_stack, rodrigues, rotation_left_jacobian
+
+# Both sides of the two small-angle thresholds (1e-12 and 1e-4), and near pi.
+ANGLES = [0.0, 1e-13, 3e-5, 2e-4, 0.3, 2.5, math.pi - 1e-6]
+SHAPES = [(3,), (5, 3), (4, 2, 3)]
+
+
+def _rotation_vectors(rng, angle, shape):
+    """Vectors of length angle in random directions; at 0, zeros of random signs."""
+    axis = rng.normal(size=shape)
+    if angle == 0.0:
+        return np.copysign(np.zeros(shape), axis)
+    return angle * axis / np.linalg.norm(axis, axis=-1, keepdims=True)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestHat:
@@ -28,6 +44,13 @@ class TestHat:
     def test_skew_symmetric(self, rng):
         m = hat(rng.normal(size=3))
         np.testing.assert_allclose(m.T, -m, atol=0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_matches_stacked_oracle_bit_for_bit(self, rng, angle, shape):
+        """The filled array equals one np.stack of the entries, signed zeros too."""
+        w = _rotation_vectors(rng, angle, shape)
+        assert _same_bits(hat(w), hat_stack(w))
 
 
 class TestRotationExp:
@@ -56,8 +79,8 @@ class TestRotationExp:
 class TestRotationLeftJacobian:
     @pytest.mark.parametrize("angle", [0.0, 3e-5, 2e-4, 0.3, 2.5])
     def test_matches_central_differences(self, rng, angle):
-        """Columns of J are d/dd log(exp(omega + d) exp(omega)^T) at d = 0,
-        on both sides of the series threshold."""
+        """Columns of the fused helper's J at one vector are d/dd log(exp(omega +
+        d) exp(omega)^T) at d = 0, on both sides of the series threshold."""
         axis = rng.normal(size=3)
         omega = angle * axis / np.linalg.norm(axis)
         base_t = rotation_exp(omega).T
@@ -66,7 +89,19 @@ class TestRotationLeftJacobian:
             (rotation_log(rotation_exp(omega + h * e) @ base_t)
              - rotation_log(rotation_exp(omega - h * e) @ base_t)) / (2 * h)
             for e in np.eye(3)])
-        np.testing.assert_allclose(rotation_left_jacobian(omega), numeric, atol=1e-8)
+        np.testing.assert_allclose(rotation_exp_and_jacobian(omega)[1], numeric, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_fused_helper_matches_oracles_bit_for_bit(self, rng, angle, shape):
+        """One angle, sin/cos and stacked hat give the bits of the rotation and of
+        J each computed alone, and rotation_exp's, also from a strided view."""
+        w = _rotation_vectors(rng, angle, shape)
+        for omega in (w, np.concatenate([w, w], axis=-1)[..., :3]):
+            rotation, jacobian = rotation_exp_and_jacobian(omega)
+            assert _same_bits(rotation, rodrigues(w))
+            assert _same_bits(rotation_exp(omega), rodrigues(w))
+            assert _same_bits(jacobian, rotation_left_jacobian(w))
 
 
 class TestRotationLog:

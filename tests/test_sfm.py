@@ -259,7 +259,8 @@ class TestJacobian:
             # The damped 3x3 point blocks, solved in closed form.
             v = system.point[:, :, n_cam + 1:] + lam * system.diag[1][:, :, None] * np.eye(3)
             rhs = system.point[:, :, :n_cam + 1]
-            np.testing.assert_allclose(sfm._inverse_spd3(v) @ rhs, np.linalg.solve(v, rhs),
+            inverse = sfm._inverse_spd3(system.point[:, :, n_cam + 1:], lam * system.diag[1])
+            np.testing.assert_allclose(inverse @ rhs, np.linalg.solve(v, rhs),
                                        rtol=1e-10, atol=1e-12 * np.abs(rhs).max())
         # Ill-conditioned blocks, condition numbers up to 1e10: the closed form
         # agrees with LU to a few units of cond * eps; a singular one is NaN.
@@ -269,11 +270,11 @@ class TestJacobian:
         v = q @ (eigenvalues[:, :, None] * q.transpose(0, 2, 1))
         v = 0.5 * (v + v.transpose(0, 2, 1))
         rhs = rng.normal(size=(4, 3, n_cam + 1))
-        closed, lu = sfm._inverse_spd3(v) @ rhs, np.linalg.solve(v, rhs)
+        closed, lu = sfm._inverse_spd3(v, np.zeros((4, 3))) @ rhs, np.linalg.solve(v, rhs)
         for i, cond in enumerate(eigenvalues.max(axis=1) / eigenvalues.min(axis=1)):
             error = np.linalg.norm(closed[i] - lu[i]) / np.linalg.norm(lu[i])
             assert error <= 100 * cond * np.finfo(float).eps, (cond, error)
-        assert np.all(np.isnan(sfm._inverse_spd3(np.zeros((1, 3, 3)))))
+        assert np.all(np.isnan(sfm._inverse_spd3(np.zeros((1, 3, 3)), np.zeros((1, 3)))))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_point_behind_camera_has_constant_residual_and_zero_rows(
@@ -456,13 +457,18 @@ class TestBatchedLM:
                 np.testing.assert_array_equal(pose.translation, pose1.translation)
 
     def test_batched_round_equals_batches_of_one(self):
-        """On a reduced-grid cell, the residuals and Jacobians, the normal
-        equations and the step of a batch equal those of each problem run as a
-        batch of one bit for bit, at the start and at the trial point."""
-        pairs = sorted(_grid_problems(REDUCED_GRID[0][2:], REDUCED_GRID[1][1:2], 2, 0),
-                       key=lambda pair: pair[1] != RS_MODEL)
+        """On a reduced-grid cell and one of its problems with spinning cameras,
+        the residuals and Jacobians, the normal equations and the step of a
+        batch equal those of each problem run as a batch of one bit for bit, at
+        the start and at the trial point.  The batch takes the general path;
+        alone, each grid problem takes the one without omega terms."""
+        cell = _grid_problems(REDUCED_GRID[0][2:], REDUCED_GRID[1][1:2], 2, 0)
+        spinning = _with_motion(cell[0][0], [0.2, 2.0, 0.4], [0.05, -0.1, 0.2])
+        pairs = sorted(cell + [(spinning, m) for m in MODELS], key=lambda pair: pair[1] != RS_MODEL)
         batch, cam, points = sfm._initial_batch([p for p, _ in pairs], [m for _, m in pairs])
         ones = [sfm._initial_batch([p], [m]) for p, m in pairs]
+        assert batch.spins
+        assert [one.spins for one, _, _ in ones] == [p is spinning for p, _ in pairs]
         for _ in range(2):
             state = _residuals(batch, cam, points)
             system = _NormalEquations(batch, state)
