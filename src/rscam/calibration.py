@@ -28,7 +28,6 @@ class SpatioTemporalImage:
     """Stack of per-frame row intensities: values[y, k] for frame k."""
 
     values: np.ndarray
-    framerate: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -49,11 +48,6 @@ class CalibrationEstimate:
 
     scan_seconds_per_row: float
     uncertainty: float
-    led_frequency: float
-
-    @property
-    def scan_rate(self) -> float:
-        return 1.0 / self.scan_seconds_per_row
 
 
 def _led_on(t: np.ndarray, led_hz: float, duty: float) -> np.ndarray:
@@ -87,7 +81,7 @@ def synthesize_led_image(shutter: ShutterParams, n_rows: int, n_frames: int,
     if exposure_gradient:
         gradient = np.linspace(1.0, 0.4, n_rows)
         values = values * gradient[:, None]
-    return SpatioTemporalImage(values=values, framerate=shutter.framerate)
+    return SpatioTemporalImage(values=values)
 
 
 def marginalized_spectrum(image: SpatioTemporalImage) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +134,7 @@ def estimate_scan_rate(image: SpatioTemporalImage, led_hz: float,
     if candidates.size == 0:
         raise NoPeak("significant bins exist but none form a dominant peak")
     return CalibrationEstimate(scan_seconds_per_row=float(freqs[candidates[0]]) / led_hz,
-                               uncertainty=0.5 / (image.row_count * led_hz), led_frequency=led_hz)
+                               uncertainty=0.5 / (image.row_count * led_hz))
 
 
 def ideal_seconds_per_row(framerate: float, n_rows: int) -> float:

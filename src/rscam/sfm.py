@@ -1,9 +1,9 @@
 """Two-view structure-from-motion benchmark under rolling-shutter imaging.
 
-Synthetic scenes are imaged by two moving rolling-shutter cameras, pixel
-noise is added, and bundle adjustment is run twice: once with a projection
-model that accounts for the rolling shutter and once with a plain pin-hole
-model.  Comparing the recovered motion against ground truth quantifies the
+Synthetic scenes are imaged in two views of one translating rolling-shutter
+camera, pixel noise is added, and bundle adjustment is run twice: once with a
+projection model that accounts for the rolling shutter and once with a plain
+pin-hole model.  Comparing the recovered motion against ground truth quantifies the
 systematic bias a rolling shutter induces in standard structure-from-motion.
 
 The default scene follows the benchmark protocol: 100 points in a 4 m cube
@@ -15,9 +15,8 @@ so the translation metric is direction-only), with an analytic Jacobian and
 steps from the 6x6 reduced camera system left after eliminating the 3x3
 point blocks.  One array-shaped LM runs every trial and model of a grid cell,
 each problem at its own lambda with the iterates of a run alone;
-`bundle_adjust` is a batch of one.  One camera images both views of every
-problem in a batch.  A round keeps all rows' residuals and Jacobian blocks in
-one array and drops the omega terms from a batch whose cameras do not spin.
+`bundle_adjust` is a batch of one, and a round keeps all rows' residuals and
+Jacobian blocks in one array.
 
 Every random quantity is drawn from a generator seeded by the caller, and
 per-trial streams derive from (seed, cell, trial): results are reproducible.
@@ -74,24 +73,22 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class SfmCamera:
-    motion: MotionState
-    intrinsics: CameraIntrinsics
-    shutter: ShutterParams
-
-
-@dataclass(frozen=True)
 class SfmProblem:
-    """Scene points, camera states, and (noisy) observations.
+    """Scene points seen in two views of one rolling-shutter camera, and their
+    (noisy) pixels.
 
-    observations[j] = (point_indices, pixels) for camera j; every index
-    refers into `points`, and every listed point is imaged in-frame by the
-    generating rolling-shutter model before noise.
+    View j starts its frame at the world-to-camera pose poses[j] and translates
+    with the camera-frame velocity velocities[j] (2, 3), without spinning.
+    pixels[i, j] (N, 2, 2) is point i in view j; every point is imaged in-frame
+    in both views by the generating rolling-shutter model before noise.
     """
 
     points: np.ndarray
-    cameras: tuple[SfmCamera, ...]
-    observations: tuple[tuple[np.ndarray, np.ndarray], ...]
+    intrinsics: CameraIntrinsics
+    shutter: ShutterParams
+    poses: tuple[Pose, Pose]
+    velocities: np.ndarray
+    pixels: np.ndarray
     noise_sigma: float
     rng_seed: tuple[int, ...]
 
@@ -133,12 +130,12 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def generate_problem(config: SceneConfig, seed) -> SfmProblem:
-    """Random scene imaged by two moving rolling-shutter cameras.
+    """Random scene imaged in two views of one moving rolling-shutter camera.
 
     Camera 1 sits at the origin looking down +z at the point cloud; camera 2
     is placed at a random position on the order of the cloud distance (its
     viewing direction drawn inside a cone about camera 1's axis), aimed at
-    the cloud center, with a small random attitude error.  Both cameras move
+    the cloud center, with a small random attitude error.  Both views move
     with camera-frame velocity (0, v_y, 0).  Observations are the closed-form
     rolling-shutter projections of the points visible in-frame in BOTH views
     (at least 8 required), plus Gaussian pixel noise.
@@ -151,8 +148,7 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
 
     intrinsics = config.intrinsics()
     shutter = ShutterParams.ideal(config.framerate, config.height)
-    v_ms = config.velocity_kmh * KMH_TO_MS
-    velocity = np.array([0.0, v_ms, 0.0])
+    velocity = np.array([0.0, config.velocity_kmh * KMH_TO_MS, 0.0])
 
     pose1 = Pose.identity()
     cloud_center = np.array([0.0, 0.0, config.cloud_distance])
@@ -171,43 +167,26 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
     axis /= np.linalg.norm(axis)
     wobble = rotation_exp(axis * math.radians(rng.uniform(0.0, config.attitude_noise_deg)))
     r2 = wobble @ _look_at(center2, cloud_center)
-    pose2 = Pose(r2, -r2 @ center2)
+    poses = (pose1, Pose(r2, -r2 @ center2))
 
-    cameras = tuple(
-        SfmCamera(MotionState(pose, velocity, np.zeros(3)), intrinsics, shutter)
-        for pose in (pose1, pose2)
-    )
-
-    t_window = shutter.scan_duration(config.height)
-    pixels, masks = [], []
-    for cam in cameras:
-        times = solve_scan_times(points, cam.motion, cam.intrinsics, cam.shutter, windowed=False)
-        q = times.capture @ cam.intrinsics.K.T
+    views, seen = [], np.ones(len(points), dtype=bool)
+    for pose in poses:
+        times = solve_scan_times(points, MotionState(pose, velocity), intrinsics, shutter)
+        q = times.capture @ intrinsics.K.T
         uv = q[:, :2] / np.where(times.ok, q[:, 2], 1.0)[:, None]
-        ok = times.ok & (times.t >= 0.0) & (times.t <= t_window)
-        ok &= (uv[:, 0] >= 0) & (uv[:, 0] <= config.width)
-        ok &= (uv[:, 1] >= 0) & (uv[:, 1] <= config.height)
-        pixels.append(uv)
-        masks.append(ok)
+        seen &= times.ok & (uv[:, 0] >= 0) & (uv[:, 0] <= config.width)
+        seen &= (uv[:, 1] >= 0) & (uv[:, 1] <= config.height)
+        views.append(uv)
 
-    common = masks[0] & masks[1]
-    if int(common.sum()) < 8:
-        raise ConfigError(f"only {int(common.sum())} points visible in both views; "
+    kept = np.flatnonzero(seen)
+    if len(kept) < 8:
+        raise ConfigError(f"only {len(kept)} points visible in both views; "
                           "need at least 8 for two-view geometry")
-    kept = np.flatnonzero(common)
-    observations = []
-    for uv in pixels:
-        obs = uv[kept] + rng.normal(0.0, config.noise_sigma, size=(len(kept), 2)) \
-            if config.noise_sigma > 0 else uv[kept].copy()
-        observations.append((np.arange(len(kept)), obs))
-
-    return SfmProblem(
-        points=points[kept],
-        cameras=cameras,
-        observations=tuple(observations),
-        noise_sigma=config.noise_sigma,
-        rng_seed=seed_t,
-    )
+    pixels = np.stack([uv[kept] + rng.normal(0.0, config.noise_sigma, size=(len(kept), 2))
+                       if config.noise_sigma > 0 else uv[kept] for uv in views], axis=1)
+    return SfmProblem(points=points[kept], intrinsics=intrinsics, shutter=shutter, poses=poses,
+                      velocities=np.array([velocity, velocity]), pixels=pixels,
+                      noise_sigma=config.noise_sigma, rng_seed=seed_t)
 
 
 def _initial_points(obs1: np.ndarray, obs2: np.ndarray, pose1: Pose, pose2: Pose,
@@ -263,32 +242,26 @@ _N_CAM = 6      # camera parameters: camera 2's rotation vector and translation 
 @dataclass(eq=False)
 class _Batch:
     """Constants of P bundle adjustments run together, imaged by one camera.  A
-    row is one point of a problem, seen in both views (bundle_adjust requires
-    the same points in the same order), so row arrays (M, 2, ...) carry the views.
+    row is one point of a problem, seen in both views, so row arrays (M, 2, ...)
+    carry the views.
     """
 
     owner: np.ndarray         # (M,) problem of each row, nondecreasing
     observed: np.ndarray      # (M, 2, 2) pixels in views 1 and 2
     rotation: np.ndarray      # (M, 2, 3, 3) and (M, 2, 3): each row's cameras, the frozen
     translation: np.ndarray   # camera 1 and the camera 2 that each `_residuals` writes
+    velocity: np.ndarray      # (M, 2, 3) known linear velocity of each row's views
     baseline: np.ndarray      # (P,) gauge: camera 2's translation length
-    velocity: np.ndarray      # (P, 2, 2, 3) known (v, omega) of each view
     rolling: np.ndarray       # (P,) rolling-shutter model, these first; pin-hole otherwise
     camera: tuple[CameraIntrinsics, ShutterParams]  # of both views of every problem
     starts: np.ndarray = field(init=False)  # each problem's first row, for reduceat
-    motion_rows: tuple = field(init=False)  # v, omega (M, 2, 3)
     n_rolling: int = field(init=False)      # the rolling-shutter rows, a prefix
-    spins: bool = field(init=False)         # some view has omega != 0
 
     def __post_init__(self):
         if np.any(self.rolling[1:] > self.rolling[:-1]):
             raise ValueError("rolling-shutter problems must come first in a batch")
         self.starts = np.flatnonzero(np.diff(self.owner, prepend=-1))
-        v, spin = np.moveaxis(self.velocity.take(self.owner, axis=0), 2, 0)
-        # Contiguous rows, which spare `_residuals` short inner loops.
-        self.motion_rows = (v.copy(), spin.copy())
         self.n_rolling = int(np.count_nonzero(self.rolling[self.owner]))
-        self.spins = bool(self.velocity[:, :, 1].any())
 
     def sums(self, rows: np.ndarray) -> np.ndarray:
         """Sum of each problem's rows (M, ...) over its rows and trailing axes: (P,).
@@ -298,19 +271,20 @@ class _Batch:
     def take(self, keep: np.ndarray) -> "_Batch":
         rows, owner = keep[self.owner], (np.cumsum(keep) - 1)[self.owner]
         return replace(self, owner=owner[rows], **{
-            name: getattr(self, name)[rows] for name in ("observed", "rotation", "translation")},
-            **{name: getattr(self, name)[keep] for name in ("baseline", "velocity", "rolling")})
+            name: getattr(self, name)[rows] for name in ("observed", "rotation", "translation",
+                                                         "velocity")},
+            **{name: getattr(self, name)[keep] for name in ("baseline", "rolling")})
 
 
 def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Residuals of every row, view and pixel coordinate at camera parameters
     cam (P, _N_CAM) and points (M, 3), with their Jacobian blocks, in one array
     (M, 2, 2, _N_CAM + 4): by the camera [..., :_N_CAM], the residual
-    [..., _N_CAM] and by the point [..., _N_CAM + 1:].  Along p = y + t w,
-    y = R x + T, w = omega x R x + v: dp = (I + w g^T)(dy + t dw), g = dt/dy
-    from `scan_time_gradient`; the pin-hole model is this with t = 0, g = 0.
+    [..., _N_CAM] and by the point [..., _N_CAM + 1:].  Along p = y + t v,
+    y = R x + T: dp = (I + v g^T) dy, g = dt/dy from `scan_time_gradient`; the
+    pin-hole model is this with t = 0, g = 0.
     """
-    (own, n, rs), (v, spin) = (batch.owner, _N_CAM, batch.n_rolling), batch.motion_rows
+    own, n, rs, v = batch.owner, _N_CAM, batch.n_rolling, batch.velocity
     intrinsics, shutter = batch.camera
     rotation2, left = rotation_exp_and_jacobian(cam[:, :3])
     translation2, d_translation = _translations(cam[:, 3:6], batch.baseline)
@@ -318,34 +292,31 @@ def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> np.ndarray
     rotation[:, 1], translation[:, 1] = rotation2.take(own, axis=0), translation2.take(own, axis=0)
     rx = np.einsum("mvij,mj->mvi", rotation, points)
     y = rx + translation
-    w = _cross(spin, rx) + v if batch.spins else v
     ok = y[..., 2] > DEPTH_EPS
     if rs:      # both views of the rolling-shutter rows, as 2 rs paths
-        times = solve_path_times(y[:rs].reshape(-1, 3), w[:rs].reshape(-1, 3), intrinsics,
+        times = solve_path_times(y[:rs].reshape(-1, 3), v[:rs].reshape(-1, 3), intrinsics,
                                  shutter, windowed=False)
-        t, ok[:rs] = times.t.reshape(rs, 2), times.ok.reshape(rs, 2)
+        ok[:rs] = times.ok.reshape(rs, 2)
         grad = scan_time_gradient(times, intrinsics, shutter).reshape(rs, 2, 1, 3)
-        y[:rs] = times.capture.reshape(rs, 2, 3)      # y + t w; t = 0 on pin-hole rows
+        y[:rs] = times.capture.reshape(rs, 2, 3)      # y + t v; t = 0 on pin-hole rows
     k = intrinsics.K
     q = (y.reshape(-1, 3) @ k.T).reshape(y.shape)
     depth = np.where(ok, q[..., 2], 1.0)[..., None]
     uv = q[..., :2] / depth
     out = np.zeros(y.shape[:2] + (2, n + 4))
     residual = np.subtract(uv, batch.observed, out=out[..., n])
-    a = (k[:2] - uv[..., None] * k[2]) / depth[..., None]        # dr / d(y + t w)
-    if rs:      # the scan time's terms; t = 0 and g = 0 on pin-hole rows
-        a[:rs] += np.einsum("mvcj,mvj->mvc", a[:rs], w[:rs])[..., None] * grad
+    a = (k[:2] - uv[..., None] * k[2]) / depth[..., None]        # dr / d(y + t v)
+    if rs:      # the scan time's terms, dr / dy; g = 0 on pin-hole rows
+        a[:rs] += np.einsum("mvcj,mvj->mvc", a[:rs], v[:rs])[..., None] * grad
     # A point that wandered behind a camera gets a large constant penalty
     # instead of NaN (so the optimizer can back out) and zero rows.
     if not ok.all():
         residual[~ok], a[~ok] = 1e4, 0.0
-    b = a if not (rs and batch.spins) else np.concatenate(          # dr / d(R x)
-        [a[:rs] + t[..., None, None] * _cross(a[:rs], spin[:rs, :, None]), a[rs:]])
     # d(R x) = -hat(R x) J_l(phi) d(phi), J_l the SO(3) left Jacobian (operands contiguous).
-    np.matmul(_cross(rx[:, 1, None].repeat(2, axis=1), b[:, 1].copy()),
+    np.matmul(_cross(rx[:, 1, None].repeat(2, axis=1), a[:, 1].copy()),
               left.take(own, axis=0), out=out[:, 1, :, :3])
     np.matmul(a[:, 1], d_translation.take(own, axis=0), out=out[:, 1, :, 3:6])
-    np.matmul(b, rotation, out=out[..., n + 1:])
+    np.matmul(a, rotation, out=out[..., n + 1:])
     return out
 
 
@@ -482,15 +453,10 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> 
 
 def _initial_batch(problems, models):
     """The batch of the problems under their models, and LM's start: camera
-    parameters (P, _N_CAM) and points (M, 3).  One camera (K, pixel size,
-    image size and shutter) must image both views of every problem, as in a
-    grid cell, and the rolling-shutter problems must come first.  A problem
-    listed once per model gets its start computed once.
+    parameters (P, _N_CAM) and points (M, 3).  The problems share one camera,
+    as a grid cell's do, and the rolling-shutter problems must come first.  A
+    problem listed once per model gets its start computed once.
     """
-    if len({(tuple(c.intrinsics.K.ravel()), c.intrinsics.pixel_size, c.intrinsics.width,
-             c.intrinsics.height, c.shutter) for p in problems for c in p.cameras}) > 1:
-        raise ConfigError("bundle adjustment expects one camera: both views must share "
-                          "K, pixel size, image size and shutter")
     starts = {}
     for problem, model in zip(problems, models):
         if model not in MODELS:
@@ -499,36 +465,30 @@ def _initial_batch(problems, models):
             continue
         rng = np.random.default_rng((*problem.rng_seed, 7919))     # the start's noise
         axis, t_dir = (v / np.linalg.norm(v) for v in (rng.normal(size=3), rng.normal(size=3)))
-        pose1, pose2 = (cam.motion.pose0 for cam in problem.cameras)
+        pose1, pose2 = problem.poses
         baseline = float(np.linalg.norm(pose2.translation))
         if baseline < 1e-12:
             raise ConfigError("zero baseline: camera 2 sits at camera 1 (under-constrained)")
         translation = pose2.translation + INIT_TRANSLATION_FRAC * baseline * t_dir
         translation = translation / np.linalg.norm(translation)
         rotation = rotation_exp(axis * math.radians(INIT_ROTATION_DEG)) @ pose2.rotation
-        (idx1, obs1), (idx2, obs2) = problem.observations
-        if not np.array_equal(idx1, idx2):
-            raise ConfigError("bundle adjustment expects the same points in both views")
         # Structure is triangulated from the unperturbed relative geometry:
         # with a near-forward baseline, a 2-degree attitude error scatters
         # midpoint depths beyond recovery, while the pose parameters still
         # start from the perturbed values.
         starts[id(problem)] = (np.concatenate([rotation_log(rotation), translation]),
-                               _initial_points(obs1, obs2, pose1, pose2,
-                                               problem.cameras[0].intrinsics))
+                               _initial_points(problem.pixels[:, 0], problem.pixels[:, 1],
+                                               pose1, pose2, problem.intrinsics))
     cams, points = zip(*(starts[id(problem)] for problem in problems))
-    velocity = np.array([[[cam.motion.linear_velocity, cam.motion.angular_velocity]
-                          for cam in problem.cameras] for problem in problems])
     owner = np.repeat(np.arange(len(points)), [len(p) for p in points])
-    first, second = ([problem.cameras[j].motion.pose0 for problem in problems] for j in (0, 1))
-    batch = _Batch(owner=owner,
-                   observed=np.concatenate([np.stack([obs for _, obs in problem.observations],
-                                                     axis=1) for problem in problems]),
+    first, second = zip(*(problem.poses for problem in problems))
+    batch = _Batch(owner=owner, observed=np.concatenate([p.pixels for p in problems]),
                    rotation=np.array([p.rotation for p in first])[owner, None].repeat(2, 1),
                    translation=np.array([p.translation for p in first])[owner, None].repeat(2, 1),
+                   velocity=np.array([p.velocities for p in problems])[owner],
                    baseline=np.array([np.linalg.norm(pose.translation) for pose in second]),
-                   velocity=velocity, rolling=np.array([m == RS_MODEL for m in models]),
-                   camera=(problems[0].cameras[0].intrinsics, problems[0].cameras[0].shutter))
+                   rolling=np.array([m == RS_MODEL for m in models]),
+                   camera=(problems[0].intrinsics, problems[0].shutter))
     return batch, np.array(cams), np.concatenate(points)
 
 
@@ -538,16 +498,18 @@ def _bundle_adjust_batch(problems, models) -> list[SfmSolution]:
     # Rolling-shutter problems first, so that their rows stay a prefix of the batch.
     order = sorted(range(len(problems)), key=lambda i: models[i] != RS_MODEL)
     problems, models = [problems[i] for i in order], [models[i] for i in order]
-    runs = _levenberg_marquardt(*_initial_batch(problems, models)) if problems else []
-    for problem, model, (cam, points, residual, iterations, termination, history) in zip(
-            problems, models, runs):
-        pose2_true = problem.cameras[1].motion.pose0
-        pose2 = Pose(rotation_exp(cam[:3]), _translations(cam[None, 3:6], np.array(
-            [np.linalg.norm(pose2_true.translation)]))[0][0])
-        rot_err, trans_err = _pose_errors(pose2_true, pose2)
+    batch, *start = _initial_batch(problems, models)
+    runs = _levenberg_marquardt(batch, *start)
+    cams = np.array([run[0] for run in runs])
+    translations = _translations(cams[:, 3:6], batch.baseline)[0]
+    for problem, model, rotation, translation, (
+            _, points, residual, iterations, termination, history) in zip(
+            problems, models, rotation_exp(cams[:, :3]), translations, runs):
+        pose2 = Pose(rotation, translation)
+        rot_err, trans_err = _pose_errors(problem.poses[1], pose2)
         residual = residual.transpose(1, 0, 2).ravel()     # camera 1's observations first
         solutions.append(SfmSolution(
-            poses=(problem.cameras[0].motion.pose0, pose2), points=points,
+            poses=(problem.poses[0], pose2), points=points,
             reprojection_rms=math.sqrt(float(residual @ residual) / (len(residual) // 2)),
             rotation_error_deg=rot_err, translation_direction_error_deg=trans_err,
             model_used=model, iterations=int(iterations), cost_history=history,
@@ -563,8 +525,8 @@ def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL) -> SfmSolution:
     INIT_TRANSLATION_FRAC of the baseline in a random direction, and
     triangulates points from the observations; velocities are known model
     inputs.  LM stops after MAX_ITERATIONS steps or on COST_TOLERANCE or
-    GRADIENT_TOLERANCE.  ConfigError if the views do not share one camera, or
-    if camera 2 sits at camera 1 (a zero baseline is under-constrained).
+    GRADIENT_TOLERANCE.  ConfigError if camera 2 sits at camera 1 (a zero
+    baseline is under-constrained).
     Non-convergence is reported in the solution flags, never raised.  A batch
     of one for the grid's batched LM.
     """
@@ -647,30 +609,33 @@ def grid_to_csv(rows: list[dict], path, header_lines: list[str] | None = None) -
 
 
 def save_problem(problem: SfmProblem, path) -> None:
-    """JSON snapshot sufficient to re-run the problem exactly."""
+    """JSON snapshot sufficient to re-run the problem exactly: per view, the
+    camera's pose, motion (no spin), intrinsics and shutter, and the pixels of
+    every point."""
+    k, shutter = problem.intrinsics, problem.shutter
     payload = {
         "rng_seed": list(problem.rng_seed),
         "noise_sigma": problem.noise_sigma,
         "points": problem.points.tolist(),
         "cameras": [
             {
-                "rotation": cam.motion.pose0.rotation.tolist(),
-                "translation": cam.motion.pose0.translation.tolist(),
-                "linear_velocity": cam.motion.linear_velocity.tolist(),
-                "angular_velocity": cam.motion.angular_velocity.tolist(),
-                "K": cam.intrinsics.K.tolist(),
-                "pixel_size": cam.intrinsics.pixel_size,
-                "width": cam.intrinsics.width,
-                "height": cam.intrinsics.height,
-                "scan_rate": cam.shutter.scan_rate,
-                "first_row": cam.shutter.first_row,
-                "framerate": cam.shutter.framerate,
+                "rotation": pose.rotation.tolist(),
+                "translation": pose.translation.tolist(),
+                "linear_velocity": velocity.tolist(),
+                "angular_velocity": [0.0, 0.0, 0.0],
+                "K": k.K.tolist(),
+                "pixel_size": k.pixel_size,
+                "width": k.width,
+                "height": k.height,
+                "scan_rate": shutter.scan_rate,
+                "first_row": shutter.first_row,
+                "framerate": shutter.framerate,
             }
-            for cam in problem.cameras
+            for pose, velocity in zip(problem.poses, problem.velocities)
         ],
         "observations": [
-            {"indices": indices.tolist(), "pixels": pixels.tolist()}
-            for indices, pixels in problem.observations
+            {"indices": list(range(len(problem.points))), "pixels": problem.pixels[:, j].tolist()}
+            for j in range(2)
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -98,7 +98,6 @@ class ScanTimeCase(enum.Enum):
     FRONTO_PARALLEL_LINEAR = "fronto_parallel_linear"
     AXIAL_QUADRATIC = "axial_quadratic"
     GENERAL_QUADRATIC = "general_quadratic"
-    EXACT_NONLINEAR = "exact_nonlinear"
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,7 @@ def classify_case(motion: MotionState) -> ScanTimeCase:
 
     Fronto-parallel motion (v_z = 0, rotation only about the optical axis)
     gives a linear constraint; translation along the axis alone gives a
-    quadratic; any other linearized motion is quadratic as well.  The exact
-    model is EXACT_NONLINEAR whatever the motion.
+    quadratic; any other linearized motion is quadratic as well.
     """
     if motion.is_fronto_parallel:
         return ScanTimeCase.FRONTO_PARALLEL_LINEAR

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from rscam import render, sfm
-from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_exp, row_dot
+from rscam.geometry import CameraIntrinsics, Pose, hat, rotation_exp, row_dot
 from rscam.shutter import (DEPTH_EPS, EXACT_BLOCK, EXACT_MAX_STEPS, EXACT_SAMPLES, IMAGED,
                            NEGATIVE_DEPTH, NO_SCAN_TIME, SINGULARITY, ShutterParams,
                            project_rolling_shutter, solve_scan_times)
@@ -444,26 +444,28 @@ def project_board_lattice_lines(intrinsics, shutter, omega_z_rev_s, plane_depth,
 
 
 def load_problem(path) -> sfm.SfmProblem:
-    """The problem of a `sfm.save_problem` snapshot."""
+    """The problem of a `sfm.save_problem` snapshot.  ValueError unless its
+    views share one camera, neither spins, and each lists every point in order."""
     payload = json.loads(Path(path).read_text())
-    cameras = []
-    for cam in payload["cameras"]:
-        pose = Pose(np.array(cam["rotation"]), np.array(cam["translation"]))
-        motion = MotionState(pose, np.array(cam["linear_velocity"]),
-                             np.array(cam["angular_velocity"]))
-        intrinsics = CameraIntrinsics(np.array(cam["K"]), cam["pixel_size"],
-                                      cam["width"], cam["height"])
-        shutter = ShutterParams(scan_rate=cam["scan_rate"], first_row=cam["first_row"],
-                                framerate=cam["framerate"])
-        cameras.append(sfm.SfmCamera(motion, intrinsics, shutter))
-    observations = tuple(
-        (np.array(obs["indices"], dtype=int), np.array(obs["pixels"], dtype=float))
-        for obs in payload["observations"]
-    )
+    cameras, observations = payload["cameras"], payload["observations"]
+    shared = [{key: value for key, value in cam.items()
+               if key not in ("rotation", "translation", "linear_velocity")} for cam in cameras]
+    if shared[0] != shared[1]:
+        raise ValueError("the views of a snapshot must share one camera")
+    if any(any(cam["angular_velocity"]) for cam in cameras):
+        raise ValueError("a snapshot's camera must not spin")
+    if any(obs["indices"] != list(range(len(payload["points"]))) for obs in observations):
+        raise ValueError("each view must list every point in order")
+    cam = cameras[0]
     return sfm.SfmProblem(
         points=np.array(payload["points"], dtype=float),
-        cameras=tuple(cameras),
-        observations=observations,
+        intrinsics=CameraIntrinsics(np.array(cam["K"]), cam["pixel_size"], cam["width"],
+                                    cam["height"]),
+        shutter=ShutterParams(scan_rate=cam["scan_rate"], first_row=cam["first_row"],
+                              framerate=cam["framerate"]),
+        poses=tuple(Pose(np.array(c["rotation"]), np.array(c["translation"])) for c in cameras),
+        velocities=np.array([c["linear_velocity"] for c in cameras], dtype=float),
+        pixels=np.stack([np.array(obs["pixels"], dtype=float) for obs in observations], axis=1),
         noise_sigma=payload["noise_sigma"],
         rng_seed=tuple(payload["rng_seed"]),
     )

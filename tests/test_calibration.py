@@ -98,7 +98,7 @@ class TestEstimation:
         s = ShutterParams.ideal(15.0, 240)
         img = synthesize_led_image(s, 240, 64, led_hz=45.0)
         noisy = np.clip(img.values + rng.uniform(-0.1, 0.1, img.values.shape), 0, 1)
-        est = estimate_scan_rate(SpatioTemporalImage(noisy, 15.0), 45.0)
+        est = estimate_scan_rate(SpatioTemporalImage(noisy), 45.0)
         ideal = ideal_seconds_per_row(15.0, 240)
         assert abs(est.scan_seconds_per_row - ideal) <= 1.0 / (240 * 45.0)
 
@@ -109,7 +109,7 @@ class TestEstimation:
 
     def test_no_peak_for_constant_image(self):
         with pytest.raises(NoPeak):
-            estimate_scan_rate(SpatioTemporalImage(np.ones((240, 16)), 15.0), 20.0)
+            estimate_scan_rate(SpatioTemporalImage(np.ones((240, 16))), 20.0)
 
     def test_spectrum_has_positive_frequencies_only(self):
         s = ShutterParams.ideal(15.0, 240)
@@ -144,7 +144,7 @@ class TestFileFormats:
         img = synthesize_led_image(s, 240, 48, led_hz=30.0, exposure_gradient=True)
         path = tmp_path / "stack.pgm"
         write_pgm(path, img.values)
-        reloaded = SpatioTemporalImage(read_pgm_8bit(path, b"P5\n48 240\n255\n"), 7.5)
+        reloaded = SpatioTemporalImage(read_pgm_8bit(path, b"P5\n48 240\n255\n"))
         est = estimate_scan_rate(reloaded, 30.0)
         ideal = ideal_seconds_per_row(7.5, 240)
         assert abs(est.scan_seconds_per_row - ideal) <= 1.0 / (240 * 30.0)

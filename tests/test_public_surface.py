@@ -1,4 +1,5 @@
-"""Every public top-level function and class of src/rscam has a caller.
+"""Every public top-level function and class of src/rscam has a caller,
+every defaulted setting a caller that sets it, and every public field a reader.
 
 A name is reached when some other top-level statement of src/rscam (outside
 __init__.py, which only re-exports) or some perfbench/*.py file refers to it:
@@ -140,3 +141,56 @@ def test_every_setting_has_a_caller_that_sets_it():
     unset = [label for label, reached in every if not reached and label not in SETTINGS_ALLOWED]
     assert not unset, f"settings that no call in src/ or perfbench/ sets: {unset}"
     assert SETTINGS_ALLOWED <= {label for label, reached in every if not reached}
+
+
+# Result fields that only the tests read, kept on purpose.  SfmSolution.poses,
+# bundle_adjust's recovered cameras, is one too, but SfmProblem.poses is read.
+FIELDS_ALLOWED = {
+    # bundle_adjust's cost trace; the grid reports only the errors it ends at.
+    "sfm:SfmSolution.cost_history",
+    # The pin-hole term of the paper's split pixel = perspective_part + correction.
+    "shutter:RsProjection.perspective_part",
+}
+
+
+def members(module: str, tree: ast.Module):
+    """(label, name) of every public field of a public dataclass and every
+    public property of a public class."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for s in node.body:
+            if dataclass and isinstance(s, ast.AnnAssign):
+                name = s.target.id
+            elif isinstance(s, ast.FunctionDef) and any(
+                    ast.unparse(d) == "property" for d in s.decorator_list):
+                name = s.name
+            else:
+                continue
+            if not name.startswith("_"):
+                yield f"{module}:{node.name}.{name}", name
+
+
+def test_every_public_field_is_read():
+    """Some code in src/ or perfbench/*.py reads each public dataclass field and
+    property, as an attribute or as a string (getattr).  The check goes by name,
+    so a member that shares its name with one read elsewhere is not caught: a
+    `framerate` field beside `ShutterParams.framerate`, or `SfmSolution.poses`
+    beside `SfmProblem.poses`."""
+    modules = [path for path in sorted((ROOT / "src" / "rscam").glob("*.py"))
+               if path.name != "__init__.py"]
+    trees = [ast.parse(path.read_text()) for path in modules]
+    reads = set()
+    perfbench = [ast.parse(path.read_text()) for path in (ROOT / "perfbench").glob("*.py")]
+    for tree in trees + perfbench:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    unread = {label for path, tree in zip(modules, trees)
+              for label, name in members(path.stem, tree) if name not in reads}
+    assert not unread - FIELDS_ALLOWED, \
+        f"fields that no code in src/ or perfbench/ reads: {sorted(unread - FIELDS_ALLOWED)}"
+    assert FIELDS_ALLOWED <= unread

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import (NormalEquations, bisect_scan_time, camera_matrix_at, grouped_jacobian,
                       levenberg_marquardt, load_problem, one_problem_residuals,
                       perspective_pixels)
-from rscam import cli, sfm
+from rscam import sfm
 from rscam.errors import ConfigError
-from rscam.geometry import CameraIntrinsics, MotionState, Pose, rotation_exp, rotation_log
+from rscam.geometry import MotionState, Pose, rotation_exp, rotation_log
 from rscam.sfm import (GRID_CSV_COLUMNS, MODELS, PERSPECTIVE_MODEL, RS_MODEL,
                        SceneConfig, bundle_adjust, generate_problem,
                        grid_to_csv, run_experiment_grid, save_problem)
@@ -27,7 +28,7 @@ def _start(problem, model=RS_MODEL):
     """A one-problem batch and the x (camera parameters, then points) that
     bundle_adjust would start LM from, but with camera 2 at the truth."""
     batch, cam, points = sfm._initial_batch([problem], [model])
-    pose2 = problem.cameras[1].motion.pose0
+    pose2 = problem.poses[1]
     cam[0] = np.concatenate([rotation_log(pose2.rotation),
                              pose2.translation / np.linalg.norm(pose2.translation)])
     return batch, np.concatenate([cam[0], points.ravel()])
@@ -48,10 +49,9 @@ def _dense(batch, cam_jac, point_jac):
     return jac
 
 
-def _with_motion(problem, velocity, omega):
-    cameras = tuple(replace(cam, motion=MotionState(cam.motion.pose0, velocity, omega))
-                    for cam in problem.cameras)
-    return replace(problem, cameras=cameras)
+def _with_velocities(problem, first, second):
+    """The problem with views that translate at other, per-view velocities."""
+    return replace(problem, velocities=np.array([first, second], dtype=float))
 
 
 def _assert_matches_oracle(problem, model):
@@ -77,30 +77,26 @@ class TestGenerateProblem:
         cfg = SceneConfig(velocity_kmh=3.75, noise_sigma=1.0)
         a = generate_problem(cfg, seed=42)
         b = generate_problem(cfg, seed=42)
-        assert np.array_equal(a.points, b.points)
-        for (ia, pa), (ib, pb) in zip(a.observations, b.observations):
-            assert np.array_equal(ia, ib) and np.array_equal(pa, pb)
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.pixels, b.pixels)
         c = generate_problem(cfg, seed=43)
         assert not np.array_equal(a.points, c.points)
 
     def test_static_zero_noise_observations_are_perspective(self):
         problem = generate_problem(SceneConfig(velocity_kmh=0.0, noise_sigma=0.0),
                                    seed=7)
-        for cam, (indices, pixels) in zip(problem.cameras, problem.observations):
-            expected, ok = perspective_pixels(problem.points[indices],
-                                               cam.motion.pose0, cam.intrinsics)
+        for view, pose in enumerate(problem.poses):
+            expected, ok = perspective_pixels(problem.points, pose, problem.intrinsics)
             assert np.all(ok)
-            np.testing.assert_allclose(pixels, expected, atol=1e-10)
+            np.testing.assert_allclose(problem.pixels[:, view], expected, atol=1e-10)
 
     def test_rs_observations_differ_noticeably_from_perspective(self):
         """At 7.5 km/h and 10 m the shutter shifts observations by pixels."""
         problem = generate_problem(SceneConfig(velocity_kmh=7.5, noise_sigma=0.0),
                                    seed=3)
         gaps = []
-        for cam, (indices, pixels) in zip(problem.cameras, problem.observations):
-            expected, _ = perspective_pixels(problem.points[indices],
-                                              cam.motion.pose0, cam.intrinsics)
-            gaps.append(np.linalg.norm(pixels - expected, axis=1).max())
+        for view, pose in enumerate(problem.poses):
+            expected, _ = perspective_pixels(problem.points, pose, problem.intrinsics)
+            gaps.append(np.linalg.norm(problem.pixels[:, view] - expected, axis=1).max())
         assert max(gaps) > 1.0
 
     def test_underconstrained_scene_rejected(self):
@@ -110,9 +106,9 @@ class TestGenerateProblem:
             generate_problem(cfg, seed=1)
 
     def test_camera2_looks_at_cloud(self, rs_problem):
-        cam2 = rs_problem.cameras[1]
+        pose2 = rs_problem.poses[1]
         center = np.array([0.0, 0.0, 10.0])
-        in_cam = cam2.motion.pose0.rotation @ center + cam2.motion.pose0.translation
+        in_cam = pose2.rotation @ center + pose2.translation
         assert in_cam[2] > 5.0
         assert abs(in_cam[0] / in_cam[2]) < 0.2 and abs(in_cam[1] / in_cam[2]) < 0.2
 
@@ -148,7 +144,7 @@ class TestBundleAdjust:
 
     def test_gauge_baseline_norm_preserved(self, rs_problem):
         sol = bundle_adjust(rs_problem, RS_MODEL)
-        truth = rs_problem.cameras[1].motion.pose0.translation
+        truth = rs_problem.poses[1].translation
         assert abs(np.linalg.norm(sol.poses[1].translation)
                    - np.linalg.norm(truth)) < 1e-12
 
@@ -159,22 +155,20 @@ class TestBundleAdjust:
     def test_zero_baseline_is_config_error(self):
         """Camera 2 at camera 1 leaves the translation direction undefined."""
         problem = generate_problem(SceneConfig(velocity_kmh=7.5), 3)
-        first, second = problem.cameras
-        pose2 = Pose(second.motion.pose0.rotation, np.zeros(3))
-        second = replace(second, motion=replace(second.motion, pose0=pose2))
+        first, second = problem.poses
         with pytest.raises(ConfigError, match="zero baseline"):
-            bundle_adjust(replace(problem, cameras=(first, second)))
+            bundle_adjust(replace(problem, poses=(first, Pose(second.rotation, np.zeros(3)))))
 
 
 class TestErrorMetrics:
     def test_truth_scores_zero(self, rs_problem):
         sol = bundle_adjust(rs_problem, RS_MODEL)
-        rot, trans = _pose_errors(rs_problem.cameras[1].motion.pose0, sol.poses[1])
+        rot, trans = _pose_errors(rs_problem.poses[1], sol.poses[1])
         assert (sol.rotation_error_deg, sol.translation_direction_error_deg) == (rot, trans)
         assert rot < 1e-4 and trans < 1e-4 and sol.reprojection_rms < 1e-6
 
     def test_constructed_rotation_offset(self, rs_problem):
-        truth_pose = rs_problem.cameras[1].motion.pose0
+        truth_pose = rs_problem.poses[1]
         offset = rotation_exp([0.0, 0.0, math.radians(1.0)])
         rot, trans = _pose_errors(truth_pose, Pose(truth_pose.rotation @ offset,
                                                    truth_pose.translation))
@@ -182,7 +176,7 @@ class TestErrorMetrics:
         assert trans < 1e-9
 
     def test_antipodal_translation(self, rs_problem):
-        truth_pose = rs_problem.cameras[1].motion.pose0
+        truth_pose = rs_problem.poses[1]
         _, trans = _pose_errors(truth_pose, Pose(truth_pose.rotation, -truth_pose.translation))
         assert abs(trans - 180.0) < 1e-9
 
@@ -225,17 +219,16 @@ class TestJacobian:
         _assert_matches_oracle(rs_problem, model)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(velocity=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
-                              st.floats(0.5, 3.0)),
-           omega=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
-                           st.floats(0.1, 0.5)))
-    def test_analytic_matches_oracle_general_motion(self, rs_problem, velocity, omega):
-        """omega != 0 and v_z != 0 make the scan-time constraint quadratic."""
-        problem = _with_motion(rs_problem, velocity, omega)
+    @given(first=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.5, 3.0)),
+           second=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, -0.5)))
+    def test_analytic_matches_oracle_general_motion(self, rs_problem, first, second):
+        """v_z != 0 makes the scan-time constraint quadratic, and unequal
+        per-view velocities make it a different one in each view."""
+        problem = _with_velocities(rs_problem, first, second)
         _assert_matches_oracle(problem, RS_MODEL)
 
     def test_reduced_camera_step_equals_dense_solve(self, rs_problem, rng):
-        problem = _with_motion(rs_problem, [0.2, 2.0, 0.4], [0.05, -0.1, 0.2])
+        problem = _with_velocities(rs_problem, [0.2, 2.0, 0.4], [-0.3, 1.5, -0.5])
         batch, x = _start(problem)
         n_cam = sfm._N_CAM
         state = _residuals(batch, x[None, :n_cam], x[n_cam:].reshape(-1, 3))
@@ -280,13 +273,12 @@ class TestJacobian:
     def test_point_behind_camera_has_constant_residual_and_zero_rows(
             self, rs_problem, model):
         batch, x = _start(rs_problem, model=model)
-        pose2 = rs_problem.cameras[1].motion.pose0
+        pose2 = rs_problem.poses[1]
         # One meter behind camera 2, on its optical axis.
         x[sfm._N_CAM:sfm._N_CAM + 3] = pose2.viewpoint() - pose2.rotation[2]
         r, cam_jac, point_jac = one_problem_residuals(batch, x)
         assert np.all(np.isfinite(r))
-        n1 = len(rs_problem.observations[0][0])
-        row = n1 + int(np.flatnonzero(rs_problem.observations[1][0] == 0)[0])
+        row = len(rs_problem.points)        # point 0 in view 2
         np.testing.assert_array_equal(r[2 * row:2 * row + 2], 1e4)
         assert not np.any(cam_jac[row]) and not np.any(point_jac[row])
         assert np.all(np.abs(np.delete(r.reshape(-1, 2), row, axis=0)) < 1e4)
@@ -310,30 +302,30 @@ class TestJacobian:
 class TestResiduals:
     @pytest.mark.parametrize("model", MODELS)
     def test_match_per_point_camera_matrix_projection(self, rs_problem, model, rng):
-        """The residuals at a perturbed state under general motion equal, point
-        by point, the projection by the moving camera's matrix at the bisected
-        scan time (t = 0 for the pin-hole model), minus the observation.  A
-        point behind camera 2 gets the constant 1e4 in that view."""
-        problem = _with_motion(rs_problem, [0.4, 2.0, -0.6], [0.05, -0.1, 0.2])
+        """The residuals at a perturbed state under unequal per-view velocities
+        with v_z != 0 equal, point by point, the projection by the moving
+        camera's matrix at the bisected scan time (t = 0 for the pin-hole
+        model), minus the observation.  A point behind camera 2 gets the
+        constant 1e4 in that view."""
+        problem = _with_velocities(rs_problem, [0.4, 2.0, -0.6], [-0.2, 1.2, 0.5])
         batch, cam, points = sfm._initial_batch([problem], [model])
         points += rng.normal(scale=0.02, size=points.shape)
         pose2 = Pose(rotation_exp(cam[0, :3]), cam[0, 3:6] / np.linalg.norm(cam[0, 3:6])
-                     * np.linalg.norm(problem.cameras[1].motion.pose0.translation))
+                     * np.linalg.norm(problem.poses[1].translation))
         points[0] = pose2.viewpoint() - pose2.rotation[2]       # 1 m behind camera 2
         residual = _residuals(batch, cam, points)[..., sfm._N_CAM]
         np.testing.assert_array_equal(residual[0, 1], 1e4)
         # Rows well inside the frame, so that each scan time is in the window.
-        rows = [i for i in range(1, len(points)) if all(
-            40 < obs[i, 1] < 440 for _, obs in problem.observations)][:8]
-        for view, pose in enumerate((problem.cameras[0].motion.pose0, pose2)):
-            camera = problem.cameras[view]
-            motion = replace(camera.motion, pose0=pose)
+        rows = [i for i in range(1, len(points))
+                if np.all((40 < problem.pixels[i, :, 1]) & (problem.pixels[i, :, 1] < 440))][:8]
+        for view, pose in enumerate((problem.poses[0], pose2)):
+            motion = MotionState(pose, problem.velocities[view])
             for i in rows:
-                t = (bisect_scan_time(points[i], motion, camera.intrinsics, camera.shutter,
+                t = (bisect_scan_time(points[i], motion, problem.intrinsics, problem.shutter,
                                       n_scan=400) if model == RS_MODEL else 0.0)
-                q = camera_matrix_at(motion, camera.intrinsics, t, linearized=True) @ np.append(
+                q = camera_matrix_at(motion, problem.intrinsics, t, linearized=True) @ np.append(
                     points[i], 1.0)
-                expected = q[:2] / q[2] - problem.observations[view][1][i]
+                expected = q[:2] / q[2] - problem.pixels[i, view]
                 np.testing.assert_allclose(residual[i, view], expected, rtol=0, atol=1e-7)
 
 
@@ -457,18 +449,15 @@ class TestBatchedLM:
                 np.testing.assert_array_equal(pose.translation, pose1.translation)
 
     def test_batched_round_equals_batches_of_one(self):
-        """On a reduced-grid cell and one of its problems with spinning cameras,
-        the residuals and Jacobians, the normal equations and the step of a
-        batch equal those of each problem run as a batch of one bit for bit, at
-        the start and at the trial point.  The batch takes the general path;
-        alone, each grid problem takes the one without omega terms."""
+        """On a reduced-grid cell and one of its problems with unequal per-view
+        velocities (v_z != 0), the residuals and Jacobians, the normal equations
+        and the step of a batch equal those of each problem run as a batch of
+        one bit for bit, at the start and at the trial point."""
         cell = _grid_problems(REDUCED_GRID[0][2:], REDUCED_GRID[1][1:2], 2, 0)
-        spinning = _with_motion(cell[0][0], [0.2, 2.0, 0.4], [0.05, -0.1, 0.2])
-        pairs = sorted(cell + [(spinning, m) for m in MODELS], key=lambda pair: pair[1] != RS_MODEL)
+        moving = _with_velocities(cell[0][0], [0.2, 2.0, 0.4], [-0.3, 1.5, -0.5])
+        pairs = sorted(cell + [(moving, m) for m in MODELS], key=lambda pair: pair[1] != RS_MODEL)
         batch, cam, points = sfm._initial_batch([p for p, _ in pairs], [m for _, m in pairs])
         ones = [sfm._initial_batch([p], [m]) for p, m in pairs]
-        assert batch.spins
-        assert [one.spins for one, _, _ in ones] == [p is spinning for p, _ in pairs]
         for _ in range(2):
             state = _residuals(batch, cam, points)
             system = _NormalEquations(batch, state)
@@ -483,29 +472,6 @@ class TestBatchedLM:
             cam, points = cam + d_cam, points + d_point
             ones = [(one, cam[i:i + 1], points[batch.owner == i])
                     for i, (one, _, _) in enumerate(ones)]
-
-    @pytest.mark.parametrize("change", ["K", "pixel_size", "size", "shutter"])
-    def test_views_share_one_camera(self, rs_problem, change, monkeypatch, tmp_path, capsys):
-        """Both views must be imaged by one camera: any other K, pixel size,
-        image size or shutter in view 2 is a ConfigError, which sfm-grid
-        reports as a usage error (exit 1)."""
-        first, second = rs_problem.cameras
-        k = first.intrinsics
-        changed = {"K": CameraIntrinsics.from_fov(41.0, k.width, k.height),
-                   "pixel_size": CameraIntrinsics(k.K, 2.0 * k.pixel_size, k.width, k.height),
-                   "size": CameraIntrinsics(k.K, k.pixel_size, k.width + 2, k.height),
-                   "shutter": replace(first.shutter, scan_rate=2.0 * first.shutter.scan_rate)}
-        second = replace(second, **{"shutter" if change == "shutter" else "intrinsics":
-                                    changed[change]})
-        with pytest.raises(ConfigError, match="one camera"):
-            bundle_adjust(replace(rs_problem, cameras=(first, second)))
-
-        generate = sfm.generate_problem
-        monkeypatch.setattr(sfm, "generate_problem", lambda config, seed: replace(
-            generate(config, seed), cameras=(first, second)))
-        code = cli.main(["sfm-grid", "--out-dir", str(tmp_path), "--set", "sfm.trials=1",
-                         "--set", "sfm.velocities_kmh=3.75", "--set", "sfm.sigmas_px=1"])
-        assert code == 1 and "one camera" in capsys.readouterr().err
 
     def test_grid_triangulates_each_problem_once(self, monkeypatch):
         """run_experiment_grid lists each trial's problem once per model; its
@@ -560,21 +526,36 @@ class TestSnapshot:
         np.testing.assert_array_equal(loaded.points, rs_problem.points)
         assert loaded.rng_seed == rs_problem.rng_seed
         assert loaded.noise_sigma == rs_problem.noise_sigma
-        for cam_a, cam_b in zip(loaded.cameras, rs_problem.cameras):
-            np.testing.assert_array_equal(cam_a.motion.pose0.rotation,
-                                          cam_b.motion.pose0.rotation)
-            assert cam_a.shutter == cam_b.shutter
-            np.testing.assert_array_equal(cam_a.intrinsics.K, cam_b.intrinsics.K)
-        for (ia, pa), (ib, pb) in zip(loaded.observations, rs_problem.observations):
-            np.testing.assert_array_equal(ia, ib)
-            np.testing.assert_array_equal(pa, pb)
+        for pose_a, pose_b in zip(loaded.poses, rs_problem.poses):
+            np.testing.assert_array_equal(pose_a.rotation, pose_b.rotation)
+            np.testing.assert_array_equal(pose_a.translation, pose_b.translation)
+        assert loaded.shutter == rs_problem.shutter
+        np.testing.assert_array_equal(loaded.intrinsics.K, rs_problem.intrinsics.K)
+        np.testing.assert_array_equal(loaded.velocities, rs_problem.velocities)
+        np.testing.assert_array_equal(loaded.pixels, rs_problem.pixels)
+
+    @pytest.mark.parametrize("edit", ["camera", "spin", "indices"])
+    def test_load_refuses_what_a_problem_cannot_hold(self, tmp_path, rs_problem, edit):
+        """A snapshot whose views differ in camera, whose camera spins, or whose
+        views list other points than all of them in order is refused."""
+        path = tmp_path / "problem.json"
+        save_problem(rs_problem, path)
+        payload = json.loads(path.read_text())
+        second = payload["cameras"][1]
+        if edit == "camera":
+            second["scan_rate"] *= 2.0
+        elif edit == "spin":
+            second["angular_velocity"][2] = 0.1
+        else:
+            payload["observations"][1]["indices"].reverse()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_problem(path)
 
     def test_rerun_from_snapshot_matches(self, tmp_path, rs_problem):
         path = tmp_path / "problem.json"
         save_problem(rs_problem, path)
         loaded = load_problem(path)
-        # The views' cameras are equal in value but separate objects.
-        assert loaded.cameras[0].intrinsics is not loaded.cameras[1].intrinsics
         original = bundle_adjust(rs_problem, RS_MODEL)
         replayed = bundle_adjust(loaded, RS_MODEL)
         assert original.cost_history == replayed.cost_history

@@ -485,9 +485,13 @@ def kernel_motion(case: ScanTimeCase, v, w) -> MotionState:
     else:
         v, w = [v[0], v[1], v[2] or 1.0], [w[0] or 0.5, w[1], w[2]]
     motion = MotionState(pose, v, w)
-    if case is not ScanTimeCase.EXACT_NONLINEAR:
-        assert classify_case(motion) is case
+    assert classify_case(motion) is case
     return motion
+
+
+# The closed form under each case of its constraint, and the exact model
+# (exact=True) under general motion.
+KERNELS = [*((case, False) for case in ScanTimeCase), (ScanTimeCase.GENERAL_QUADRATIC, True)]
 
 
 # Exact-model draws: omega = 0, a spin about the optical axis, a general axis,
@@ -499,15 +503,15 @@ EXACT_POINTS = [(0.0, 0.0, 1.0), (0.0, 0.0, 2.5), (40.0, 0.0, 1.0)]
 
 class TestScanTimeKernel:
     @KERNEL_SETTINGS
-    @given(case=st.sampled_from(list(ScanTimeCase)), v=velocity3, w=velocity3,
+    @given(kernel=st.sampled_from(KERNELS), v=velocity3, w=velocity3,
            points=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
                                      st.floats(-0.5, 4.0)), min_size=1, max_size=8))
-    def test_batch_matches_single_points(self, case, v, w, points):
+    def test_batch_matches_single_points(self, kernel, v, w, points):
         """Each point of a batch gets the result it gets alone, and the scalar
         API raises the error its reason code names.  The batch repeats the
         points past one block of the exact model's bracketing grid."""
+        case, exact = kernel
         motion = kernel_motion(case, v, w)
-        exact = case is ScanTimeCase.EXACT_NONLINEAR
         repeats = EXACT_BLOCK // len(points) + 1
         batch = solve_scan_times(points * repeats, motion, KERNEL_CAMERA,
                                  KERNEL_SHUTTER, exact=exact)
@@ -529,7 +533,7 @@ class TestScanTimeKernel:
                                     exact=exact)
 
     @KERNEL_SETTINGS
-    @given(case=st.sampled_from(list(ScanTimeCase)[:3]), v=velocity3, w=velocity3,
+    @given(case=st.sampled_from(list(ScanTimeCase)), v=velocity3, w=velocity3,
            point=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(1.0, 4.0)))
     def test_gradient_matches_central_differences(self, case, v, w, point):
         """A world-point step dx moves the path start by dy = R dx and its
@@ -609,16 +613,17 @@ class TestScanTimeKernel:
                                       windowed=False)
         assert REASONS[unwindowed.reason[0]] is NegativeDepth
 
-    @pytest.mark.parametrize("case", list(ScanTimeCase))
+    @pytest.mark.parametrize("case, exact", [
+        pytest.param(case, exact, id="exact" if exact else str(case)) for case, exact in KERNELS])
     @KERNEL_SETTINGS
     @given(v=velocity3, w=velocity3, column=st.floats(0.0, 64.0),
            depth=st.floats(1.0, 5.0),
            when=st.one_of(st.sampled_from([1e-9, 1.0 - 1e-9]), st.floats(1e-9, 1.0 - 1e-9)))
-    def test_matches_bisection_oracle(self, case, v, w, column, depth, when):
+    def test_matches_bisection_oracle(self, case, exact, v, w, column, depth, when):
         """A point placed on the scanline at time t* (window edges included)
         gets the oracle's scan time, under both models."""
         motion = kernel_motion(case, v, w)
-        linearized = case is not ScanTimeCase.EXACT_NONLINEAR
+        linearized = not exact
         t_star = when * KERNEL_T_MAX
         row = KERNEL_SHUTTER.scan_rate * t_star - KERNEL_SHUTTER.first_row
         p = camera_matrix_at(motion, KERNEL_CAMERA, t_star, linearized=linearized)
@@ -704,7 +709,7 @@ class TestBatchesMatchSinglePoints:
                 pixel, depth[i] if per_point else depth, motion, KERNEL_CAMERA, KERNEL_SHUTTER))
 
     @BATCH_SETTINGS
-    @given(case=st.sampled_from(list(ScanTimeCase)[:3]), v=velocity3, w=velocity3,
+    @given(case=st.sampled_from(list(ScanTimeCase)), v=velocity3, w=velocity3,
            points=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
                                      st.floats(-0.5, 4.0)), min_size=1, max_size=8))
     def test_drift_per_row(self, case, v, w, points):
