@@ -6,7 +6,7 @@ from .geometry import (CameraIntrinsics, MotionState, Pose, hat,
                        project_perspective, rotation_exp, rotation_log)
 from .shutter import (RsProjection, ScanTimeCase, ShutterParams, classify_case,
                       drift_per_row, invert_fronto_parallel, limit_line, normalized_scan,
-                      project_rolling_shutter, solve_scan_time, solve_scan_times)
+                      project_rolling_shutter, solve_scan_times)
 from .xslit import Line3D, SlitPair, backproject, compute_slits, line_line_distance
 from .flow import (FlowVector, flow_finite_difference, flow_perspective,
                    flow_rolling_shutter)
@@ -22,7 +22,7 @@ __all__ = [
     "CameraIntrinsics", "MotionState", "Pose", "hat", "rotation_exp",
     "rotation_log", "project_perspective",
     "ShutterParams", "ScanTimeCase", "RsProjection", "classify_case",
-    "solve_scan_time", "solve_scan_times", "project_rolling_shutter",
+    "solve_scan_times", "project_rolling_shutter",
     "limit_line", "drift_per_row", "normalized_scan", "invert_fronto_parallel",
     "Line3D", "SlitPair", "compute_slits", "backproject", "line_line_distance",
     "FlowVector", "flow_perspective", "flow_rolling_shutter",

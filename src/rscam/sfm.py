@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +260,7 @@ class _Batch:
     def __post_init__(self):
         if np.any(self.rolling[1:] > self.rolling[:-1]):
             raise ValueError("rolling-shutter problems must come first in a batch")
-        self.starts = np.flatnonzero(np.diff(self.owner, prepend=-1))
+        self.starts = np.searchsorted(self.owner, np.arange(len(self.baseline)))
         self.n_rolling = int(np.count_nonzero(self.rolling[self.owner]))
 
     def sums(self, rows: np.ndarray) -> np.ndarray:
@@ -609,33 +609,7 @@ def grid_to_csv(rows: list[dict], path, header_lines: list[str] | None = None) -
 
 
 def save_problem(problem: SfmProblem, path) -> None:
-    """JSON snapshot sufficient to re-run the problem exactly: per view, the
-    camera's pose, motion (no spin), intrinsics and shutter, and the pixels of
-    every point."""
-    k, shutter = problem.intrinsics, problem.shutter
-    payload = {
-        "rng_seed": list(problem.rng_seed),
-        "noise_sigma": problem.noise_sigma,
-        "points": problem.points.tolist(),
-        "cameras": [
-            {
-                "rotation": pose.rotation.tolist(),
-                "translation": pose.translation.tolist(),
-                "linear_velocity": velocity.tolist(),
-                "angular_velocity": [0.0, 0.0, 0.0],
-                "K": k.K.tolist(),
-                "pixel_size": k.pixel_size,
-                "width": k.width,
-                "height": k.height,
-                "scan_rate": shutter.scan_rate,
-                "first_row": shutter.first_row,
-                "framerate": shutter.framerate,
-            }
-            for pose, velocity in zip(problem.poses, problem.velocities)
-        ],
-        "observations": [
-            {"indices": list(range(len(problem.points))), "pixels": problem.pixels[:, j].tolist()}
-            for j in range(2)
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """JSON snapshot of the problem's fields, enough to re-run it exactly."""
+    text = json.dumps(asdict(problem), default=lambda array: array.tolist(), indent=2,
+                      sort_keys=True)
+    Path(path).write_text(text + "\n")

@@ -18,7 +18,7 @@ N points: linearized, in closed form; exact, by brackets on a fixed sample
 grid over the frame window, refined together by the Illinois method.  As
 the exact path is a sum of 1, t, sin(|omega| t) and 1 - cos(|omega| t) terms,
 the grid's signs come from one matrix product per block of points.  The
-scalar `solve_scan_time` and `project_rolling_shutter` are a batch of one.
+scalar `project_rolling_shutter` is a batch of one.
 
 For fronto-parallel motion (v_z = 0, omega about the optical axis only) the
 constraint is linear and the captured image point has a closed form equal to
@@ -104,14 +104,13 @@ class ScanTimeCase(enum.Enum):
 class RsProjection:
     """Result of projecting a point (or N, as arrays) through the rolling-shutter model.
 
-    pixel == perspective_part + correction, where perspective_part is the
-    pin-hole projection at the frame's start time.  caught_twice flags a
-    second in-window intersection of the point path and the scanline.
+    pixel - correction is the pin-hole projection at the frame's start time.
+    caught_twice flags a second in-window intersection of the point path and
+    the scanline.
     """
 
     pixel: np.ndarray
     scan_time: float
-    perspective_part: np.ndarray
     correction: np.ndarray
     caught_twice: bool = False
 
@@ -227,9 +226,8 @@ class ScanTimes:
         """Image of point i (or of an index array's points), or the first error."""
         self.check(i)
         pixel = _project(self.capture[i], intrinsics)
-        reference = _project(self.start[i], intrinsics)
         return RsProjection(pixel=pixel, scan_time=self.t[i],
-                            perspective_part=reference, correction=pixel - reference,
+                            correction=pixel - _project(self.start[i], intrinsics),
                             caught_twice=self.caught_twice[i])
 
 
@@ -304,7 +302,8 @@ def _closed_form_roots(y, w, intrinsics, shutter, t_max, windowed):
         # Cancellation-free roots; a linear constraint has its one root twice.
         q = -0.5 * (b + np.copysign(np.sqrt(np.where(disc >= 0.0, disc, np.nan)),
                                     np.where(b != 0.0, b, 1.0)))
-        r1 = np.where(linear, t_lin, q / np.where(linear, 1.0, a))
+        with np.errstate(over="ignore"):    # q / a of a subnormal a: a far root, inf
+            r1 = np.where(linear, t_lin, q / np.where(linear, 1.0, a))
         r2 = np.where(linear | (q == 0.0), r1, c / np.where(q == 0.0, 1.0, q))
         lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
 
@@ -412,38 +411,18 @@ def _exact_roots(at, coef, speed, intrinsics, shutter, frame_start, t_max):
     return np.where(found, earliest, 0.0), reason, twice
 
 
-def solve_scan_time(point, motion: MotionState, intrinsics: CameraIntrinsics,
-                    shutter: ShutterParams, exact: bool = False,
-                    frame_start: float = 0.0) -> float:
-    """Scan time of a world point inside the frame window [0, n_rows/|r|].
-
-    A batch of one for `solve_scan_times`.  Raises NoScanTime when the point
-    is not imaged this frame, NegativeDepth when it sits at or behind the
-    camera plane, and Singularity when it moves with the scanline.
-    """
-    result = solve_scan_times(point, motion, intrinsics, shutter, exact=exact,
-                              frame_start=frame_start)
-    result.check(0)
-    return float(result.t[0])
-
-
 def project_rolling_shutter(point, motion: MotionState, intrinsics: CameraIntrinsics,
-                            shutter: ShutterParams, exact: bool = False,
-                            frame_start: float = 0.0,
-                            enforce_window: bool = True) -> RsProjection:
-    """Image of a static world point in one frame of a rolling-shutter camera.
+                            shutter: ShutterParams) -> RsProjection:
+    """Image of a static world point in the frame starting at time 0.
 
-    Solves for the scan time, then evaluates the projection at that instant.
-    Non-exact mode uses the linearized motion model, whose fronto-parallel
-    branch reproduces the closed-form projection (exact whenever omega = 0);
-    exact=True keeps the full rotation exponential.  The result carries the
-    pin-hole projection at frame start and the correction that the rolling
-    shutter adds to it.  A batch of one for `solve_scan_times`, whose
-    windowed argument is enforce_window here.
+    Solves for the scan time inside the frame window, then evaluates the
+    projection at that instant with the linearized motion model, whose
+    fronto-parallel branch reproduces the closed-form projection (exact
+    whenever omega = 0).  The result carries the correction that the rolling
+    shutter adds to the pin-hole projection at frame start.  A batch of one
+    for `solve_scan_times`.
     """
-    return solve_scan_times(point, motion, intrinsics, shutter, exact=exact,
-                            frame_start=frame_start,
-                            windowed=enforce_window).projection(0, intrinsics)
+    return solve_scan_times(point, motion, intrinsics, shutter).projection(0, intrinsics)
 
 
 def invert_fronto_parallel(pixel, depth, motion: MotionState,

@@ -15,8 +15,9 @@ per-row checkerboard raster that of the block raster, and the line-by-line
 board lattice that of the array-built one.  `hat_stack`, `rodrigues` and
 `rotation_left_jacobian` write the pose algebra out one formula each, the
 oracles of `geometry.hat` and of the fused `geometry.rotation_exp_and_jacobian`.
-`load_problem` reads the snapshots that `sfm.save_problem` writes, and so
-pins their format.
+`scan_time` and `rs_projection` are `solve_scan_times` as a batch of one,
+with its options.  `load_problem` reads the snapshots that `sfm.save_problem`
+writes, and so pins their format.
 """
 
 from __future__ import annotations
@@ -32,7 +33,20 @@ from rscam import render, sfm
 from rscam.geometry import CameraIntrinsics, Pose, hat, rotation_exp, row_dot
 from rscam.shutter import (DEPTH_EPS, EXACT_BLOCK, EXACT_MAX_STEPS, EXACT_SAMPLES, IMAGED,
                            NEGATIVE_DEPTH, NO_SCAN_TIME, SINGULARITY, ShutterParams,
-                           project_rolling_shutter, solve_scan_times)
+                           solve_scan_times)
+
+
+def scan_time(point, motion, intrinsics, shutter, **options) -> float:
+    """Scan time of one point, or the error its reason code names."""
+    times = solve_scan_times(point, motion, intrinsics, shutter, **options)
+    times.check(0)
+    return float(times.t[0])
+
+
+def rs_projection(point, motion, intrinsics, shutter, **options):
+    """Rolling-shutter image of one point, or the error its reason code names."""
+    return solve_scan_times(point, motion, intrinsics, shutter, **options).projection(
+        0, intrinsics)
 
 
 def camera_matrix_at(motion, intrinsics, t, linearized=False):
@@ -259,8 +273,8 @@ def flow_difference_one(u, v, z, motion, shutter, h):
     """Central-difference flow (du, dv) of one image point across t0 = +/-h."""
     k = CameraIntrinsics.normalized()
     point = invert_one((u, v), z, motion, k, shutter)
-    ahead, behind = (project_rolling_shutter(point, motion, k, shutter, frame_start=t0,
-                                             enforce_window=False).pixel for t0 in (h, -h))
+    ahead, behind = (rs_projection(point, motion, k, shutter, frame_start=t0,
+                                   windowed=False).pixel for t0 in (h, -h))
     return tuple((ahead - behind) / (2.0 * h))
 
 
@@ -444,28 +458,17 @@ def project_board_lattice_lines(intrinsics, shutter, omega_z_rev_s, plane_depth,
 
 
 def load_problem(path) -> sfm.SfmProblem:
-    """The problem of a `sfm.save_problem` snapshot.  ValueError unless its
-    views share one camera, neither spins, and each lists every point in order."""
+    """The problem of a `sfm.save_problem` snapshot."""
     payload = json.loads(Path(path).read_text())
-    cameras, observations = payload["cameras"], payload["observations"]
-    shared = [{key: value for key, value in cam.items()
-               if key not in ("rotation", "translation", "linear_velocity")} for cam in cameras]
-    if shared[0] != shared[1]:
-        raise ValueError("the views of a snapshot must share one camera")
-    if any(any(cam["angular_velocity"]) for cam in cameras):
-        raise ValueError("a snapshot's camera must not spin")
-    if any(obs["indices"] != list(range(len(payload["points"]))) for obs in observations):
-        raise ValueError("each view must list every point in order")
-    cam = cameras[0]
+    k = payload["intrinsics"]
     return sfm.SfmProblem(
         points=np.array(payload["points"], dtype=float),
-        intrinsics=CameraIntrinsics(np.array(cam["K"]), cam["pixel_size"], cam["width"],
-                                    cam["height"]),
-        shutter=ShutterParams(scan_rate=cam["scan_rate"], first_row=cam["first_row"],
-                              framerate=cam["framerate"]),
-        poses=tuple(Pose(np.array(c["rotation"]), np.array(c["translation"])) for c in cameras),
-        velocities=np.array([c["linear_velocity"] for c in cameras], dtype=float),
-        pixels=np.stack([np.array(obs["pixels"], dtype=float) for obs in observations], axis=1),
+        intrinsics=CameraIntrinsics(np.array(k["K"]), k["pixel_size"], k["width"], k["height"]),
+        shutter=ShutterParams(**payload["shutter"]),
+        poses=tuple(Pose(np.array(pose["rotation"]), np.array(pose["translation"]))
+                    for pose in payload["poses"]),
+        velocities=np.array(payload["velocities"], dtype=float),
+        pixels=np.array(payload["pixels"], dtype=float),
         noise_sigma=payload["noise_sigma"],
         rng_seed=tuple(payload["rng_seed"]),
     )

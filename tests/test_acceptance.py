@@ -21,6 +21,8 @@ from rscam.calibration import (estimate_scan_rate, ideal_seconds_per_row,
 from rscam.sfm import (PERSPECTIVE_MODEL, RS_MODEL, SceneConfig, bundle_adjust,
                        generate_problem, run_experiment_grid)
 
+from conftest import rs_projection
+
 
 def report(number: int, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
@@ -76,8 +78,7 @@ def test_criterion_2_closed_form_exactness(rng):
         intrinsics, shutter, motion, point = random_fronto_setup(rng, omega_z=0.0)
         try:
             closed = project_rolling_shutter(point, motion, intrinsics, shutter)
-            exact = project_rolling_shutter(point, motion, intrinsics, shutter,
-                                            exact=True)
+            exact = rs_projection(point, motion, intrinsics, shutter, exact=True)
         except (NoScanTime, Singularity):
             continue
         count += 1
@@ -110,8 +111,7 @@ def test_criterion_3_linearization_order(rng):
                                            shutter)
             try:
                 closed = project_rolling_shutter(point, motion, intrinsics, shutter)
-                exact = project_rolling_shutter(point, motion, intrinsics, shutter,
-                                                exact=True)
+                exact = rs_projection(point, motion, intrinsics, shutter, exact=True)
             except (NoScanTime, Singularity):
                 gaps = None
                 break
@@ -191,10 +191,10 @@ def test_criterion_5_flow_correctness(rng):
             point = invert_fronto_parallel((u, v), z, motion, intrinsics, shutter)
 
             def fd_exact(h):
-                a = project_rolling_shutter(point, motion, intrinsics, shutter,
-                                            exact=True, frame_start=h).pixel
-                b = project_rolling_shutter(point, motion, intrinsics, shutter,
-                                            exact=True, frame_start=-h).pixel
+                a = rs_projection(point, motion, intrinsics, shutter, exact=True,
+                                  frame_start=h).pixel
+                b = rs_projection(point, motion, intrinsics, shutter, exact=True,
+                                  frame_start=-h).pixel
                 return (a - b) / (2.0 * h)
 
             f1, f2, f4 = fd_exact(8e-3), fd_exact(4e-3), fd_exact(2e-3)

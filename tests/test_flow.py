@@ -4,12 +4,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rscam.errors import NegativeDepth, Singularity
 from rscam.geometry import CameraIntrinsics, MotionState, Pose
-from rscam.shutter import (ShutterParams, invert_fronto_parallel,
-                           project_rolling_shutter)
+from rscam.shutter import ShutterParams, invert_fronto_parallel
 from rscam.flow import (flow_finite_difference, flow_perspective,
                         flow_rolling_shutter)
 
-from conftest import flow_analytic_one, flow_difference_one
+from conftest import flow_analytic_one, flow_difference_one, rs_projection
 
 
 @pytest.fixture
@@ -132,10 +131,8 @@ class TestFiniteDifference:
         point = invert_fronto_parallel((0.3, 0.5), 2.0, m, k, shutter_norm)
 
         def fd_exact(h):
-            a = project_rolling_shutter(point, m, k, shutter_norm, exact=True,
-                                        frame_start=h).pixel
-            b = project_rolling_shutter(point, m, k, shutter_norm, exact=True,
-                                        frame_start=-h).pixel
+            a = rs_projection(point, m, k, shutter_norm, exact=True, frame_start=h).pixel
+            b = rs_projection(point, m, k, shutter_norm, exact=True, frame_start=-h).pixel
             return (a - b) / (2 * h)
 
         f1, f2, f4 = fd_exact(8e-3), fd_exact(4e-3), fd_exact(2e-3)

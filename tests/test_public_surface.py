@@ -14,10 +14,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# solve_scan_time is the documented scalar call of solve_scan_times, a batch of one.
-ALLOWED = {"solve_scan_time"}
-
-
 def references(tree: ast.AST, strings: bool = False) -> set[str]:
     names = set()
     for node in ast.walk(tree):
@@ -42,21 +38,15 @@ def test_every_public_name_has_a_caller():
     unreached = [f"{module}:{node.name}" for module, node, _ in statements
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                  and not node.name.startswith("_")
-                 and node.name not in ALLOWED | perfbench
+                 and node.name not in perfbench
                  and not any(node.name in names for _, other, names in statements
                              if other is not node)]
     assert not unreached, f"public names with no caller in src/ or perfbench/: {unreached}"
 
 
-# Defaulted parameters and fields that no call sets, kept on purpose.
-SETTINGS_ALLOWED = {
-    # The scalar scan-time API is a batch of one for the tests (ROADMAP item 1).
-    "shutter:solve_scan_time(exact)", "shutter:solve_scan_time(frame_start)",
-    "shutter:project_rolling_shutter(exact)", "shutter:project_rolling_shutter(frame_start)",
-    "shutter:project_rolling_shutter(enforce_window)",
-    # A list that callers fill, not a setting.
-    "plotsvg:Panel.series",
-}
+# Defaulted parameters and fields that no call sets, kept on purpose: a list
+# that callers fill is not a setting.
+SETTINGS_ALLOWED = {"plotsvg:Panel.series"}
 
 
 def settings(module: str, tree: ast.Module):
@@ -143,14 +133,10 @@ def test_every_setting_has_a_caller_that_sets_it():
     assert SETTINGS_ALLOWED <= {label for label, reached in every if not reached}
 
 
-# Result fields that only the tests read, kept on purpose.  SfmSolution.poses,
+# Result fields that only the tests read, kept on purpose: bundle_adjust's cost
+# trace, as the grid reports only the errors it ends at.  SfmSolution.poses,
 # bundle_adjust's recovered cameras, is one too, but SfmProblem.poses is read.
-FIELDS_ALLOWED = {
-    # bundle_adjust's cost trace; the grid reports only the errors it ends at.
-    "sfm:SfmSolution.cost_history",
-    # The pin-hole term of the paper's split pixel = perspective_part + correction.
-    "shutter:RsProjection.perspective_part",
-}
+FIELDS_ALLOWED = {"sfm:SfmSolution.cost_history"}
 
 
 def members(module: str, tree: ast.Module):

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from rscam import sfm
 from rscam.errors import ConfigError
 from rscam.geometry import MotionState, Pose, rotation_exp, rotation_log
 from rscam.sfm import (GRID_CSV_COLUMNS, MODELS, PERSPECTIVE_MODEL, RS_MODEL,
-                       SceneConfig, bundle_adjust, generate_problem,
+                       SceneConfig, SfmProblem, bundle_adjust, generate_problem,
                        grid_to_csv, run_experiment_grid, save_problem)
 from rscam.sfm import _initial_points, _NormalEquations, _pose_errors, _residuals
 
@@ -522,6 +522,7 @@ class TestSnapshot:
     def test_round_trip(self, tmp_path, rs_problem):
         path = tmp_path / "problem.json"
         save_problem(rs_problem, path)
+        assert json.loads(path.read_text()).keys() == {f.name for f in fields(SfmProblem)}
         loaded = load_problem(path)
         np.testing.assert_array_equal(loaded.points, rs_problem.points)
         assert loaded.rng_seed == rs_problem.rng_seed
@@ -533,24 +534,6 @@ class TestSnapshot:
         np.testing.assert_array_equal(loaded.intrinsics.K, rs_problem.intrinsics.K)
         np.testing.assert_array_equal(loaded.velocities, rs_problem.velocities)
         np.testing.assert_array_equal(loaded.pixels, rs_problem.pixels)
-
-    @pytest.mark.parametrize("edit", ["camera", "spin", "indices"])
-    def test_load_refuses_what_a_problem_cannot_hold(self, tmp_path, rs_problem, edit):
-        """A snapshot whose views differ in camera, whose camera spins, or whose
-        views list other points than all of them in order is refused."""
-        path = tmp_path / "problem.json"
-        save_problem(rs_problem, path)
-        payload = json.loads(path.read_text())
-        second = payload["cameras"][1]
-        if edit == "camera":
-            second["scan_rate"] *= 2.0
-        elif edit == "spin":
-            second["angular_velocity"][2] = 0.1
-        else:
-            payload["observations"][1]["indices"].reverse()
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_problem(path)
 
     def test_rerun_from_snapshot_matches(self, tmp_path, rs_problem):
         path = tmp_path / "problem.json"

@@ -1,19 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rscam.errors import NegativeDepth, NoScanTime, Singularity
-from rscam.geometry import CameraIntrinsics, MotionState, Pose, hat, rotation_exp
+from rscam.geometry import (CameraIntrinsics, MotionState, Pose, hat, project_perspective,
+                            rotation_exp)
 from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
                            ShutterParams, classify_case, drift_per_row, invert_fronto_parallel,
                            limit_line, normalized_scan, project_rolling_shutter,
-                           scan_time_gradient, solve_path_times, solve_scan_time,
-                           solve_scan_times, validate_frame_timing)
+                           scan_time_gradient, solve_path_times, solve_scan_times,
+                           validate_frame_timing)
 
 from conftest import (bisect_scan_time, camera_matrix_at, drift_one, exact_scan_times,
-                      invert_one, scanline_residual)
+                      invert_one, rs_projection, scan_time, scanline_residual)
 
 
 @pytest.fixture
@@ -87,7 +89,7 @@ class TestConstraintResidual:
         for t in [0.0, 0.02, 0.07]:
             res = scanline_residual(x, m, normalized_camera, shutter10, t)
             assert abs(res - (0.35 - 10.0 * t)) < 1e-15
-        root = solve_scan_time(x, m, normalized_camera, shutter10)
+        root = scan_time(x, m, normalized_camera, shutter10)
         assert abs(root - 0.035) < 1e-15
 
     def test_residual_vanishes_at_solution(self, normalized_camera, shutter10, rng):
@@ -96,7 +98,7 @@ class TestConstraintResidual:
                             [0, 0, rng.uniform(-1, 1)])
             x = [rng.uniform(-0.3, 0.3), rng.uniform(0.05, 0.6), rng.uniform(0.5, 4)]
             try:
-                t_c = solve_scan_time(x, m, normalized_camera, shutter10)
+                t_c = scan_time(x, m, normalized_camera, shutter10)
             except NoScanTime:
                 continue
             res = scanline_residual(x, m, normalized_camera, shutter10, t_c)
@@ -109,7 +111,7 @@ class TestConstraintResidual:
         previous = None
         for r in [1e2, 1e4, 1e6, 1e8]:
             s = ShutterParams(scan_rate=r, framerate=10.0)
-            t_c = solve_scan_time(x, m, normalized_camera, s)
+            t_c = scan_time(x, m, normalized_camera, s)
             assert previous is None or t_c < previous
             previous = t_c
         assert previous < 1e-8
@@ -118,13 +120,13 @@ class TestConstraintResidual:
 class TestSolveScanTime:
     def test_linear_example(self, normalized_camera, shutter10):
         m = MotionState(Pose.identity(), [0, 0.5, 0], [0, 0, 0])
-        t_c = solve_scan_time([0, 0.1, 1.0], m, normalized_camera, shutter10)
+        t_c = scan_time([0, 0.1, 1.0], m, normalized_camera, shutter10)
         assert abs(t_c - 0.1 / 9.5) < 1e-12
 
     def test_quadratic_example_vs_oracle(self, normalized_camera, shutter10):
         """Axial motion: 10 t^2 + 10 t - 0.1 = 0, smallest positive root."""
         m = MotionState(Pose.identity(), [0, 0, 1.0], [0, 0, 0])
-        t_c = solve_scan_time([0, 0.1, 1.0], m, normalized_camera, shutter10)
+        t_c = scan_time([0, 0.1, 1.0], m, normalized_camera, shutter10)
         expected = (-10 + math.sqrt(100 + 4.0)) / 20.0
         assert abs(t_c - expected) < 1e-12
         oracle = bisect_scan_time([0, 0.1, 1.0], m, normalized_camera, shutter10)
@@ -132,25 +134,34 @@ class TestSolveScanTime:
 
     def test_static_with_offset_row(self, normalized_camera):
         s = ShutterParams(scan_rate=10.0, first_row=0.25, framerate=5.0)
-        t_c = solve_scan_time([0, 0.15, 1.0], MotionState(), normalized_camera, s)
+        t_c = scan_time([0, 0.15, 1.0], MotionState(), normalized_camera, s)
         assert abs(t_c - (0.15 + 0.25) / 10.0) < 1e-15
 
     def test_no_scan_time_outside_window(self, normalized_camera, shutter10):
         # Row 0.95 recedes from the scanline faster than it sweeps.
         m = MotionState(Pose.identity(), [0, 9.0, 0], [0, 0, 0])
         with pytest.raises(NoScanTime):
-            solve_scan_time([0, 0.95, 1.0], m, normalized_camera, shutter10)
+            scan_time([0, 0.95, 1.0], m, normalized_camera, shutter10)
 
     def test_negative_depth(self, normalized_camera, shutter10):
         m = MotionState(Pose.identity(), [0, 0, -30.0], [0, 0, 0])
         with pytest.raises(NegativeDepth):
-            solve_scan_time([0.0, 0.05, 0.2], m, normalized_camera, shutter10)
+            scan_time([0.0, 0.05, 0.2], m, normalized_camera, shutter10)
+
+    def test_subnormal_axial_speed_raises_no_warning(self, normalized_camera, shutter10):
+        """A subnormal v_z makes the far root of the quadratic overflow to inf,
+        silently: the scan time is the near root, the linear one's."""
+        m = MotionState(Pose.identity(), [0, 0, 1.1125369292536007e-308], [0, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t_c = scan_time([0, 0.05, 2.0], m, normalized_camera, shutter10)
+        assert t_c == 0.0025
 
     def test_singularity(self, normalized_camera, shutter10):
         # v_y = r z: the image point rides the scanline.
         m = MotionState(Pose.identity(), [0, 10.0, 0], [0, 0, 0])
         with pytest.raises(Singularity):
-            solve_scan_time([0, 0.5, 1.0], m, normalized_camera, shutter10)
+            scan_time([0, 0.5, 1.0], m, normalized_camera, shutter10)
 
     def test_quadratic_catches_point_twice(self):
         """A point rushing toward the camera can cross the scanline twice."""
@@ -169,7 +180,7 @@ class TestSolveScanTime:
                             rng.uniform(-1, 1, 3))
             x = [rng.uniform(-0.2, 0.2), rng.uniform(0.1, 0.5), rng.uniform(1.0, 3.0)]
             try:
-                t_c = solve_scan_time(x, m, normalized_camera, shutter10, exact=True)
+                t_c = scan_time(x, m, normalized_camera, shutter10, exact=True)
             except NoScanTime:
                 continue
             oracle = bisect_scan_time(x, m, normalized_camera, shutter10,
@@ -190,7 +201,7 @@ class TestSolveScanTime:
                                 rng.uniform(-1, 1, 3))
             x = [rng.uniform(-0.3, 0.3), rng.uniform(0.05, 0.6), rng.uniform(0.5, 4)]
             try:
-                t_c = solve_scan_time(x, m, normalized_camera, shutter10)
+                t_c = scan_time(x, m, normalized_camera, shutter10)
             except (NoScanTime, NegativeDepth, Singularity):
                 continue
             solved += 1
@@ -203,7 +214,7 @@ class TestSolveScanTime:
         m = MotionState(Pose.identity(), [0, 0.5, 0], [0, 0, 0])
         x = [0, 0.1, 1.0]
         t0 = 0.03
-        t_c = solve_scan_time(x, m, normalized_camera, shutter10, frame_start=t0)
+        t_c = scan_time(x, m, normalized_camera, shutter10, frame_start=t0)
         res = scanline_residual(x, m, normalized_camera, shutter10, t_c,
                                 frame_start=t0)
         assert abs(res) < 1e-12
@@ -243,8 +254,9 @@ class TestProjectRollingShutter:
     def test_decomposition_identity(self, normalized_camera, shutter10, rng):
         m = MotionState(Pose.identity(), [0.4, 0.7, 0], [0, 0, 0.3])
         rs = project_rolling_shutter([0.1, 0.2, 1.5], m, normalized_camera, shutter10)
-        np.testing.assert_allclose(rs.pixel, rs.perspective_part + rs.correction,
-                                   atol=1e-12)
+        start = project_perspective([0.1, 0.2, 1.5],
+                                    camera_matrix_at(m, normalized_camera, 0.0))
+        np.testing.assert_allclose(rs.pixel - rs.correction, start, atol=1e-12)
 
     def test_correction_vanishes_as_rate_grows(self, normalized_camera):
         m = MotionState(Pose.identity(), [0.5, 0.8, 0], [0, 0, 0])
@@ -271,7 +283,8 @@ class TestProjectRollingShutter:
         x = [0.05, 0.25, 1.5]
         rs = project_rolling_shutter(x, m, normalized_camera, shutter10)
         magnitude = correction_norm(x, m, normalized_camera, shutter10)
-        assert abs(magnitude - np.linalg.norm(rs.pixel - rs.perspective_part)) < 1e-15
+        start = project_perspective(x, camera_matrix_at(m, normalized_camera, 0.0))
+        assert abs(magnitude - np.linalg.norm(rs.pixel - start)) < 1e-15
 
     def test_pixel_units_consistent_with_normalized(self, rng):
         """A pixel-unit camera gives K-mapped normalized results."""
@@ -290,8 +303,7 @@ class TestProjectRollingShutter:
                 rs_px = project_rolling_shutter(x, m, k, s_px)
             except NoScanTime:
                 continue
-            rs_n = project_rolling_shutter(x, m, k_norm, s_norm,
-                                           enforce_window=False)
+            rs_n = rs_projection(x, m, k_norm, s_norm, windowed=False)
             np.testing.assert_allclose(
                 rs_px.pixel,
                 [k.K[0, 0] * rs_n.pixel[0] + cx, fy * rs_n.pixel[1] + cy],
@@ -302,8 +314,7 @@ class TestProjectRollingShutter:
         m = MotionState(Pose.identity(), [0, 0, 0], [0, 0, 4.0])
         x = [0.2, 0.3, 1.0]
         rs_lin = project_rolling_shutter(x, m, normalized_camera, shutter10)
-        rs_exact = project_rolling_shutter(x, m, normalized_camera, shutter10,
-                                           exact=True)
+        rs_exact = rs_projection(x, m, normalized_camera, shutter10, exact=True)
         res = scanline_residual(x, m, normalized_camera, shutter10,
                                 rs_exact.scan_time, linearized=False)
         assert abs(res) < 1e-9
@@ -321,29 +332,37 @@ class TestClosedFormVsExact:
             x = [rng.uniform(-0.3, 0.3), rng.uniform(0.02, 0.7), rng.uniform(0.5, 5)]
             try:
                 closed = project_rolling_shutter(x, m, normalized_camera, shutter10)
-                exact = project_rolling_shutter(x, m, normalized_camera, shutter10,
-                                                exact=True)
+                exact = rs_projection(x, m, normalized_camera, shutter10, exact=True)
             except (NoScanTime, Singularity):
                 continue
             count += 1
             np.testing.assert_allclose(closed.pixel, exact.pixel, atol=1e-9)
         assert count > 200
 
-    def test_rotation_error_shrinks_quadratically_in_rate(self, normalized_camera, rng):
-        """Doubling the scan rate shrinks the closed-form error about 4x."""
+    @pytest.mark.parametrize("screw", [False, True], ids=["optical axis", "screw"])
+    def test_rotation_error_shrinks_quadratically_in_rate(self, normalized_camera, rng, screw):
+        """Doubling the scan rate shrinks the closed-form error about 4x, for a
+        spin about the optical axis and for a screw motion: omega along v, on a
+        random axis."""
         ratios = []
         for _ in range(40):
-            m = MotionState(Pose.identity(),
-                            [rng.uniform(-1, 1), rng.uniform(-1, 1), 0],
-                            [0, 0, rng.uniform(0.5, 2.0) * (1 if rng.uniform() < 0.5 else -1)])
+            if screw:
+                axis = rng.normal(size=3)
+                axis /= np.linalg.norm(axis)
+                m = MotionState(Pose.identity(),
+                                rng.uniform(0.5, 1.5) * rng.choice([-1, 1]) * axis,
+                                rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) * axis)
+            else:
+                m = MotionState(Pose.identity(),
+                                [rng.uniform(-1, 1), rng.uniform(-1, 1), 0],
+                                [0, 0, rng.uniform(0.5, 2.0) * (1 if rng.uniform() < 0.5 else -1)])
             x = [rng.uniform(-0.3, 0.3), rng.uniform(0.1, 0.6), rng.uniform(0.8, 3)]
             gaps = []
             for r in [10.0, 20.0, 40.0, 80.0]:
                 s = ShutterParams(scan_rate=r, framerate=r)
                 try:
                     closed = project_rolling_shutter(x, m, normalized_camera, s)
-                    exact = project_rolling_shutter(x, m, normalized_camera, s,
-                                                    exact=True)
+                    exact = rs_projection(x, m, normalized_camera, s, exact=True)
                 except (NoScanTime, Singularity):
                     gaps = None
                     break
@@ -524,13 +543,11 @@ class TestScanTimeKernel:
             assert np.all(batch.caught_twice[copies] == one.caught_twice[0])
             assert np.all(np.abs(batch.t[copies] - one.t[0]) <= 1e-12 * KERNEL_T_MAX)
             if one.ok[0]:
-                t_c = solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
-                                      exact=exact)
+                t_c = scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER, exact=exact)
                 assert t_c == one.t[0]
             else:
                 with pytest.raises(REASONS[one.reason[0]]):
-                    solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
-                                    exact=exact)
+                    scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER, exact=exact)
 
     @KERNEL_SETTINGS
     @given(case=st.sampled_from(list(ScanTimeCase)), v=velocity3, w=velocity3,
@@ -630,8 +647,7 @@ class TestScanTimeKernel:
         point = np.linalg.solve(p[:, :3], depth * np.array([column, row, 1.0]) - p[:, 3])
         oracle = bisect_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
                                   linearized=linearized, n_scan=500)
-        t_c = solve_scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER,
-                              exact=not linearized)
+        t_c = scan_time(point, motion, KERNEL_CAMERA, KERNEL_SHUTTER, exact=not linearized)
         assert abs(t_c - oracle) <= 1e-10 * KERNEL_T_MAX
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -770,6 +786,6 @@ class TestBatchesMatchSinglePoints:
             q, q0 = k.K @ times.capture[i], k.K @ times.start[i]
             np.testing.assert_array_equal(batch.pixel[j], one.pixel)
             np.testing.assert_array_equal(one.pixel, q[:2] / q[2])
-            np.testing.assert_array_equal(batch.perspective_part[j], q0[:2] / q0[2])
+            np.testing.assert_array_equal(batch.correction[j], one.pixel - q0[:2] / q0[2])
             assert (batch.scan_time[j], batch.caught_twice[j]) == (one.scan_time,
                                                                   one.caught_twice)

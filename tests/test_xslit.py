@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from rscam import xslit
 from rscam.errors import DegenerateSlits
 from rscam.geometry import CameraIntrinsics, MotionState, Pose
-from rscam.shutter import ShutterParams, project_rolling_shutter
+from rscam.shutter import ShutterParams
 from rscam.xslit import Line3D, backproject, compute_slits, line_line_distance
 
-from conftest import invert_one, line_distance_one
+from conftest import invert_one, line_distance_one, rs_projection
 
 
 @pytest.fixture
@@ -99,8 +99,7 @@ class TestBackproject:
                 point = ray.point + span * ray.direction
                 if point[2] < 0.05:
                     continue
-                rs = project_rolling_shutter(point, m, k, shutter_norm,
-                                             enforce_window=False)
+                rs = rs_projection(point, m, k, shutter_norm, windowed=False)
                 np.testing.assert_allclose(rs.pixel, q, atol=1e-9)
 
     def test_rays_meet_both_slits(self, shutter_norm, rng):
