@@ -535,6 +535,14 @@ class TestSnapshot:
         np.testing.assert_array_equal(loaded.velocities, rs_problem.velocities)
         np.testing.assert_array_equal(loaded.pixels, rs_problem.pixels)
 
+    def test_resave_is_byte_identical(self, tmp_path, rs_problem):
+        """Loading a snapshot and saving it again writes the same bytes, so the
+        loader reads every field of the problem back exactly."""
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_problem(rs_problem, first)
+        save_problem(load_problem(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_rerun_from_snapshot_matches(self, tmp_path, rs_problem):
         path = tmp_path / "problem.json"
         save_problem(rs_problem, path)
