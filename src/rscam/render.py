@@ -3,10 +3,11 @@
 Reproduces the classic bent-checkerboard distortion: a camera spinning about
 its optical axis images each pixel row at a different instant, so straight
 board edges curve.  Rendering is exact: the capture time of pixel row v is
-t = (v + v0) / r, and the board color is sampled along the ray of the
-rotated camera at that instant.  Board corners are also forward-projected
-through the nonlinear scan-time solver, which provides an independent check
-of the same geometry and the curve-deflection metric.
+t = (v + v0) / r, and the board color is sampled along the ray of the rotated
+camera at that instant, but only where the row's board cells step; the rest
+of the row is runs.  Board corners are also forward-projected through the
+nonlinear scan-time solver, an independent check of the same geometry and
+the curve-deflection metric.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .geometry import CameraIntrinsics, MotionState, Pose
 from .shutter import NO_SCAN_TIME, SINGULARITY, ShutterParams, solve_scan_times
 
-RASTER_BLOCK = 64           # pixel rows per array operation, to bound the raster's memory
+RASTER_BLOCK = 32           # pixel rows per array operation, to bound the raster's memory
 
 
 def spin_motion(omega_z_rev_s: float) -> MotionState:
@@ -27,42 +28,94 @@ def spin_motion(omega_z_rev_s: float) -> MotionState:
                        np.array([0.0, 0.0, 2.0 * math.pi * omega_z_rev_s]))
 
 
+def _check_scene(omega_z_rev_s: float, plane_depth: float, square_size: float) -> None:
+    """Raise ValueError naming a spin, depth or square size that no board has."""
+    for name, value in (("omega_z_rev_s", omega_z_rev_s), ("plane_depth", plane_depth)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not (math.isfinite(square_size) and square_size > 0.0):
+        raise ValueError(f"square_size must be finite and positive, got {square_size}")
+
+
+def _parity(bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """In place, 2 (s/2 - floor(s/2)) for s = floor(bx) + floor(by): s % 2 while |s| < 2**53."""
+    s = np.multiply(np.add(np.floor(bx, out=bx), np.floor(by, out=by), out=bx), 0.5, out=bx)
+    return np.multiply(np.subtract(s, np.floor(s, out=by), out=s), 2.0, out=s)
+
+
 def render_checkerboard(intrinsics: CameraIntrinsics, shutter: ShutterParams,
                         omega_z_rev_s: float, plane_depth: float,
                         square_size: float) -> np.ndarray:
     """Grayscale image (height x width in [0,1]) of a fronto-parallel board.
 
     Row v is sampled at its scan time through the exactly-rotated camera; the
-    board is an infinite checker pattern on the plane z = plane_depth.  The
-    ray K^-1 (u, v, 1) is K^-1 (u, 0, 1) + K^-1 (0, v, 0), each term kept as
-    one value where constant; the parity 2 (s/2 - floor(s/2)) of the integer
-    s = bx + by is exact, +0.0 or 1.0 as s % 2 is.
+    board is an infinite checker pattern on the plane z = plane_depth.  Pixel
+    (u, v) lies in cells floor((p d0 + q d1) plane_depth / d2 / square_size) of
+    its ray d = K^-1 (u, 0, 1) + K^-1 (0, v, 0), for the row's (p, q) = (cos,
+    sin) and (-sin, cos), and its color is their parity.  Where d1 and d2 are
+    constant along a row and d0 rises, both cells are monotone in u, as every
+    correctly rounded operation is, so the row is runs between the steps its
+    end cells count.  Each step is found by bisection on the same arithmetic,
+    seeded from the affine estimate between the ends and verified at its
+    probes; it flips the color, and one np.repeat writes the runs.  A row with
+    steps * ceil(log2 width) >= width, or cells beyond 2**52, takes every
+    column instead.  Raises ValueError for a spin or depth that is not finite,
+    a square size that is not finite and positive, or row-end board
+    coordinates that overflow.
     """
+    _check_scene(omega_z_rev_s, plane_depth, square_size)
     w, h = intrinsics.width, intrinsics.height
     k_inv = np.linalg.inv(intrinsics.K)
     vs = np.arange(h) + 0.5
     col_d = np.column_stack([np.arange(w) + 0.5, np.zeros(w), np.ones(w)]) @ k_inv.T
     row_d = np.column_stack([np.zeros(h), vs, np.zeros(h)]) @ k_inv.T
-    col_terms, row_terms = ([t[:1] if np.all(t == t[0]) else t for t in d]
-                            for d in (col_d.T, row_d.T[:, :, None]))
-    # Rays of the rotated camera at each row's scan time: R(t)^T K^-1 (u, v, 1).
-    theta = 2.0 * math.pi * omega_z_rev_s * ((vs + shutter.first_row) / shutter.scan_rate)
-    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    image = np.empty((h, w))
-    bx_rows, by_rows = np.empty((2, min(h, RASTER_BLOCK), w))
-    for first in range(0, h, RASTER_BLOCK):
-        rows = slice(first, first + RASTER_BLOCK)
-        c, s = cos[rows], sin[rows]
-        bx, by = bx_rows[:len(c)], by_rows[:len(c)]
-        d0, d1, d2 = (col + (row[rows] if len(row) > 1 else row)
-                      for col, row in zip(col_terms, row_terms))
-        np.add(np.multiply(c, d0, out=bx), s * d1, out=bx)
-        np.add(np.multiply(-s, d0, out=by), c * d1, out=by)
-        scale = plane_depth / d2
-        for b in (bx, by):
-            np.floor(np.divide(np.multiply(b, scale, out=b), square_size, out=b), out=b)
-        np.multiply(np.add(bx, by, out=bx), 0.5, out=bx)
-        np.multiply(np.subtract(bx, np.floor(bx, out=by), out=bx), 2.0, out=image[rows])
+    col_terms = [t[:1] if np.all(t == t[0]) else t for t in col_d.T]
+    monotone = len(col_terms[1]) == len(col_terms[2]) == 1 and np.all(np.diff(col_terms[0]) >= 0)
+
+    def board(p, q, rows, cols):    # board coordinates, in squares, of R(t)^T K^-1 (u, v, 1)
+        d0, d1, d2 = ((col[cols] if len(col) > 1 else col) + row[rows]
+                      for col, row in zip(col_terms, row_d.T))
+        b = np.multiply(p, d0, order="C")       # p indexed by rows is not C-ordered
+        return np.divide(np.multiply(np.add(b, q * d1, out=b), plane_depth / d2, out=b),
+                         square_size, out=b)
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow raises below
+        theta = 2.0 * math.pi * omega_z_rev_s * ((vs + shutter.first_row) / shutter.scan_rate)
+        p, q = np.array([np.cos(theta), -np.sin(theta)]), np.array([np.sin(theta), np.cos(theta)])
+        ends = board(p[..., None], q[..., None], np.arange(h)[:, None], np.array([0, w - 1]))
+        first, span = np.floor(ends[..., 0]), np.floor(ends[..., -1]) - np.floor(ends[..., 0])
+        runs = (monotone & np.all(np.abs(ends) < 2.0**52, axis=(0, 2))
+                & (np.abs(span).sum(axis=0) * (w - 1).bit_length() < w))
+    if not np.isfinite(ends).all():
+        raise ValueError(f"board coordinates overflow at plane_depth={plane_depth:g}, "
+                         f"square_size={square_size:g}, omega_z_rev_s={omega_z_rev_s:g}")
+    # Level k of an (axis, row) line is reached where its cell lies k past the first.
+    counts = np.where(runs, np.abs(span), 0.0).astype(int).ravel()
+    line = np.repeat(np.arange(2 * h), counts)
+    level = np.arange(len(line)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    up, f0, x0, x1 = (a.ravel()[line] for a in (np.sign(span), first, ends[..., 0], ends[..., -1]))
+
+    def reached(i, u):
+        b = board(p.ravel()[line[i]], q.ravel()[line[i]], line[i] % h, u)
+        return up[i] * (np.floor(b) - f0[i]) >= level[i]
+    step = np.ceil((f0 + up * level + (up < 0) - x0) / (x1 - x0) * (w - 1))
+    step = np.clip(step, 1, w - 1).astype(int)
+    miss = np.flatnonzero(reached(slice(None), step - 1) | ~reached(slice(None), step))
+    lo, hi = np.zeros(len(miss), int), np.full(len(miss), w - 1)
+    for _ in range((w - 1).bit_length() if len(miss) else 0):
+        hit = reached(miss, mid := (lo + hi) // 2)
+        lo, hi = np.where(hit, lo, mid), np.where(hit, mid, hi)
+    step[miss] = hi
+    # Each row opens a run at column 0; rows that take every column are overwritten.
+    starts = np.sort(np.concatenate([np.arange(h) * w, line % h * w + step]))
+    del line, level, up, f0, x0, x1, step      # before the frame is allocated
+    per_row = 1 + counts.reshape(2, h).sum(axis=0)
+    flips = np.arange(len(starts)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    colors = np.abs(np.repeat(_parity(*np.floor(ends[..., 0])), per_row) - flips % 2)
+    image = np.repeat(colors, np.diff(starts, append=h * w)).reshape(h, w)
+    dense = np.flatnonzero(~runs)
+    for at in range(0, len(dense), RASTER_BLOCK):
+        block = dense[at:at + RASTER_BLOCK, None]
+        image[block[:, 0]] = _parity(*board(p[:, block], q[:, block], block, slice(None)))
     return image
 
 
@@ -74,8 +127,12 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
 
     Returns (corner pixels, list of sampled polylines, max deflection in px):
     deflection is the largest perpendicular distance between a projected grid
-    line and the straight segment joining its projected endpoints.
+    line and the straight segment joining its projected endpoints.  Raises
+    ValueError as render_checkerboard does, and for samples_per_edge < 1.
     """
+    _check_scene(omega_z_rev_s, plane_depth, square_size)
+    if samples_per_edge < 1:
+        raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
     motion = spin_motion(omega_z_rev_s)
     half = 0.5 * squares * square_size
     coords = np.linspace(-half, half, squares + 1)

@@ -206,6 +206,25 @@ class TestRenderChecker:
         assert float(by_omega["0"]["max_edge_deflection_px"]) < 1e-9
         assert float(by_omega["0.5"]["max_edge_deflection_px"]) > 1.0
 
+    @pytest.mark.parametrize("overrides, named", [
+        (["render.square_size=0"], "square_size"),
+        (["render.square_size=inf"], "square_size"),
+        (["render.plane_depth=inf"], "plane_depth"),
+        (["render.omega_z_rev_s=inf"], "omega_z_rev_s"),
+        (["render.samples_per_edge=0"], "samples_per_edge"),
+        (["render.plane_depth=1e300", "render.square_size=1e-10"], "board coordinates overflow"),
+    ])
+    def test_degenerate_setting_is_usage_error(self, capsys, tmp_path, overrides, named):
+        """A setting no frame or lattice can have exits 1 naming it, before any
+        warning or image."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "render-checker", "--out-dir", str(tmp_path),
+                                   *(a for o in overrides for a in ("--set", o)))
+        assert code == 1 and named in err
+        assert "Warning" not in err and not caught
+        assert not list(tmp_path.glob("*.pgm"))
+
 
 class TestSfmGrid:
     def test_grid_outputs(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,31 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import project_board_lattice_lines, render_checkerboard_rows
 from rscam.geometry import CameraIntrinsics
-from rscam.render import (RASTER_BLOCK, overlay_markers, project_board_lattice,
-                          render_checkerboard, spin_motion)
+from rscam.render import (overlay_markers, project_board_lattice, render_checkerboard,
+                          spin_motion)
 from rscam.shutter import ShutterParams
 
 
 def small_camera() -> CameraIntrinsics:
     return CameraIntrinsics.from_fov(40.0, 160, 120)
+
+
+def board_squares(k, s, omega, depth, square):
+    """Board coordinates (2, height, width), in squares, of every pixel's full
+    ray through the rotated camera; exact but for rounding."""
+    u, v = np.meshgrid(np.arange(k.width) + 0.5, np.arange(k.height) + 0.5)
+    d = np.stack([u, v, np.ones_like(u)], axis=-1) @ np.linalg.inv(k.K).T
+    theta = 2.0 * math.pi * omega * (v + s.first_row) / s.scan_rate
+    board = np.stack([np.cos(theta) * d[..., 0] + np.sin(theta) * d[..., 1],
+                      -np.sin(theta) * d[..., 0] + np.cos(theta) * d[..., 1]])
+    return board * (depth / d[..., 2] / square)
+
+
+def assert_oracle_frame(k, s, omega, depth, square):
+    """The raster is the row-by-row oracle's image bit for bit, with no -0.0."""
+    image = render_checkerboard(k, s, omega, depth, square)
+    np.testing.assert_array_equal(image, render_checkerboard_rows(k, s, omega, depth, square))
+    assert not np.signbit(image).any()
 
 
 class TestRenderCheckerboard:
@@ -33,7 +52,7 @@ class TestRenderCheckerboard:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(omega=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
            scan_sign=st.sampled_from([1.0, -1.0]), first_row=st.floats(-300.0, 300.0),
-           width=st.integers(1, 90), height=st.integers(1, 2 * RASTER_BLOCK + 30),
+           width=st.integers(1, 90), height=st.integers(1, 158),
            fov=st.one_of(st.none(), st.floats(20.0, 120.0)),
            plane_depth=st.floats(0.05, 20.0), square_size=st.floats(0.005, 1.0))
     def test_raster_property(self, omega, scan_sign, first_row, width, height, fov,
@@ -62,18 +81,75 @@ class TestRenderCheckerboard:
         omega, depth, square = 1.3, 0.8, 0.07
         image = render_checkerboard(k, s, omega, depth, square)
         oracle = render_checkerboard_rows(k, s, omega, depth, square)
-        # Board coordinates in squares, with the rays of the rotated camera.
-        u, v = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
-        d = np.stack([u, v, np.ones_like(u)], axis=-1) @ np.linalg.inv(K).T
-        theta = 2.0 * math.pi * omega * (v + s.first_row) / s.scan_rate
-        board = np.stack([np.cos(theta) * d[..., 0] + np.sin(theta) * d[..., 1],
-                          -np.sin(theta) * d[..., 0] + np.cos(theta) * d[..., 1]])
-        board *= depth / d[..., 2] / square
+        board = board_squares(k, s, omega, depth, square)
         clear = np.all(np.abs(board - np.round(board)) > 1e-9, axis=0)
         assert clear.mean() > 0.99
         np.testing.assert_array_equal(image[clear], oracle[clear])
         assert not np.signbit(image).any()
         assert set(np.unique(image)) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("omega", [32.0, -32.0])
+    def test_raster_row_at_a_quarter_turn(self, omega):
+        """The render-checker frame at a spin that turns row 112 by exactly
+        pi/2: there cos is 6e-17, so one axis's cell barely moves along the row."""
+        k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
+        theta = 2.0 * math.pi * omega * ((np.arange(480) + 0.5) / s.scan_rate)
+        assert np.abs(np.cos(theta)).min() < 1e-16
+        assert_oracle_frame(k, s, omega, 0.5, 0.06)
+
+    def test_raster_every_column_side(self):
+        """Rows whose cells step ~350,000 times in 90 columns, and a frame whose
+        cells jump by 2 or more between adjacent columns, take every column."""
+        k, s = CameraIntrinsics.normalized(90, 158), ShutterParams.ideal(30.0, 158)
+        steps = np.abs(np.diff(np.floor(board_squares(k, s, 0.7, 20.0, 0.005)[..., [0, -1]])))
+        assert steps.sum(axis=0).min() > 300_000
+        assert_oracle_frame(k, s, 0.7, 20.0, 0.005)
+        k, s = small_camera(), ShutterParams.ideal(30.0, 120)
+        assert np.abs(np.diff(np.floor(board_squares(k, s, 0.5, 0.5, 0.001)), axis=2)).max() >= 2
+        assert_oracle_frame(k, s, 0.5, 0.5, 0.001)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("square", [0.06, 0.002])
+    def test_raster_narrow_frames(self, width, square):
+        """One column has no steps to find, and two columns bisect nothing."""
+        k = CameraIntrinsics.from_fov(40.0, width, 75)
+        s = ShutterParams(scan_rate=-75 * 30.0, first_row=-40.0)
+        for omega in (0.0, 0.9, -2.5):
+            assert_oracle_frame(k, s, omega, 0.5, square)
+
+    @pytest.mark.parametrize("square", [0.03, 0.02])
+    def test_raster_both_axes_step_in_one_column(self, square):
+        """Zero-length runs: both cells step between the same two columns.
+        At 0.02 m some rows take every column and the rest take runs."""
+        k, s = small_camera(), ShutterParams.ideal(30.0, 120)
+        steps = np.diff(np.floor(board_squares(k, s, 2.0, 0.5, square)), axis=2) != 0
+        assert np.all(steps, axis=0).sum() >= 2
+        assert_oracle_frame(k, s, 2.0, 0.5, square)
+
+    @pytest.mark.parametrize("omega", [6e-15, 2e-14, -6e-15])
+    def test_raster_where_the_affine_seed_misses(self, omega):
+        """Rows 8, 16, ... of an identity-like camera sit on a cell edge, and a
+        spin of ~1e-14 rev/s moves them off it by rounding alone, so their
+        steps lie far from the affine estimate and are found by bisection."""
+        K = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+        k, s = CameraIntrinsics(K, 1.0, 100, 80), ShutterParams.ideal(30.0, 80)
+        assert_oracle_frame(k, s, omega, 1.0, 8.0)
+
+    @pytest.mark.parametrize("camera, square", [(CameraIntrinsics.normalized(640, 480), 1e-6),
+                                                (CameraIntrinsics.from_fov(40.0, 640, 480), 0.06),
+                                                (CameraIntrinsics.from_fov(40.0, 640, 480), 0.007)])
+    def test_raster_peak_memory(self, camera, square):
+        """Every column at 1e-6 m squares, runs in the render-checker frame, and
+        ~60 steps a row at 7 mm, each peak within 1.5x the image's bytes."""
+        s = ShutterParams.ideal(30.0, 480)
+        render_checkerboard(camera, s, 0.5, 0.5, square)
+        tracemalloc.start()
+        try:
+            image = render_checkerboard(camera, s, 0.5, 0.5, square)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * image.nbytes
 
     def test_static_camera_is_plain_checker(self):
         k = small_camera()
