@@ -199,6 +199,9 @@ def _point(tokens: list[str], *source) -> list[float]:
 
 
 def cmd_project(config: RunConfig, args) -> int:
+    """Pin-hole and rolling-shutter images.  The pin-hole and drift columns need
+    each point in front of the camera at frame start, so a point behind it there
+    fails (NegativeDepth) even where the rolling shutter images it."""
     intrinsics = config.intrinsics()
     shutter = config.shutter()
     motion = config.motion()

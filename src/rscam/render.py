@@ -134,7 +134,8 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     if samples_per_edge < 1:
         raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
     motion = spin_motion(omega_z_rev_s)
-    half = 0.5 * squares * square_size
+    if not math.isfinite(half := 0.5 * squares * square_size):
+        raise ValueError(f"square_size={square_size:g} makes a board of {squares} squares infinite")
     coords = np.linspace(-half, half, squares + 1)
     ts = -half + 2 * half * np.linspace(0.0, 1.0, samples_per_edge)
     n, m = len(coords), len(ts)
@@ -159,10 +160,11 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     line = np.arange(2 * n)
     a = line_px[line, line_kept.argmax(axis=1)]
     chord = line_px[line, m - 1 - line_kept[:, ::-1].argmax(axis=1)] - a
-    norm = np.sqrt((chord[:, None, :] @ chord[:, :, None])[:, 0, 0])
-    bent = drawn & (norm >= 1e-9)
-    normal = np.column_stack([-chord[:, 1], chord[:, 0]]) / np.where(bent, norm, 1.0)[:, None]
-    distance = np.abs(((line_px - a[:, None]) @ normal[:, :, None])[..., 0])
+    with np.errstate(over="ignore"):    # a chord too long to square has a zero normal
+        norm = np.sqrt((chord[:, None, :] @ chord[:, :, None])[:, 0, 0])
+        bent = drawn & (norm >= 1e-9)
+        normal = np.column_stack([-chord[:, 1], chord[:, 0]]) / np.where(bent, norm, 1.0)[:, None]
+        distance = np.abs(((line_px - a[:, None]) @ normal[:, :, None])[..., 0])
     max_deflection = float(np.max(distance, initial=0.0, where=bent[:, None] & line_kept))
     return corners, polylines, max_deflection
 

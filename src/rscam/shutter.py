@@ -17,8 +17,9 @@ t_c (`classify_case`).  One batched kernel, `solve_scan_times`, solves it for
 N points: linearized, in closed form; exact, by brackets on a fixed sample
 grid over the frame window, refined together by the Illinois method.  As
 the exact path is a sum of 1, t, sin(|omega| t) and 1 - cos(|omega| t) terms,
-the grid's signs come from one matrix product per block of points.  The
-scalar `project_rolling_shutter` is a batch of one.
+the grid's signs come from one matrix product per block of points and its
+depths from a second; the refinement keeps only the brackets still running.
+The scalar `project_rolling_shutter` is a batch of one.
 
 For fronto-parallel motion (v_z = 0, omega about the optical axis only) the
 constraint is linear and the captured image point has a closed form equal to
@@ -45,7 +46,7 @@ from .geometry import CameraIntrinsics, MotionState, hat, row_dot
 DEPTH_EPS = 1e-9            # depth at or below which a point is behind the camera
 SINGULARITY_EPS = 1e-9      # |b| / f_y at or below which a linear constraint is singular
 EXACT_SAMPLES = 129         # bracketing grid of the exact model over the frame window
-EXACT_BLOCK = 64            # points per block of that grid, to bound its memory
+EXACT_BLOCK = 512           # points per block of that grid, to bound its memory
 EXACT_MAX_STEPS = 100       # Illinois steps per bracket
 
 _UNIT_SAMPLES = np.linspace(0.0, 1.0, EXACT_SAMPLES)
@@ -152,31 +153,28 @@ def _linear_path(x: np.ndarray, motion: MotionState,
 
 
 def _exact_path(x: np.ndarray, motion: MotionState):
-    """(at, coef, speed): exact camera-frame paths of static points (N, 3).
+    """(coef, speed): exact camera-frame paths of static points (N, 3).
 
     The camera turns about a fixed axis n, so R(tau) R0 x = rx + sin(theta) k1
     + (1 - cos theta) k2 with theta = speed tau, k1 = n x rx, k2 = n x k1, and
-    p(tau) = [1, tau, sin theta, 1 - cos theta] @ coef (4, N, 3).  at(tau, rows,
-    cols) sums the terms, tau broadcasting against the rows and columns.
+    p(tau) = [1, tau, sin theta, 1 - cos theta] @ coef (4, N, 3), as `_path_at` sums it.
     """
     rx = x @ motion.pose0.rotation.T
-    v = motion.linear_velocity
     speed = float(np.linalg.norm(motion.angular_velocity))
     axis = hat(motion.angular_velocity / speed) if speed > 0.0 else np.zeros((3, 3))
     k1 = rx @ axis.T
     coef = np.array([rx + motion.pose0.translation, rx, k1, k1 @ axis.T])
-    coef[1] = v
-    base, _, k1, k2 = coef
+    coef[1] = motion.linear_velocity
+    return coef, speed
 
-    def at(tau, rows=slice(None), cols=slice(None)):
-        p = base[rows, cols] + tau * v[cols]
-        if speed == 0.0:
-            return p
-        theta = speed * tau
-        return (p + np.sin(theta) * k1[rows, cols]
-                + (1.0 - np.cos(theta)) * k2[rows, cols])
 
-    return at, coef, speed
+def _path_at(tau, terms, speed):
+    """Positions on exact paths of terms (4, ..., c) at times tau broadcasting against them."""
+    p = terms[0] + tau * terms[1]
+    if speed == 0.0:
+        return p
+    theta = speed * tau
+    return p + np.sin(theta) * terms[2] + (1.0 - np.cos(theta)) * terms[3]
 
 
 def _points(points) -> np.ndarray:
@@ -223,12 +221,14 @@ class ScanTimes:
             raise error(error.__doc__)
 
     def projection(self, i, intrinsics: CameraIntrinsics) -> RsProjection:
-        """Image of point i (or of an index array's points), or the first error."""
+        """Image of point i (or of an index array's points), or the first error;
+        the correction is NaN where the point is behind the camera at frame start."""
         self.check(i)
         pixel = _project(self.capture[i], intrinsics)
-        return RsProjection(pixel=pixel, scan_time=self.t[i],
-                            correction=pixel - _project(self.start[i], intrinsics),
-                            caught_twice=self.caught_twice[i])
+        front = (start := self.start[i])[..., 2:] > DEPTH_EPS
+        return RsProjection(pixel=pixel, scan_time=self.t[i], correction=np.where(
+            front, pixel - _project(np.where(front, start, 1.0), intrinsics), np.nan),
+            caught_twice=self.caught_twice[i])
 
 
 def solve_scan_times(points, motion: MotionState, intrinsics: CameraIntrinsics,
@@ -249,10 +249,11 @@ def solve_scan_times(points, motion: MotionState, intrinsics: CameraIntrinsics,
     if not exact:
         return solve_path_times(*_linear_path(x, motion, frame_start), intrinsics,
                                 shutter, windowed)
-    at, *terms = _exact_path(x, motion)
-    t, reason, twice = _exact_roots(at, *terms, intrinsics, shutter, frame_start,
+    coef, speed = _exact_path(x, motion)
+    t, reason, twice = _exact_roots(coef, speed, intrinsics, shutter, frame_start,
                                     shutter.scan_duration(intrinsics.height))
-    return ScanTimes(t, reason, twice, at(frame_start), at((frame_start + t)[:, None]))
+    return ScanTimes(t, reason, twice, _path_at(frame_start, coef, speed),
+                     _path_at((frame_start + t)[:, None], coef, speed))
 
 
 def solve_path_times(start: np.ndarray, velocity: np.ndarray, intrinsics: CameraIntrinsics,
@@ -335,76 +336,79 @@ def _closed_form_roots(y, w, intrinsics, shutter, t_max, windowed):
     return np.where(found, t, 0.0), reason, twice
 
 
-def _exact_roots(at, coef, speed, intrinsics, shutter, frame_start, t_max):
-    """Scan times of the exact paths at(tau), of terms coef: (t, reason, caught_twice)."""
+def _exact_roots(coef, speed, intrinsics, shutter, frame_start, t_max):
+    """Scan times of the exact paths of terms coef (4, N, 3): (t, reason, caught_twice)."""
     fy, cy = intrinsics.focal_y, intrinsics.center_y
     r, v0 = shutter.scan_rate, shutter.first_row
     n = coef.shape[1]
 
-    def residual(t, rows):
-        p = at((frame_start + t)[..., None], rows, slice(1, 3))
-        front = p[..., 1] > DEPTH_EPS
-        row = (fy * p[..., 0] + cy * p[..., 1]) / np.where(front, p[..., 1], 1.0)
-        return row - (r * t - v0), front
+    def residual(t, terms):     # terms (4, 2, ...) of (p_y, p_z), broadcasting against t
+        p_y, p_z = _path_at(frame_start + t, terms, speed)
+        front = p_z > DEPTH_EPS
+        return (fy * p_y + cy * p_z) / np.where(front, p_z, 1.0) - (r * t - v0), front
 
     # Bracket the roots on the sample grid, a block of points at a time.  In
     # front of the camera the residual has the sign of g = fy p_y + (cy + v0
-    # - r t) p_z, one product per block.  Both round within ~1e-15 of the
-    # size of g's terms, which |terms| bound; a point within 1e-12 of that
-    # size of 0 at a sample takes the residual on the grid instead.  A sample
-    # that is a root is its own bracket.
-    ts = t_max * _UNIT_SAMPLES
-    basis = np.zeros((EXACT_SAMPLES, 4))
-    basis[:, 0], basis[:, 1] = 1.0, frame_start + ts
-    if speed:
-        basis[:, 2], basis[:, 3] = np.sin(speed * basis[:, 1]), 1.0 - np.cos(speed * basis[:, 1])
-    sweep = (cy + v0 - r * ts)[:, None]
-    sweep_size = abs(cy) + abs(v0) + abs(r) * t_max
-    bound = 1e-12 * np.array([1.0, abs(frame_start) + t_max, 1.0, 2.0])[:, None] * [fy, sweep_size]
-    behind = np.zeros(n, dtype=bool)
-    brackets = []
+    # - r t) p_z, one product [fy basis | sweep basis] @ [T_y; T_z] per block
+    # (p_z is a second).  g and the residual round within ~1e-15 of the size
+    # of g's terms, which |terms| bound; a point within 1e-12 of that size of
+    # 0 at a sample takes the residual on the grid instead, and only there is
+    # a sample a root, which is its own bracket.
+    tau = frame_start + (ts := t_max * _UNIT_SAMPLES)
+    basis = np.column_stack([np.ones_like(tau), tau, np.sin(speed * tau), 1 - np.cos(speed * tau)])
+    lhs = np.hstack([fy * basis, (cy + v0 - r * ts)[:, None] * basis])
+    yz = np.ascontiguousarray(coef[..., 1:3].transpose(2, 0, 1)).reshape(8, n)
+    terms = yz.reshape(2, 4, n).transpose(1, 0, 2)      # (4, 2, N) of p_y and p_z
+    scale = [fy, abs(cy) + abs(v0) + abs(r) * t_max]    # of g's p_y and p_z terms
+    bound = (1e-12 * np.outer(scale, [1.0, abs(frame_start) + t_max, 1.0, 2.0])).ravel()
+    behind, brackets = np.zeros(n, dtype=bool), []
     for first in range(0, n, EXACT_BLOCK):
-        terms = coef[:, first:first + EXACT_BLOCK, 1:3]
-        p = (basis @ terms.reshape(4, -1)).reshape(EXACT_SAMPLES, -1, 2)
-        back = ~(p[..., 1] > DEPTH_EPS)
-        g = fy * p[..., 0] + sweep * p[..., 1]
-        g[back] = np.nan
-        if (doubt := np.abs(g) <= np.einsum("jkc,jc->k", np.abs(terms), bound)).any():
-            cols = np.flatnonzero(doubt.any(axis=0))
-            f, front = residual(ts[:, None], first + cols)
-            g[:, cols], back[:, cols] = np.where(front, f, np.nan), ~front
-        behind[first:first + EXACT_BLOCK] = back.any(axis=0)
-        s, k = np.nonzero(g == 0.0)
-        brackets.append((first + k, s, s))
-        s, k = np.nonzero(g[:-1] * g[1:] < 0.0)
+        cols = slice(first, first + EXACT_BLOCK)
+        g, size = lhs @ yz[:, cols], bound @ np.abs(yz[:, cols])
+        back = ~(basis @ yz[4:, cols] > DEPTH_EPS)
+        np.copyto(g, np.nan, where=back)
+        if (k := np.flatnonzero(((g <= size) & (g >= -size)).any(axis=0))).size:
+            f, front = residual(ts, terms[:, :, first + k, None])
+            g[:, k], back[:, k] = np.where(front, f, np.nan).T, ~front.T
+            s, j = divmod(np.flatnonzero(g[:, k] == 0.0), len(k))
+            brackets.append((first + k[j], s, s))
+        behind[cols] = back.any(axis=0)
+        with np.errstate(over="ignore"):    # an overflowing product keeps its sign
+            s, k = divmod(np.flatnonzero(g[:-1] * g[1:] < 0.0), g.shape[1])
         brackets.append((first + k, s, s + 1))
     owner, s_a, s_b = (np.concatenate(parts) for parts in zip(*brackets))
+    path = terms[:, :, owner]
     a, b = ends = ts[np.array([s_a, s_b])]
-    f_a, f_b = residual(ends, owner)[0]
+    f_a, f_b = residual(ends, path[:, :, None])[0]
 
     # Refine every bracket together: regula falsi with the Illinois halving of
     # a retained end, and the midpoint when the secant point is not strictly
-    # inside.  A bracket whose path goes behind the camera is dropped.
-    alive = np.ones(len(a), dtype=bool)
-    active = f_b != 0.0
+    # inside.  The working arrays shrink on the steps where brackets stop; a
+    # stopped bracket writes out its last point and whether it is in front
+    # there, and one whose path went behind the camera is dropped.
+    last, alive, run = b.copy(), np.ones(len(owner), dtype=bool), np.flatnonzero(f_b != 0.0)
+    a, b, f_a, f_b, path = (x.take(run, axis=-1) for x in (a, b, f_a, f_b, path))
     for _ in range(EXACT_MAX_STEPS):
-        k = np.flatnonzero(active)
-        if k.size == 0:
+        if run.size == 0:
             break
-        ak, bk, fak, fbk = a[k], b[k], f_a[k], f_b[k]
-        t = bk - fbk * (bk - ak) / (fbk - fak)
-        t = np.where((t - ak) * (t - bk) < 0.0, t, 0.5 * (ak + bk))
-        ft, alive[k] = residual(t, owner[k])
-        swap = ft * fbk < 0.0
-        a[k], f_a[k] = np.where(swap, bk, ak), np.where(swap, fbk, 0.5 * fak)
-        b[k], f_b[k] = t, ft
-        active[k] = alive[k] & (ft != 0.0) & (np.abs(t - a[k]) > 1e-14 * t_max)
+        t = b - f_b * (b - a) / (f_b - f_a)
+        t = np.where((t - a) * (t - b) < 0.0, t, 0.5 * (a + b))
+        f_t, front = residual(t, path)
+        with np.errstate(over="ignore"):
+            swap = f_t * f_b < 0.0
+        a, f_a = np.where(swap, b, a), np.where(swap, f_b, 0.5 * f_a)
+        going = front & (f_t != 0.0) & (np.abs(t - a) > 1e-14 * t_max)
+        b, f_b = t, f_t
+        if not going.all():
+            last[run[~going]], alive[run[~going]] = t[~going], front[~going]
+            run, a, b, f_a, f_b, path = (x.compress(going, axis=-1)
+                                         for x in (run, a, b, f_a, f_b, path))
+    last[run] = b
     behind[owner[~alive]] = True
 
-    earliest = np.full(n, np.inf)
-    latest = np.full(n, -np.inf)
-    np.minimum.at(earliest, owner[alive], b[alive])
-    np.maximum.at(latest, owner[alive], b[alive])
+    earliest, latest = np.full(n, np.inf), np.full(n, -np.inf)
+    np.minimum.at(earliest, owner[alive], last[alive])
+    np.maximum.at(latest, owner[alive], last[alive])
     found = earliest < np.inf
     twice = found & (latest - earliest > 1e-9 * max(1.0, t_max))
     reason = np.where(found, IMAGED, np.where(behind, NEGATIVE_DEPTH, NO_SCAN_TIME))

@@ -75,6 +75,16 @@ class TestProject:
         assert code == 2
         assert "Singularity" in err
 
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_point_behind_at_frame_start_fails(self, capsys, exact):
+        """Approaching at 20 m/s, the rolling shutter images a point 5 cm
+        behind the camera at frame start, but the pin-hole and drift columns
+        need it in front there, so the command exits 2."""
+        code, out, err = run_cli(capsys, "project", *exact, "--point", "0,0.1,-0.05",
+                                 "--set", "motion.velocity_kmh=0 0 72")
+        assert (code, out) == (2, "")
+        assert "NegativeDepth: depth -5.000e-02 is not positive" in err
+
     def test_usage_error_exit_code(self, capsys):
         """A usage error exits 1 (2 is a numerical failure), argparse's too,
         with its message; --help exits 0.  A negative first coordinate is a
@@ -213,6 +223,7 @@ class TestRenderChecker:
         (["render.omega_z_rev_s=inf"], "omega_z_rev_s"),
         (["render.samples_per_edge=0"], "samples_per_edge"),
         (["render.plane_depth=1e300", "render.square_size=1e-10"], "board coordinates overflow"),
+        (["render.square_size=1e308"], "square_size=1e+308 makes a board of 8 squares infinite"),
     ])
     def test_degenerate_setting_is_usage_error(self, capsys, tmp_path, overrides, named):
         """A setting no frame or lattice can have exits 1 naming it, before any
@@ -224,6 +235,20 @@ class TestRenderChecker:
         assert code == 1 and named in err
         assert "Warning" not in err and not caught
         assert not list(tmp_path.glob("*.pgm"))
+
+
+    def test_huge_squares_render_without_warnings(self, capsys, tmp_path):
+        """At 1e200 m squares the lattice's pixels reach ~1e203: the solver's
+        sign products and the chord lengths overflow without a warning, five
+        corners are kept (four far off the frame) and no line reads as bent."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "render-checker", "--out-dir", str(tmp_path),
+                                   "--set", "render.square_size=1e200")
+        assert (code, err, caught) == (0, "", [])
+        rows = csv_rows((tmp_path / "deflection.csv").read_text())
+        assert [(r["max_edge_deflection_px"], r["n_corners"]) for r in rows] == [("0", "5")] * 4
+        assert len(list(tmp_path.glob("checker_w*.pgm"))) == 4
 
 
 class TestSfmGrid:

@@ -208,6 +208,19 @@ class TestRenderCheckerboard:
             assert [p.tobytes() for p in got[1]] == [p.tobytes() for p in want[1]]
             assert type(got[2]) is float and got[2] == want[2]
 
+    @pytest.mark.parametrize("square", [1e200, 1e300])
+    def test_lattice_of_huge_squares(self, square):
+        """Squares so large that the solver's sign products and the chords'
+        squared lengths overflow: no warning escapes and the result is the
+        line-by-line oracle's (itself run with overflow ignored)."""
+        k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
+        got = project_board_lattice(k, s, 0.5, 0.5, square, 8, 17)
+        with np.errstate(over="ignore"):
+            want = project_board_lattice_lines(k, s, 0.5, 0.5, square, 8, 17)
+        assert got[0].tobytes() == want[0].tobytes() and len(got[0]) == 5
+        assert [p.tobytes() for p in got[1]] == [p.tobytes() for p in want[1]]
+        assert got[2] == want[2] == 0.0
+
     def test_forward_projection_lands_on_rendered_pattern(self):
         """Corners projected by the solver coincide with the inverse-rendered
         checker corners (same constraint, two directions)."""

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from rscam import shutter as shutter_module
 from rscam.errors import NegativeDepth, NoScanTime, Singularity
 from rscam.geometry import (CameraIntrinsics, MotionState, Pose, hat, project_perspective,
                             rotation_exp)
@@ -13,7 +15,9 @@ from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
                            limit_line, normalized_scan, project_rolling_shutter,
                            scan_time_gradient, solve_path_times, solve_scan_times,
                            validate_frame_timing)
+from rscam.render import project_board_lattice, render_checkerboard, spin_motion
 
+import conftest
 from conftest import (bisect_scan_time, camera_matrix_at, drift_one, exact_scan_times,
                       invert_one, rs_projection, scan_time, scanline_residual)
 
@@ -617,6 +621,25 @@ class TestScanTimeKernel:
         assert seen == expected | ({(NoScanTime, False)} if exact else
                                    {(Singularity, False)})
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_projection_of_a_point_behind_at_frame_start(self, normalized_camera, shutter10,
+                                                         exact):
+        """Approaching at 20 units/s, a point 0.5 behind the camera at frame
+        start is in front when the scanline catches it: it has a pixel, and
+        its correction, which needs a pin-hole image at frame start, is NaN.
+        A point in front keeps its correction in the same batch."""
+        approaching = MotionState(Pose.identity(), [0, 0, 20.0], [0, 0, 0])
+        times = solve_scan_times([[0, 0.1, -0.5], [0, 0.1, 2.0]], approaching,
+                                 normalized_camera, shutter10, exact=exact)
+        assert times.ok.all() and times.start[0, 2] == -0.5 and times.capture[0, 2] > 0.0
+        for i in (0, [0, 1]):
+            rs = times.projection(i, normalized_camera)
+            np.testing.assert_array_equal(rs.pixel, times.capture[i, :2] / times.capture[i, 2:])
+        np.testing.assert_array_equal(rs.correction[0], [np.nan, np.nan])
+        assert np.all(np.isnan(times.projection(0, normalized_camera).correction))
+        np.testing.assert_array_equal(rs.correction[1], times.projection(1, normalized_camera)
+                                      .pixel - times.start[1, :2] / times.start[1, 2])
+
     def test_unwindowed_roots(self, normalized_camera, shutter10):
         """Without the window a linear root may fall before the frame start; a
         quadratic one needs the point in front of the camera at the start."""
@@ -659,12 +682,12 @@ class TestScanTimeKernel:
            points=st.lists(st.sampled_from(EXACT_POINTS) | st.tuples(
                st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(-0.5, 4.0)),
                min_size=1, max_size=10),
-           repeats=st.sampled_from([1, 7, 13]))
+           blocks=st.sampled_from([0, 1, 2]))
     @example(kind="optical axis", v=(0.0, 0.0, 0.0), w=(0.0, 0.0, 0.0), identity_pose=True,
              backwards=False, first_row=0.0, frame_start=0.0, points=[(0.0, 0.0, 1.0)],
-             repeats=1)
+             blocks=0)
     def test_exact_matches_grid_bracketing(self, kind, v, w, identity_pose, backwards,
-                                           first_row, frame_start, points, repeats):
+                                           first_row, frame_start, points, blocks):
         """The exact model's scan times, reasons, double catches and capture
         positions are bitwise those of brackets from the residual's own signs
         on the sample grid (`conftest.exact_scan_times`): for one point and for
@@ -686,7 +709,7 @@ class TestScanTimeKernel:
         shutter = ShutterParams(scan_rate=-rate if backwards else rate,
                                 first_row=first_row - 48.0 if backwards else first_row,
                                 framerate=KERNEL_SHUTTER.framerate)
-        batch = points * repeats
+        batch = points * (blocks * EXACT_BLOCK // len(points) + 1)   # past `blocks` blocks
         times = solve_scan_times(batch, motion, KERNEL_CAMERA, shutter, exact=True,
                                  frame_start=frame_start)
         oracle = exact_scan_times(batch, motion, KERNEL_CAMERA, shutter, frame_start)
@@ -694,6 +717,95 @@ class TestScanTimeKernel:
                              oracle):
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("omega", [0.81, 0.88, 0.94, 1.0])
+    def test_long_illinois_tails_match_oracle(self, omega):
+        """Render-lattice spins at which a few brackets still run after 20
+        Illinois steps, moving 3 to 7 points' scan times (the oracle cut at 20
+        steps tells), while the rest have stopped: the working arrays shrink
+        to those few, and every point keeps the oracle's bits."""
+        k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
+        points, motion = render_lattice_points(), spin_motion(omega)
+        oracle = exact_scan_times(points, motion, k, s)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conftest, "EXACT_MAX_STEPS", 20)
+            cut = exact_scan_times(points, motion, k, s)
+        assert 3 <= np.count_nonzero(cut[0] != oracle[0]) <= 7
+        assert_exact_equals_oracle(solve_scan_times(points, motion, k, s, exact=True), oracle)
+
+    def test_brackets_whose_paths_pass_behind_match_oracle(self):
+        """Spins of 2,000-30,000 rad/s about general axes swing points behind
+        the camera and back between two samples, so Illinois steps land
+        behind it: those brackets stop, are dropped and mark their points as
+        behind, as in the oracle, bit for bit."""
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            axis = rng.normal(size=3)
+            motion = MotionState(Pose.identity(), rng.normal(0, 2, 3),
+                                 rng.uniform(2e3, 3e4) * axis / np.linalg.norm(axis))
+            points = np.column_stack([rng.uniform(-1.5, 1.5, (8, 2)), rng.uniform(0.5, 4, 8)])
+            times = solve_scan_times(points, motion, KERNEL_CAMERA, KERNEL_SHUTTER, exact=True)
+            assert_exact_equals_oracle(times, exact_scan_times(points, motion, KERNEL_CAMERA,
+                                                               KERNEL_SHUTTER))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_step_limit_matches_oracle(self, monkeypatch, steps):
+        """With EXACT_MAX_STEPS at 1, 2 or 3 most brackets are still running
+        when the steps run out, and they leave by the step limit with the
+        oracle's bits: render-lattice spins and general motions."""
+        monkeypatch.setattr(shutter_module, "EXACT_MAX_STEPS", steps)
+        monkeypatch.setattr(conftest, "EXACT_MAX_STEPS", steps)
+        k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
+        rng = np.random.default_rng(5)
+        cases = [(render_lattice_points(), spin_motion(omega)) for omega in (0.3, 0.88, -1.5)]
+        cases += [(np.column_stack([rng.uniform(-1, 1, (200, 2)), rng.uniform(0.3, 3.0, 200)]),
+                   MotionState(Pose.identity(), rng.normal(0, 3, 3), rng.normal(0, 30, 3)))
+                  for _ in range(6)]
+        for points, motion in cases:
+            times = solve_scan_times(points, motion, k, s, exact=True, frame_start=0.01)
+            assert_exact_equals_oracle(times, exact_scan_times(points, motion, k, s, 0.01))
+
+    def test_exact_kernel_peak_memory(self):
+        """The sample grid is held one block of points at a time, so 5,000
+        points peak at the grid of one block plus ~300 bytes per point of
+        paths, brackets and results (an unblocked grid alone would add 1,032),
+        and the render lattice peaks below the raster."""
+        k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
+        motion = MotionState(Pose.identity(), [0.3, -0.2, 0.5], [2.0, -1.0, 3.0])
+        rng = np.random.default_rng(0)
+        points = np.column_stack([rng.uniform(-1, 1, (5000, 2)), rng.uniform(0.3, 3.0, 5000)])
+        one_block, every_point = (traced_peak(solve_scan_times, points[:n], motion, k, s,
+                                              exact=True) for n in (EXACT_BLOCK, 5000))
+        assert every_point <= 2.5e6
+        assert every_point - one_block <= 400 * (5000 - EXACT_BLOCK)
+        lattice = traced_peak(project_board_lattice, k, s, 0.5, 0.5, 0.06, 8, 17)
+        assert lattice < traced_peak(render_checkerboard, k, s, 0.5, 0.5, 0.06)
+
+
+def render_lattice_points():
+    """The points (387, 3) that `render.project_board_lattice` solves for the
+    render-checker board: 8 squares of 6 cm at 0.5 m, 17 samples per edge."""
+    half = 0.5 * 8 * 0.06
+    coords, ts = np.linspace(-half, half, 9), -half + 2 * half * np.linspace(0.0, 1.0, 17)
+    board = ([(x, y) for y in coords for x in coords] + [(t, c) for c in coords for t in ts]
+             + [(c, t) for c in coords for t in ts])
+    return np.column_stack([board, np.full(len(board), 0.5)])
+
+
+def assert_exact_equals_oracle(times, oracle):
+    for got, want in zip((times.t, times.reason, times.caught_twice, times.capture), oracle):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def traced_peak(function, *args, **kwargs):
+    """Bytes that tracemalloc sees at the peak of a second call."""
+    function(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        function(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # A batch is bitwise a loop of batches of one: the helpers give each point
