@@ -51,7 +51,8 @@ class CalibrationEstimate:
 
 
 def _led_on(t: np.ndarray, led_hz: float, duty: float) -> np.ndarray:
-    return (np.mod(t * led_hz, 1.0) < duty).astype(float)
+    phase = t * led_hz      # phase - floor(phase) is np.mod(phase, 1.0), bit for bit
+    return (phase - np.floor(phase) < duty).astype(float)
 
 
 def _row_times(shutter: ShutterParams, n_rows: int, n_frames: int) -> np.ndarray:
@@ -72,11 +73,14 @@ def synthesize_led_image(shutter: ShutterParams, n_rows: int, n_frames: int,
     With exposure_gradient a linear intensity falloff is applied along the
     row axis.
     """
-    if led_hz <= 0.0:
-        raise ValueError("led_hz must be positive")
+    if not 0.0 < led_hz < np.inf:
+        raise ValueError(f"led_hz must be finite and positive, got {led_hz}")
     if not 0.0 < duty < 1.0:
         raise ValueError("duty must lie in (0, 1)")
-    times = _row_times(shutter, n_rows, n_frames)
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow raises below
+        times = _row_times(shutter, n_rows, n_frames)
+    if not np.isfinite(float(np.abs(times).max(initial=0.0)) * led_hz):   # NaN times too
+        raise ValueError(f"the LED phase overflows at led_hz={led_hz:g}, {shutter.framerate:g} fps")
     values = _led_on(times, led_hz, duty)
     if exposure_gradient:
         gradient = np.linspace(1.0, 0.4, n_rows)
@@ -114,9 +118,11 @@ def estimate_scan_rate(image: SpatioTemporalImage, led_hz: float,
     when nothing rises above three times the median magnitude.  spectrum is
     the image's `marginalized_spectrum`, when the caller has it already.
     """
-    if led_hz <= 0.0:
-        raise ValueError("led_hz must be positive")
+    if not 0.0 < led_hz < np.inf:
+        raise ValueError(f"led_hz must be finite and positive, got {led_hz}")
     freqs, magnitude = spectrum if spectrum is not None else marginalized_spectrum(image)
+    if magnitude.size == 0:
+        raise NoPeak("the spectrum of a single row has no positive frequency")
     floor = 3.0 * float(np.median(magnitude))
     significant = magnitude > max(floor, 0.0)
     if not np.any(significant):

@@ -180,6 +180,13 @@ def _write_text(path: Path | None, lines: list[str]) -> None:
         path.write_text(text)
 
 
+def _csv_lines(table: np.ndarray) -> list[str]:
+    """The rows of a 2-D float table as lines of %.10g values, one % per row: the
+    bytes of ",".join(f"{x:.10g}" for x in row), and no line for no row."""
+    row = ",".join(["%.10g"] * table.shape[1])
+    return [row % tuple(values) for values in table.tolist()]
+
+
 def _outdir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,6 +222,7 @@ def cmd_project(config: RunConfig, args) -> int:
             points.append(_point(line.split(",")[:3], args.points_csv, "line", number))
     if not points:
         raise ConfigError("no input points; pass --point or --points-csv")
+    points = np.array(points)
 
     z_min = limit_line(shutter, intrinsics, abs(motion.linear_velocity[1]))
     lines = [f"# {c}" for c in _config_comments(config)]
@@ -225,10 +233,9 @@ def cmd_project(config: RunConfig, args) -> int:
                           exact=args.exact).projection(slice(None), intrinsics)
     persp = project_perspective(points, intrinsics.K @ np.column_stack(
         [motion.pose0.rotation, motion.pose0.translation]))
-    rows = np.column_stack([points, persp, rs.pixel, rs.scan_time,
-                            np.sqrt(row_dot(rs.correction, rs.correction)),
-                            drift_per_row(points, motion, intrinsics, shutter)]).tolist()
-    lines.extend(",".join(f"{x:.10g}" for x in row) + f",{int(row[-1] <= 1.0)}" for row in rows)
+    drift = drift_per_row(points, motion, intrinsics, shutter)
+    lines.extend(_csv_lines(np.column_stack([points, persp, rs.pixel, rs.scan_time, np.sqrt(
+        row_dot(rs.correction, rs.correction)), drift, drift <= 1.0])))
     _write_text(Path(args.out) if args.out else None, lines)
     return 0
 
@@ -288,7 +295,7 @@ def cmd_calibrate_sim(config: RunConfig, args) -> int:
                                   comment=f"I(y,t) fps={f:g} led={led:g}Hz")
             spectrum = calibration.marginalized_spectrum(image)
             spec_lines = [*comments, "spatial_freq_cycles_per_row,magnitude"]
-            spec_lines.extend(f"{nu:.10g},{m:.10g}" for nu, m in zip(*spectrum))
+            spec_lines.extend(_csv_lines(np.column_stack(spectrum)))
             (out / f"spectrum_fps{f:g}_led{led:g}.csv").write_text(
                 "\n".join(spec_lines) + "\n")
             try:
@@ -383,8 +390,8 @@ def cmd_flow(config: RunConfig, args) -> int:
     fd = flow_finite_difference(u, v, depth, motion, shutter_norm, h=h)
     if failures := {**fd.failures, **analytic.failures}:
         raise failures[min(failures)]
-    lines.extend(",".join(f"{x:.10g}" for x in row) for row in np.column_stack(
-        [u_px, v_px, u, v, analytic.du, analytic.dv, fd.du, fd.dv]).tolist())
+    lines.extend(_csv_lines(np.column_stack(
+        [u_px, v_px, u, v, analytic.du, analytic.dv, fd.du, fd.dv])))
     _write_text(Path(args.out) if args.out else None, lines)
     return 0
 
@@ -409,7 +416,7 @@ def cmd_slits(config: RunConfig, args) -> int:
     rays = backproject(np.column_stack([u, v]), motion, shutter_norm)
     d1 = line_line_distance(rays, slits.slit1)
     d2 = line_line_distance(rays, slits.slit2)
-    lines.extend(f"{a:.10g},{b:.10g},{c:.10g},{d:.10g}" for a, b, c, d in zip(u, v, d1, d2))
+    lines.extend(_csv_lines(np.column_stack([u, v, d1, d2])))
     # The largest distance, skipping NaN as a running max(max_residual, d) does.
     max_residual = np.fmax.reduce(np.concatenate([d1, d2]), initial=0.0)
     lines.append(f"# max_slit_residual_m = {max_residual:.10g}")

@@ -150,12 +150,12 @@ class CameraIntrinsics:
             raise ValueError("K must be 3x3")
         if abs(self.K[1, 0]) > 1e-12 or abs(self.K[2, 0]) > 1e-12 or abs(self.K[2, 1]) > 1e-12:
             raise ValueError("K must be upper triangular")
-        if np.any(np.diag(self.K) <= 0):
+        if not np.all(np.diag(self.K) > 0):
             raise ValueError("K diagonal must be positive")
-        if self.pixel_size <= 0:
+        if not self.pixel_size > 0:
             raise ValueError("pixel_size must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
+        if not (0 < self.width <= 2**53 and 0 < self.height <= 2**53):   # exact pixel indices
+            raise ValueError(f"image size must lie in [1, 2**53], got {self.width}x{self.height}")
 
     @staticmethod
     def normalized(width: int = 1, height: int = 1) -> "CameraIntrinsics":
@@ -164,8 +164,12 @@ class CameraIntrinsics:
 
     @staticmethod
     def from_fov(fov_x_deg: float, width: int, height: int) -> "CameraIntrinsics":
-        """Square-pixel camera with the given horizontal field of view."""
-        focal = 0.5 * width / math.tan(math.radians(fov_x_deg) / 2.0)
+        """Square-pixel camera with the given horizontal field of view in (0, 180) degrees."""
+        half = math.radians(fov_x_deg) / 2.0
+        if not (width > 0 and height > 0 and 0.0 < half < math.pi / 2.0):
+            raise ValueError(f"from_fov needs a positive size and fov_x_deg in (0, 180), "
+                             f"got {width}x{height} at {fov_x_deg}")
+        focal = 0.5 * width / math.tan(half)
         k = np.array([
             [focal, 0.0, width / 2.0],
             [0.0, focal, height / 2.0],

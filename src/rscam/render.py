@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .geometry import CameraIntrinsics, MotionState, Pose
-from .shutter import NO_SCAN_TIME, SINGULARITY, ShutterParams, solve_scan_times
+from .shutter import DEPTH_EPS, NO_SCAN_TIME, SINGULARITY, ShutterParams, solve_scan_times
 
 RASTER_BLOCK = 32           # pixel rows per array operation, to bound the raster's memory
 
@@ -128,7 +128,8 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     Returns (corner pixels, list of sampled polylines, max deflection in px):
     deflection is the largest perpendicular distance between a projected grid
     line and the straight segment joining its projected endpoints.  Raises
-    ValueError as render_checkerboard does, and for samples_per_edge < 1.
+    ValueError as render_checkerboard does, for samples_per_edge < 1, and for
+    a board too large for the solver's products to stay finite.
     """
     _check_scene(omega_z_rev_s, plane_depth, square_size)
     if samples_per_edge < 1:
@@ -136,6 +137,12 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     motion = spin_motion(omega_z_rev_s)
     if not math.isfinite(half := 0.5 * squares * square_size):
         raise ValueError(f"square_size={square_size:g} makes a board of {squares} squares infinite")
+    # The solver's products reach a few times K (x, y, z) and (v0 + r t) z, with r t_max = height,
+    # and its pixels those over a depth z that is in front of the camera or raises.
+    reach = float(np.abs(intrinsics.K).sum()) + abs(shutter.first_row) + intrinsics.height
+    if not math.isfinite(64.0 * reach * (half + abs(plane_depth))
+                         / min(max(abs(plane_depth), DEPTH_EPS), 1.0)):
+        raise ValueError(f"square_size={square_size:g} puts the board beyond the solver's range")
     coords = np.linspace(-half, half, squares + 1)
     ts = -half + 2 * half * np.linspace(0.0, 1.0, samples_per_edge)
     n, m = len(coords), len(ts)

@@ -71,7 +71,7 @@ class ShutterParams:
     def __post_init__(self):
         if self.scan_rate == 0.0 or not math.isfinite(self.scan_rate):
             raise ValueError("scan_rate must be finite and nonzero")
-        if self.framerate <= 0.0:
+        if not self.framerate > 0.0:
             raise ValueError("framerate must be positive")
 
     @staticmethod

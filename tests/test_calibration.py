@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rscam.errors import NoPeak
-from rscam.calibration import (SpatioTemporalImage, estimate_scan_rate,
+from rscam.calibration import (SpatioTemporalImage, _led_on, _row_times, estimate_scan_rate,
                                ideal_seconds_per_row, marginalized_spectrum,
                                synthesize_led_image, write_pgm)
 from rscam.shutter import ShutterParams
@@ -39,6 +41,49 @@ class TestSynthesis:
             synthesize_led_image(s, 240, 8, led_hz=0.0)
         with pytest.raises(ValueError):
             synthesize_led_image(s, 240, 8, led_hz=10.0, duty=1.5)
+
+    @pytest.mark.parametrize("led_hz, named", [
+        (float("nan"), "finite and positive"), (float("inf"), "finite and positive"),
+        (-float("inf"), "finite and positive"), (-1.0, "finite and positive"),
+        (1e308, "overflows"), (2e307, "overflows")])
+    def test_led_hz_outside_the_phase_range_raises(self, led_hz, named):
+        """A frequency that is not finite and positive, or whose phase t * led_hz
+        overflows at the last row time (17 s here), raises before any warning."""
+        s = ShutterParams.ideal(3.75, 240)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=named):
+                synthesize_led_image(s, 240, 64, led_hz=led_hz)
+        assert not caught
+        image = synthesize_led_image(s, 240, 8, led_hz=20.0)
+        if named != "overflows":
+            with pytest.raises(ValueError, match="led_hz must be finite and positive"):
+                estimate_scan_rate(image, led_hz)
+
+    def test_overflowing_row_times_raise(self):
+        """A subnormal frame rate has an infinite frame period: its row times
+        are not finite, which raises before the LED is sampled."""
+        s = ShutterParams(scan_rate=240 * 5e-324, framerate=5e-324)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="overflows"):
+                synthesize_led_image(s, 240, 8, led_hz=20.0)
+        assert not caught
+
+    @pytest.mark.parametrize("first_row", [-300.5, 0.0])
+    def test_led_phase_is_np_mod_bit_for_bit(self, first_row):
+        """The floor-based phase switches where np.mod(t * led_hz, 1.0) does:
+        each duty below is one of the np.mod phases (or the next double), so
+        a phase one ulp off flips a pixel.  Negative rows (first_row < 0) give
+        negative phases; times k / 8 at 4 Hz give exact-integer phases."""
+        s = ShutterParams(scan_rate=3600.0, first_row=first_row, framerate=15.0)
+        times = np.concatenate([_row_times(s, 240, 8).ravel(), np.arange(-40, 41) / 8.0])
+        for led_hz in (4.0, 20.0, 61.3):
+            phase = np.mod(times * led_hz, 1.0)
+            duties = np.concatenate([phase[::97], np.nextafter(phase[::97], 1.0)])
+            for duty in duties[(duties > 0.0) & (duties < 1.0)]:
+                want = (phase < duty).astype(float)
+                assert _led_on(times, led_hz, duty).tobytes() == want.tobytes()
 
     def test_intensities_stay_in_range(self):
         s = ShutterParams.ideal(7.5, 240)
@@ -110,6 +155,16 @@ class TestEstimation:
     def test_no_peak_for_constant_image(self):
         with pytest.raises(NoPeak):
             estimate_scan_rate(SpatioTemporalImage(np.ones((240, 16))), 20.0)
+
+    def test_single_row_has_no_peak(self):
+        """One row leaves no positive frequency: NoPeak, not the warnings of an
+        empty median."""
+        image = synthesize_led_image(ShutterParams.ideal(15.0, 1), 1, 16, 20.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NoPeak):
+                estimate_scan_rate(image, 20.0)
+        assert not caught
 
     def test_spectrum_has_positive_frequencies_only(self):
         s = ShutterParams.ideal(15.0, 240)

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -129,7 +130,30 @@ class TestProject:
         assert float(row["correction_px"]) > 0.0
 
 
+class TestCsvLines:
+    def test_matches_per_value_format(self):
+        """One %-format per row writes the bytes of a per-value f"{x:.10g}" join,
+        on random float64 bit patterns (NaN payloads and subnormals included)
+        and on the edge values."""
+        bits = np.random.default_rng(19).integers(0, 2**64, 10**5, dtype=np.uint64,
+                                                    endpoint=False)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 123456789.05, 1.7976931348623157e308]
+        table = np.concatenate([bits.view(np.float64), edges, np.zeros(6)]).reshape(-1, 10)
+        want = [",".join(f"{x:.10g}" for x in row) for row in table.tolist()]
+        assert cli._csv_lines(table) == want
+        assert cli._csv_lines(table[:, :1]) == [f"{x:.10g}" for x in table[:, 0].tolist()]
+
+    def test_no_rows_no_lines(self):
+        assert cli._csv_lines(np.empty((0, 8))) == []
+
+
 class TestFlow:
+    def test_empty_grid_writes_the_header_alone(self, capsys):
+        code, out, _ = run_cli(capsys, "flow", "--set", "flow.grid=0")
+        assert code == 0
+        assert out.endswith("\nu_px,v_px,u_norm,v_norm,du_analytic,dv_analytic,du_fd,dv_fd\n")
+
     def test_static_zero_flow(self, capsys):
         code, out, _ = run_cli(capsys, "flow", "--set", "flow.grid=3")
         assert code == 0
@@ -200,6 +224,29 @@ class TestCalibrateSim:
         assert code == 1
 
 
+    @pytest.mark.parametrize("overrides", [["calibration.n_rows=1"],
+                                           ["calibration.n_rows=1", "calibration.n_frames=1"]])
+    def test_single_row_reports_no_peak(self, capsys, tmp_path, overrides):
+        """A one-row image has an empty spectrum: every case is no_peak, with
+        exit 0 and no warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "calibrate-sim", "--out-dir", str(tmp_path),
+                                   *(a for o in overrides for a in ("--set", o)))
+        assert (code, err, caught) == (0, "", [])
+        rows = csv_rows((tmp_path / "calibration_report.csv").read_text())
+        assert [r["status"] for r in rows] == ["no_peak"] * 3
+
+    @pytest.mark.parametrize("led", ["nan", "inf", "-inf", "1e308", "0"])
+    def test_led_hz_outside_the_phase_range_is_usage_error(self, capsys, tmp_path, led):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "calibrate-sim", "--out-dir", str(tmp_path),
+                                   "--set", f"calibration.led_hz={led}")
+        assert code == 1 and "led_hz" in err and not caught
+        assert not (tmp_path / "calibration_report.csv").exists()
+
+
 class TestRenderChecker:
     def test_outputs_and_zero_spin_row(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "render-checker", "--out-dir", str(tmp_path),
@@ -224,6 +271,9 @@ class TestRenderChecker:
         (["render.samples_per_edge=0"], "samples_per_edge"),
         (["render.plane_depth=1e300", "render.square_size=1e-10"], "board coordinates overflow"),
         (["render.square_size=1e308"], "square_size=1e+308 makes a board of 8 squares infinite"),
+        (["render.square_size=1e305"], "square_size=1e+305 puts the board beyond"),
+        (["render.square_size=1e306"], "square_size=1e+306 puts the board beyond"),
+        (["render.square_size=1e307"], "square_size=1e+307 puts the board beyond"),
     ])
     def test_degenerate_setting_is_usage_error(self, capsys, tmp_path, overrides, named):
         """A setting no frame or lattice can have exits 1 naming it, before any
@@ -368,6 +418,14 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: shutter.scan_rate must be a number\n"
 
+    def test_nan_framerate_is_config_error(self, capsys):
+        """With an explicit scan rate a NaN frame rate reaches ShutterParams,
+        whose positivity check must reject it."""
+        code, out, err = run_cli(capsys, "project", "--set", "shutter.framerate=nan",
+                                 "--set", "shutter.scan_rate=14400", "--point", "0,0.2,5")
+        assert (code, out) == (1, "")
+        assert err == "error: framerate must be positive\n"
+
     def test_missing_points_csv_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "missing.csv"
         code, out, err = run_cli(capsys, "project", "--points-csv", str(missing))
@@ -397,6 +455,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "flow")
         assert code == 2
         assert "LinAlgError" in err
+
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("project", ["camera.width=0"]), ("project", ["camera.fov_deg=0"]),
+        ("project", ["camera.fov_deg=nan"]), ("project", ["camera.fov_deg=180"]),
+        ("flow", ["camera.height=0"]),
+        ("slits", ["camera.width=0", "motion.velocity_kmh=0 5 0"])])
+    def test_camera_without_a_focal_length_is_config_error(self, capsys, command, overrides):
+        """A size or field of view that gives no finite focal length exits 1
+        naming from_fov, not with a traceback or a numerical failure."""
+        extra = ["--point", "0,0,5"] if command == "project" else []
+        code, _, err = run_cli(capsys, command, *extra,
+                               *(a for o in overrides for a in ("--set", o)))
+        assert code == 1 and "from_fov" in err
 
 
 class TestBatchedErrorOrder:
@@ -485,3 +557,40 @@ def test_fuzzed_motion_exits_cleanly(command, velocity, omega, fronto):
     event(f"{command} exit {code}")
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "5e-324", "1e-310", "1e308", "-1e308",
+                     "abc", "", "1 2", "0x10", "1", "2"]),
+    st.floats(-500.0, 500.0).map(repr), st.integers(-3, 300).map(str))
+CALIBRATION_KEYS = ["framerates", "led_hz", "n_rows", "n_frames", "duty", "exposure_gradient"]
+CAMERA_KEYS = ["width", "height", "fov_deg", "normalized"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just("calibrate-sim"), st.dictionaries(
+        st.sampled_from(CALIBRATION_KEYS).map("calibration.".__add__), CONFIG_VALUES,
+        min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(["project", "flow", "slits"]), st.dictionaries(
+        st.sampled_from(CAMERA_KEYS).map("camera.".__add__), CONFIG_VALUES,
+        min_size=1, max_size=3))))
+def test_fuzzed_config_exits_cleanly(case):
+    """Any calibration or camera setting exits 0, 1 or 2 with no traceback and
+    no RuntimeWarning; the motion makes flow and slits run and project take
+    the general closed form."""
+    command, values = case
+    argv = [command, "--set", "flow.grid=3", "--set", "motion.velocity_kmh=1 5 0",
+            "--set", "motion.omega_rev_s=0 0 0.1",
+            *(a for key, value in values.items() for a in ("--set", f"{key}={value}"))]
+    if command == "project":
+        argv += ["--point", "0.5,0.2,5", "--point=-1,0.3,2"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + (["--out-dir", workdir] if command == "calibrate-sim" else []))
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -226,6 +226,27 @@ class TestTypes:
         assert k.K[0, 2] == 320.0 and k.K[1, 2] == 240.0
         assert abs(k.pixel_size - 1.0 / k.K[1, 1]) < 1e-15
 
+    @pytest.mark.parametrize("fov, width, height", [
+        (40.0, 0, 480), (40.0, 640, 0), (40.0, -640, 480), (0.0, 640, 480),
+        (180.0, 640, 480), (-40.0, 640, 480), (float("nan"), 640, 480),
+        (float("inf"), 640, 480), (5e-324, 640, 480), (1e-310, 640, 480),
+        (40.0, 2**53 + 1, 480)])
+    def test_intrinsics_from_fov_rejects(self, fov, width, height):
+        """A size that is not positive, or a field of view outside (0, 180)
+        degrees, NaN included, raises ValueError instead of dividing by zero;
+        so do a focal length that overflows and a size past 2**53."""
+        with pytest.raises(ValueError):
+            CameraIntrinsics.from_fov(fov, width, height)
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_intrinsics_reject_nan_diagonal(self, entry):
+        k = np.eye(3)
+        k[entry, entry] = np.nan
+        with pytest.raises(ValueError, match="diagonal"):
+            CameraIntrinsics(k, 1.0, 10, 10)
+        with pytest.raises(ValueError, match="pixel_size"):
+            CameraIntrinsics(np.eye(3), float("nan"), 10, 10)
+
     def test_motion_state_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             MotionState(Pose.identity(), [np.nan, 0, 0], [0, 0, 0])

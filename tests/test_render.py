@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,18 @@ class TestRenderCheckerboard:
         assert got[0].tobytes() == want[0].tobytes() and len(got[0]) == 5
         assert [p.tobytes() for p in got[1]] == [p.tobytes() for p in want[1]]
         assert got[2] == want[2] == 0.0
+
+    @pytest.mark.parametrize("square, depth", [(1e305, 0.5), (1e306, 0.5), (1e307, 0.5),
+                                               (0.06, 1e306), (1e298, 1e-8)])
+    def test_lattice_beyond_the_solver_range_raises(self, square, depth):
+        """A board whose pixels or sweep term would overflow the solver's
+        products raises ValueError naming square_size, before any warning."""
+        k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="square_size"):
+                project_board_lattice(k, s, 0.5, depth, square, 8, 17)
+        assert not caught
 
     def test_forward_projection_lands_on_rendered_pattern(self):
         """Corners projected by the solver coincide with the inverse-rendered
