@@ -10,8 +10,7 @@ from .shutter import (RsProjection, ScanTimeCase, ShutterParams, classify_case,
 from .xslit import Line3D, SlitPair, backproject, compute_slits, line_line_distance
 from .flow import (FlowVector, flow_finite_difference, flow_perspective,
                    flow_rolling_shutter)
-from .calibration import (CalibrationEstimate, SpatioTemporalImage,
-                          estimate_scan_rate, ideal_seconds_per_row,
+from .calibration import (CalibrationEstimate, SpatioTemporalImage, estimate_scan_rate,
                           marginalized_spectrum, synthesize_led_image)
 from .sfm import (SceneConfig, SfmProblem, SfmSolution,
                   bundle_adjust, generate_problem, run_experiment_grid)
@@ -28,7 +27,7 @@ __all__ = [
     "FlowVector", "flow_perspective", "flow_rolling_shutter",
     "flow_finite_difference",
     "SpatioTemporalImage", "CalibrationEstimate", "synthesize_led_image",
-    "estimate_scan_rate", "ideal_seconds_per_row", "marginalized_spectrum",
+    "estimate_scan_rate", "marginalized_spectrum",
     "SceneConfig", "SfmProblem", "SfmSolution",
     "generate_problem", "bundle_adjust", "run_experiment_grid",
     "RscamError", "NoScanTime", "NegativeDepth", "Singularity",

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import NoPeak
 from .shutter import ShutterParams
 
+MAX_IMAGE_SAMPLES = 2 ** 22     # n_rows * n_frames: 32 MiB per float array of the image
+
 
 @dataclass(frozen=True)
 class SpatioTemporalImage:
@@ -73,6 +75,8 @@ def synthesize_led_image(shutter: ShutterParams, n_rows: int, n_frames: int,
     With exposure_gradient a linear intensity falloff is applied along the
     row axis.
     """
+    if not (n_rows > 0 and n_frames > 0 and n_rows * n_frames <= MAX_IMAGE_SAMPLES):
+        raise ValueError(f"need 0 < n_rows, 0 < n_frames, n_rows * n_frames <= {MAX_IMAGE_SAMPLES}")
     if not 0.0 < led_hz < np.inf:
         raise ValueError(f"led_hz must be finite and positive, got {led_hz}")
     if not 0.0 < duty < 1.0:
@@ -141,13 +145,6 @@ def estimate_scan_rate(image: SpatioTemporalImage, led_hz: float,
         raise NoPeak("significant bins exist but none form a dominant peak")
     return CalibrationEstimate(scan_seconds_per_row=float(freqs[candidates[0]]) / led_hz,
                                uncertainty=0.5 / (image.row_count * led_hz))
-
-
-def ideal_seconds_per_row(framerate: float, n_rows: int) -> float:
-    """Row period of a zero-delay sensor whose scan fills the frame period."""
-    if framerate <= 0.0 or n_rows <= 0:
-        raise ValueError("framerate and n_rows must be positive")
-    return 1.0 / (framerate * n_rows)
 
 
 def write_pgm(path, values: np.ndarray, comment: str = "") -> None:

@@ -6,7 +6,8 @@ overrides (overrides win).  Every run writes or prints its fully resolved
 configuration so outputs are reproducible; given the same config and seed,
 commands produce byte-identical files.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
+(a floating-point overflow, division by zero or invalid operation included).
 """
 
 from __future__ import annotations
@@ -172,14 +173,6 @@ def _config_comments(config: RunConfig) -> list[str]:
     return ["rscam resolved configuration"] + config.resolved_lines()
 
 
-def _write_text(path: Path | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text)
-
-
 def _csv_lines(table: np.ndarray) -> list[str]:
     """The rows of a 2-D float table as lines of %.10g values, one % per row: the
     bytes of ",".join(f"{x:.10g}" for x in row), and no line for no row."""
@@ -187,9 +180,23 @@ def _csv_lines(table: np.ndarray) -> list[str]:
     return [row % tuple(values) for values in table.tolist()]
 
 
-def _outdir(args) -> Path:
+def _write_table(path: Path | str | None, config: RunConfig, header: str, rows: list[str],
+                 notes=(), footer=()) -> None:
+    """The resolved configuration and the notes as # comments, the CSV header and
+    rows, and the footer as # comments, written to path or, when it is empty, stdout."""
+    comments = [f"# {c}" for c in [*_config_comments(config), *notes]]
+    text = "\n".join([*comments, header, *rows, *(f"# {c}" for c in footer)]) + "\n"
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _outdir(args, config: RunConfig) -> Path:
+    """The output directory, made if missing, with config_resolved.txt in it."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config_resolved.txt").write_text("\n".join(config.resolved_lines()) + "\n")
     return out
 
 
@@ -225,52 +232,45 @@ def cmd_project(config: RunConfig, args) -> int:
     points = np.array(points)
 
     z_min = limit_line(shutter, intrinsics, abs(motion.linear_velocity[1]))
-    lines = [f"# {c}" for c in _config_comments(config)]
-    lines.append(f"# limit_line_z_min_m = {z_min:.10g}")
-    lines.append("x,y,z,u_perspective,v_perspective,u_rs,v_rs,scan_time_s,"
-                 "correction_px,drift_px_per_row,safe")
     rs = solve_scan_times(points, motion, intrinsics, shutter,
                           exact=args.exact).projection(slice(None), intrinsics)
     persp = project_perspective(points, intrinsics.K @ np.column_stack(
         [motion.pose0.rotation, motion.pose0.translation]))
     drift = drift_per_row(points, motion, intrinsics, shutter)
-    lines.extend(_csv_lines(np.column_stack([points, persp, rs.pixel, rs.scan_time, np.sqrt(
-        row_dot(rs.correction, rs.correction)), drift, drift <= 1.0])))
-    _write_text(Path(args.out) if args.out else None, lines)
+    _write_table(args.out, config, "x,y,z,u_perspective,v_perspective,u_rs,v_rs,scan_time_s,"
+                 "correction_px,drift_px_per_row,safe",
+                 _csv_lines(np.column_stack([points, persp, rs.pixel, rs.scan_time, np.sqrt(
+                     row_dot(rs.correction, rs.correction)), drift, drift <= 1.0])),
+                 notes=[f"limit_line_z_min_m = {z_min:.10g}"])
     return 0
 
 
 def cmd_render_checker(config: RunConfig, args) -> int:
-    out = _outdir(args)
+    out = _outdir(args, config)
     intrinsics = config.intrinsics()
-    f = config.get_float("render", "framerate")
-    n_rows = intrinsics.height
-    shutter = ShutterParams.ideal(f, n_rows)
+    shutter = ShutterParams.ideal(config.get_float("render", "framerate"), intrinsics.height)
     depth = config.get_float("render", "plane_depth")
     square = config.get_float("render", "square_size")
     squares = config.get_int("render", "squares")
     samples = config.get_int("render", "samples_per_edge")
 
-    (out / "config_resolved.txt").write_text(
-        "\n".join(config.resolved_lines()) + "\n")
-    metric_lines = [f"# {c}" for c in _config_comments(config)]
-    metric_lines.append("omega_z_rev_s,max_edge_deflection_px,n_corners")
+    metrics = []
     for omega in config.get_floats("render", "omega_z_rev_s"):
         image = render.render_checkerboard(intrinsics, shutter, omega, depth, square)
         corners, _, deflection = render.project_board_lattice(
             intrinsics, shutter, omega, depth, square, squares, samples)
         if len(corners):
             image = render.overlay_markers(image, corners)
-        name = f"checker_w{omega:g}.pgm"
-        calibration.write_pgm(out / name, image,
+        calibration.write_pgm(out / f"checker_w{omega:g}.pgm", image,
                               comment=f"omega_z={omega:g} rev/s; see config_resolved.txt")
-        metric_lines.append(f"{omega:.10g},{deflection:.10g},{len(corners)}")
-    (out / "deflection.csv").write_text("\n".join(metric_lines) + "\n")
+        metrics.append([omega, deflection, len(corners)])
+    _write_table(out / "deflection.csv", config, "omega_z_rev_s,max_edge_deflection_px,n_corners",
+                 _csv_lines(np.array(metrics).reshape(-1, 3)))
     return 0
 
 
 def cmd_calibrate_sim(config: RunConfig, args) -> int:
-    out = _outdir(args)
+    out = _outdir(args, config)
     framerates = config.get_floats("calibration", "framerates")
     led_list = config.get_floats("calibration", "led_hz")
     if not framerates or not led_list:
@@ -280,41 +280,35 @@ def cmd_calibrate_sim(config: RunConfig, args) -> int:
     duty = config.get_float("calibration", "duty")
     gradient = config.get_int("calibration", "exposure_gradient") != 0
 
-    (out / "config_resolved.txt").write_text(
-        "\n".join(config.resolved_lines()) + "\n")
-    comments = [f"# {c}" for c in _config_comments(config)]
-    lines = [*comments, "framerate_fps,led_hz,calibrated_sec_per_row,uncertainty_sec_per_row,"
-             "ideal_sec_per_row,abs_error,status"]
+    report = []
     for f in framerates:
         shutter = ShutterParams.ideal(f, n_rows)
-        ideal = calibration.ideal_seconds_per_row(f, n_rows)
+        ideal = 1.0 / shutter.scan_rate
         for led in led_list:
             image = calibration.synthesize_led_image(shutter, n_rows, n_frames,
                                                      led, duty, gradient)
             calibration.write_pgm(out / f"led_fps{f:g}_led{led:g}.pgm", image.values,
                                   comment=f"I(y,t) fps={f:g} led={led:g}Hz")
             spectrum = calibration.marginalized_spectrum(image)
-            spec_lines = [*comments, "spatial_freq_cycles_per_row,magnitude"]
-            spec_lines.extend(_csv_lines(np.column_stack(spectrum)))
-            (out / f"spectrum_fps{f:g}_led{led:g}.csv").write_text(
-                "\n".join(spec_lines) + "\n")
+            _write_table(out / f"spectrum_fps{f:g}_led{led:g}.csv", config,
+                         "spatial_freq_cycles_per_row,magnitude",
+                         _csv_lines(np.column_stack(spectrum)))
             try:
                 est = calibration.estimate_scan_rate(image, led, spectrum)
             except NoPeak:
-                lines.append(f"{f:.10g},{led:.10g},,,{ideal:.10g},,no_peak")
+                report.append("{},{},,,{},,no_peak".format(*_csv_lines(np.c_[[f, led, ideal]])))
                 continue
-            lines.append(",".join([
-                f"{f:.10g}", f"{led:.10g}",
-                f"{est.scan_seconds_per_row:.10g}", f"{est.uncertainty:.10g}",
-                f"{ideal:.10g}",
-                f"{abs(est.scan_seconds_per_row - ideal):.10g}", "ok",
-            ]))
-    (out / "calibration_report.csv").write_text("\n".join(lines) + "\n")
+            rate = est.scan_seconds_per_row
+            report.append(_csv_lines(np.array(
+                [[f, led, rate, est.uncertainty, ideal, abs(rate - ideal)]]))[0] + ",ok")
+    _write_table(out / "calibration_report.csv", config,
+                 "framerate_fps,led_hz,calibrated_sec_per_row,uncertainty_sec_per_row,"
+                 "ideal_sec_per_row,abs_error,status", report)
     return 0
 
 
 def cmd_sfm_grid(config: RunConfig, args) -> int:
-    out = _outdir(args)
+    out = _outdir(args, config)
     velocities = config.get_floats("sfm", "velocities_kmh")
     sigmas = config.get_floats("sfm", "sigmas_px")
     trials = config.get_int("sfm", "trials")
@@ -331,8 +325,6 @@ def cmd_sfm_grid(config: RunConfig, args) -> int:
         attitude_noise_deg=config.get_float("sfm", "attitude_noise_deg"),
     )
     rows = sfm.run_experiment_grid(velocities, sigmas, trials, seed, scene)
-    (out / "config_resolved.txt").write_text(
-        "\n".join(config.resolved_lines()) + "\n")
     sfm.grid_to_csv(rows, out / "results.csv", _config_comments(config))
 
     if args.save_problems:      # trial 0 of each cell
@@ -375,8 +367,6 @@ def cmd_flow(config: RunConfig, args) -> int:
     margin = config.get_float("flow", "margin")
     h = config.get_float("flow", "fd_step")
 
-    lines = [f"# {c}" for c in _config_comments(config)]
-    lines.append("u_px,v_px,u_norm,v_norm,du_analytic,dv_analytic,du_fd,dv_fd")
     u_px, v_px = (a.ravel() for a in np.meshgrid(  # row by row
         np.linspace(margin * intrinsics.width, (1 - margin) * intrinsics.width, n),
         np.linspace(margin * intrinsics.height, (1 - margin) * intrinsics.height, n)))
@@ -390,9 +380,9 @@ def cmd_flow(config: RunConfig, args) -> int:
     fd = flow_finite_difference(u, v, depth, motion, shutter_norm, h=h)
     if failures := {**fd.failures, **analytic.failures}:
         raise failures[min(failures)]
-    lines.extend(_csv_lines(np.column_stack(
-        [u_px, v_px, u, v, analytic.du, analytic.dv, fd.du, fd.dv])))
-    _write_text(Path(args.out) if args.out else None, lines)
+    _write_table(args.out, config, "u_px,v_px,u_norm,v_norm,du_analytic,dv_analytic,du_fd,dv_fd",
+                 _csv_lines(np.column_stack(
+                     [u_px, v_px, u, v, analytic.du, analytic.dv, fd.du, fd.dv])))
     return 0
 
 
@@ -406,21 +396,18 @@ def cmd_slits(config: RunConfig, args) -> int:
     translation_only = MotionState(motion.pose0, motion.linear_velocity, np.zeros(3))
     slits = compute_slits(translation_only, shutter_norm)
 
-    lines = [f"# {c}" for c in _config_comments(config)]
-    for name, slit in (("slit1", slits.slit1), ("slit2", slits.slit2)):
-        point, direction = (",".join(f"{x:.10g}" for x in a) for a in (slit.point, slit.direction))
-        lines.append(f"# {name}: point=({point}) direction=({direction})")
-    lines.append("u_norm,v_norm,dist_slit1,dist_slit2")
+    notes = [f"{name}: point=({point}) direction=({direction})"
+             for name, slit in (("slit1", slits.slit1), ("slit2", slits.slit2))
+             for point, direction in [_csv_lines(np.array([slit.point, slit.direction]))]]
     n = config.get_int("flow", "grid")
     u, v = (a.ravel() for a in np.meshgrid(np.linspace(0.1, 0.9, n), np.linspace(0.1, 0.9, n)))
     rays = backproject(np.column_stack([u, v]), motion, shutter_norm)
     d1 = line_line_distance(rays, slits.slit1)
     d2 = line_line_distance(rays, slits.slit2)
-    lines.extend(_csv_lines(np.column_stack([u, v, d1, d2])))
     # The largest distance, skipping NaN as a running max(max_residual, d) does.
     max_residual = np.fmax.reduce(np.concatenate([d1, d2]), initial=0.0)
-    lines.append(f"# max_slit_residual_m = {max_residual:.10g}")
-    _write_text(Path(args.out) if args.out else None, lines)
+    _write_table(args.out, config, "u_norm,v_norm,dist_slit1,dist_slit2", _csv_lines(
+        np.column_stack([u, v, d1, d2])), notes, [f"max_slit_residual_m = {max_residual:.10g}"])
     return 0
 
 
@@ -475,11 +462,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(args.config, args.set)
         # Looked up per call (not stored in the cached parser), so a replaced cmd_* is run.
-        return {"project": cmd_project, "render-checker": cmd_render_checker,
-                "calibrate-sim": cmd_calibrate_sim, "sfm-grid": cmd_sfm_grid,
-                "flow": cmd_flow, "slits": cmd_slits}[args.command](config, args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return {"project": cmd_project, "render-checker": cmd_render_checker,
+                    "calibrate-sim": cmd_calibrate_sim, "sfm-grid": cmd_sfm_grid,
+                    "flow": cmd_flow, "slits": cmd_slits}[args.command](config, args)
     except (NoScanTime, NegativeDepth, Singularity, DegenerateSlits, NoPeak,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as exc:   # OSError: a path that cannot be used

@@ -33,19 +33,18 @@ SINGULARITY_EPS = 1e-12
 
 @dataclass(frozen=True)
 class FlowVector:
-    """Image velocity (du, dv) in normalized units/second at depth z, or arrays of them."""
+    """Image velocity (du, dv) in normalized units/second, or arrays of them."""
 
     du: float | np.ndarray
     dv: float | np.ndarray
-    depth: float | np.ndarray
     failures: dict = field(default_factory=dict, compare=False, repr=False)  # index: error
 
 
-def _flow(u, du, dv, depth, failures: dict) -> FlowVector:
+def _flow(u, du, dv, failures: dict) -> FlowVector:
     """The batch's FlowVector; a scalar query's floats, or its error."""
     if failures and not np.ndim(u):
         raise failures[0]
-    return FlowVector(du[()], dv[()], depth, failures)
+    return FlowVector(du[()], dv[()], failures)
 
 
 def _require_fronto_parallel(motion: MotionState) -> None:
@@ -60,7 +59,7 @@ def flow_perspective(u, v, z, motion: MotionState) -> FlowVector:
         raise ValueError("depth must be positive")
     vx, vy, _ = motion.linear_velocity
     wz = motion.angular_velocity[2]
-    return _flow(u, vx / z - wz * v, vy / z + wz * u, z, {})
+    return _flow(u, vx / z - wz * v, vy / z + wz * u, {})
 
 
 def flow_rolling_shutter(u, v, z, motion: MotionState,
@@ -86,7 +85,7 @@ def flow_rolling_shutter(u, v, z, motion: MotionState,
     den = v * vx * wz + r * z * (r - p.dv)
     singular = np.abs(den) < SINGULARITY_EPS * np.fmax(1.0, np.abs(r * r * z))
     factor = r * z / np.where(singular, np.nan, den)
-    return _flow(u, factor * (r * p.du + wz * v * p.dv), factor * (r * p.dv - wz * v * p.du), z,
+    return _flow(u, factor * (r * p.du + wz * v * p.dv), factor * (r * p.dv - wz * v * p.du),
                  {int(i): Singularity("flow denominator vanishes (point moving with the "
                                       "scanline)") for i in np.flatnonzero(singular)})
 
@@ -112,5 +111,5 @@ def flow_finite_difference(u, v, z, motion: MotionState,
     delta = (q_ahead[:, :2] / q_ahead[:, 2:] - q_behind[:, :2] / q_behind[:, 2:]) / (2.0 * h)
     reason = np.where(ahead.ok, behind.reason, ahead.reason)   # nonzero: not imaged
     du, dv = np.where(reason, np.nan, delta.T).reshape((2,) + uv.shape[:-1])
-    return _flow(u, du, dv, z, {int(i): REASONS[reason[i]](REASONS[reason[i]].__doc__)
+    return _flow(u, du, dv, {int(i): REASONS[reason[i]](REASONS[reason[i]].__doc__)
                                 for i in np.flatnonzero(reason)})

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,10 @@ class SceneConfig:
     noise_sigma: float = 0.0            # pixels, per coordinate
     view_cone_deg: float = 40.0         # camera-2 direction cone about camera 1's axis
     attitude_noise_deg: float = 2.0     # extra random attitude error on camera 2
+
+    def __post_init__(self):
+        if bad := [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]:
+            raise ValueError(f"SceneConfig.{bad[0]} must be finite, got {getattr(self, bad[0])}")
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics.from_fov(self.fov_deg, self.width, self.height)
@@ -431,10 +435,10 @@ def _levenberg_marquardt(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> 
         lam = np.where(accept, lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
                        np.where(reject, lam * nu, lam))
         nu = np.where(accept, 2.0, np.where(reject, 2.0 * nu, nu))
-        # Too small a decrease ends the run, and so does lambda overflow: no step
-        # of any length decreases the cost (the criterion met with zero decrease).
+        # Too small a decrease ends the run, and so does lambda overflow (or NaN): no
+        # step of any length decreases the cost (the criterion met with zero decrease).
         stop = np.where(accept & (decrease < COST_TOLERANCE), _COST,
-                        np.where(reject & (lam > 1e16), _LAMBDA, stop))
+                        np.where(reject & ~(lam <= 1e16), _LAMBDA, stop))
         keep = stop == _RUNNING
         iteration += accept & keep
         if keep.all():

@@ -392,7 +392,8 @@ def _exact_roots(coef, speed, intrinsics, shutter, frame_start, t_max):
         if run.size == 0:
             break
         t = b - f_b * (b - a) / (f_b - f_a)
-        t = np.where((t - a) * (t - b) < 0.0, t, 0.5 * (a + b))
+        with np.errstate(over="ignore"):    # an overflowing product keeps its sign
+            t = np.where((t - a) * (t - b) < 0.0, t, 0.5 * (a + b))
         f_t, front = residual(t, path)
         with np.errstate(over="ignore"):
             swap = f_t * f_b < 0.0

@@ -16,8 +16,7 @@ from rscam.shutter import (ShutterParams, drift_per_row, invert_fronto_parallel,
                            limit_line, project_rolling_shutter)
 from rscam.xslit import backproject, compute_slits, line_line_distance
 from rscam.flow import flow_finite_difference, flow_rolling_shutter
-from rscam.calibration import (estimate_scan_rate, ideal_seconds_per_row,
-                               synthesize_led_image)
+from rscam.calibration import estimate_scan_rate, synthesize_led_image
 from rscam.sfm import (PERSPECTIVE_MODEL, RS_MODEL, SceneConfig, bundle_adjust,
                        generate_problem, run_experiment_grid)
 
@@ -221,7 +220,7 @@ def test_criterion_6_calibration_round_trip():
     ok = True
     for fps, reference in references.items():
         shutter = ShutterParams.ideal(fps, n_rows)
-        ideal = ideal_seconds_per_row(fps, n_rows)
+        ideal = 1.0 / shutter.scan_rate
         for led_hz in (20.0, 60.0):
             image = synthesize_led_image(shutter, n_rows, 64, led_hz=led_hz)
             est = estimate_scan_rate(image, led_hz)

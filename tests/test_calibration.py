@@ -1,13 +1,19 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from rscam.errors import NoPeak
-from rscam.calibration import (SpatioTemporalImage, _led_on, _row_times, estimate_scan_rate,
-                               ideal_seconds_per_row, marginalized_spectrum,
+from rscam.calibration import (MAX_IMAGE_SAMPLES, SpatioTemporalImage, _led_on, _row_times,
+                               estimate_scan_rate, marginalized_spectrum,
                                synthesize_led_image, write_pgm)
 from rscam.shutter import ShutterParams
+
+
+def ideal_seconds_per_row(framerate, n_rows):
+    """Row period of a zero-delay sensor whose scan fills the frame period."""
+    return 1.0 / ShutterParams.ideal(framerate, n_rows).scan_rate
 
 
 class TestSynthesis:
@@ -59,6 +65,21 @@ class TestSynthesis:
         if named != "overflows":
             with pytest.raises(ValueError, match="led_hz must be finite and positive"):
                 estimate_scan_rate(image, led_hz)
+
+    @pytest.mark.parametrize("n_rows, n_frames", [
+        (240, MAX_IMAGE_SAMPLES // 240 + 1), (MAX_IMAGE_SAMPLES + 1, 1), (0, 8), (-240, 8),
+        (-240, -8), (240, 0)])
+    def test_image_size_outside_the_bound_raises_before_allocating(self, n_rows, n_frames):
+        """An image of more than MAX_IMAGE_SAMPLES samples, or of no row or
+        frame, raises naming the bound before any array is made."""
+        s = ShutterParams.ideal(15.0, 240)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n_rows \\* n_frames <= {MAX_IMAGE_SAMPLES}$"):
+                synthesize_led_image(s, n_rows, n_frames, led_hz=20.0)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
 
     def test_overflowing_row_times_raise(self):
         """A subnormal frame rate has an infinite frame period: its row times

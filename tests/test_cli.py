@@ -6,13 +6,14 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from rscam import cli, sfm
-from rscam.cli import main
+from rscam import calibration, cli, sfm
+from rscam.cli import DEFAULTS, main
 
 from conftest import load_problem
 
@@ -148,6 +149,27 @@ class TestCsvLines:
         assert cli._csv_lines(np.empty((0, 8))) == []
 
 
+class TestWriteTable:
+    def test_layout(self, capsys, tmp_path):
+        """Config comments, notes, header, rows and footer, the same bytes to a
+        file and to stdout; the output directory holds config_resolved.txt."""
+        config = cli.RunConfig(overrides=["flow.grid=2"])
+        resolved = config.resolved_lines()
+        want = "\n".join(["# rscam resolved configuration", *(f"# {c}" for c in resolved),
+                          "# note = 1", "a,b", "1,2", "3,4", "# total = 10"]) + "\n"
+        cli._write_table(tmp_path / "t.csv", config, "a,b", ["1,2", "3,4"],
+                         notes=["note = 1"], footer=["total = 10"])
+        cli._write_table(None, config, "a,b", ["1,2", "3,4"], ["note = 1"], ["total = 10"])
+        assert (tmp_path / "t.csv").read_text() == capsys.readouterr().out == want
+        out = cli._outdir(SimpleNamespace(out_dir=tmp_path / "new" / "dir"), config)
+        assert (out / "config_resolved.txt").read_text() == "\n".join(resolved) + "\n"
+
+    def test_empty_out_writes_to_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "slits", "--out", "", "--set", "flow.grid=1",
+                               "--set", "motion.velocity_kmh=3 7.5 0")
+        assert code == 0 and out.startswith("# rscam resolved configuration\n")
+
+
 class TestFlow:
     def test_empty_grid_writes_the_header_alone(self, capsys):
         code, out, _ = run_cli(capsys, "flow", "--set", "flow.grid=0")
@@ -218,6 +240,33 @@ class TestCalibrateSim:
         # r = 900 rows/s at 3.75 fps, so the stripe frequency is 20/900.
         assert abs(nu_star - 20.0 / 900.0) <= 1.0 / 240.0
 
+    REPORT_HEADER = ("framerate_fps,led_hz,calibrated_sec_per_row,uncertainty_sec_per_row,"
+                     "ideal_sec_per_row,abs_error,status")
+
+    @pytest.mark.parametrize("overrides, rows", [
+        ([], ["3.75,20,0.001041666667,0.0001041666667,0.001111111111,6.944444444e-05,ok",
+              "15,20,0.0002083333333,0.0001041666667,0.0002777777778,6.944444444e-05,ok"]),
+        (["calibration.n_rows=1"], ["3.75,20,,,0.2666666667,,no_peak",
+                                    "15,20,,,0.06666666667,,no_peak"])])
+    def test_report_rows(self, capsys, tmp_path, overrides, rows):
+        """An ok row is its %.10g values and ok; a no_peak row leaves the
+        estimate's fields blank."""
+        code, _, _ = run_cli(capsys, "calibrate-sim", "--out-dir", str(tmp_path),
+                             "--set", "calibration.framerates=3.75 15",
+                             *(a for o in overrides for a in ("--set", o)))
+        lines = (tmp_path / "calibration_report.csv").read_text().splitlines()
+        assert code == 0 and lines[-3:] == [self.REPORT_HEADER, *rows]
+
+    def test_image_beyond_the_size_bound_is_usage_error(self, capsys, tmp_path):
+        """n_frames one frame past the bound fails before the image is made; the
+        run leaves config_resolved.txt alone."""
+        n_frames = calibration.MAX_IMAGE_SAMPLES // 240 + 1
+        code, _, err = run_cli(capsys, "calibrate-sim", "--out-dir", str(tmp_path),
+                               "--set", f"calibration.n_frames={n_frames}")
+        assert code == 1
+        assert f"n_rows * n_frames <= {calibration.MAX_IMAGE_SAMPLES}\n" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config_resolved.txt"]
+
     def test_empty_grid_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "calibrate-sim", "--out-dir", str(tmp_path),
                                "--set", "calibration.framerates=")
@@ -286,6 +335,16 @@ class TestRenderChecker:
         assert "Warning" not in err and not caught
         assert not list(tmp_path.glob("*.pgm"))
 
+
+    def test_huge_frame_window_renders_without_warnings(self, capsys, tmp_path):
+        """At 1e-300 frames/s the frame window is ~1e300 s: the exact kernel's
+        inside test overflows to a product of the right sign, without a warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "render-checker", "--out-dir", str(tmp_path),
+                                   "--set", "render.framerate=1e-300",
+                                   "--set", "camera.width=160", "--set", "camera.height=120")
+        assert (code, err, caught) == (0, "", [])
 
     def test_huge_squares_render_without_warnings(self, capsys, tmp_path):
         """At 1e200 m squares the lattice's pixels reach ~1e203: the solver's
@@ -446,6 +505,29 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(taken) in err
         assert taken.read_text() == ""
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("flow", ["shutter.scan_rate=1e308"]), ("slits", ["shutter.first_row=1e308"]),
+        ("project", ["shutter.framerate=5e-324"]), ("sfm-grid", ["sfm.velocities_kmh=1e308"])])
+    def test_floating_point_fault_is_numerical_failure(self, capsys, tmp_path, command,
+                                                       overrides):
+        """A setting whose arithmetic overflows or goes invalid stops there with
+        exit 2 and no warning; in sfm-grid that is before LM meets a NaN."""
+        extra = {"project": ["--point", "0,0,5"], "sfm-grid": ["--out-dir", str(tmp_path)]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, command, *extra.get(command, []),
+                                   "--set", "motion.velocity_kmh=1 5 0", "--set", "sfm.trials=1",
+                                   "--set", "sfm.sigmas_px=1",
+                                   *(a for o in overrides for a in ("--set", o)))
+        assert (code, caught) == (2, [])
+        assert err.startswith("numerical failure: FloatingPointError: ")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_noise_is_config_error(self, capsys, tmp_path, value):
+        code, _, err = run_cli(capsys, "sfm-grid", "--out-dir", str(tmp_path),
+                               "--set", "sfm.trials=1", "--set", f"sfm.sigmas_px={value}")
+        assert code == 1 and "SceneConfig.noise_sigma must be finite" in err
+
     def test_singular_solve_is_numerical_failure(self, capsys, monkeypatch):
         """LinAlgError subclasses ValueError but is a numerical failure."""
         def singular(config, args):
@@ -563,33 +645,53 @@ CONFIG_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-0", "5e-324", "1e-310", "1e308", "-1e308",
                      "abc", "", "1 2", "0x10", "1", "2"]),
     st.floats(-500.0, 500.0).map(repr), st.integers(-3, 300).map(str))
-CALIBRATION_KEYS = ["framerates", "led_hz", "n_rows", "n_frames", "duty", "exposure_gradient"]
-CAMERA_KEYS = ["width", "height", "fov_deg", "normalized"]
+# Each command with the config keys it reads that are fuzzed through it.  A
+# count key allocates in proportion to its value before any check can refuse
+# it, so it draws small values only.
+FUZZED_KEYS = {
+    "calibrate-sim": [f"calibration.{k}" for k in DEFAULTS["calibration"]],
+    "project": [f"{s}.{k}" for s in ("camera", "shutter") for k in DEFAULTS[s]],
+    "slits": [f"{s}.{k}" for s in ("camera", "shutter") for k in DEFAULTS[s]] + ["flow.grid"],
+    "flow": [f"{s}.{k}" for s in ("camera", "shutter", "flow") for k in DEFAULTS[s]],
+    "render-checker": [f"render.{k}" for k in DEFAULTS["render"]],
+    "sfm-grid": [f"sfm.{k}" for k in DEFAULTS["sfm"]],
+}
+COUNT_KEYS = {"squares", "samples_per_edge", "grid", "n_points", "trials", "n_frames"}
+COUNT_VALUES = st.one_of(st.sampled_from(["nan", "inf", "-0", "abc", "", "1 2", "2.5"]),
+                         st.integers(-2, 4).map(str))
+BASE_SETTINGS = {
+    "render-checker": ["camera.width=160", "camera.height=120"],
+    "sfm-grid": ["sfm.velocities_kmh=5", "sfm.sigmas_px=1", "sfm.trials=1"],
+}
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(case=st.one_of(
-    st.tuples(st.just("calibrate-sim"), st.dictionaries(
-        st.sampled_from(CALIBRATION_KEYS).map("calibration.".__add__), CONFIG_VALUES,
-        min_size=1, max_size=3)),
-    st.tuples(st.sampled_from(["project", "flow", "slits"]), st.dictionaries(
-        st.sampled_from(CAMERA_KEYS).map("camera.".__add__), CONFIG_VALUES,
-        min_size=1, max_size=3))))
+def fuzzed_settings(command):
+    setting = st.sampled_from(FUZZED_KEYS[command]).flatmap(lambda key: st.tuples(
+        st.just(key), COUNT_VALUES if key.split(".")[1] in COUNT_KEYS else CONFIG_VALUES))
+    return st.tuples(st.just(command), st.lists(setting, min_size=1, max_size=3,
+                                                unique_by=lambda kv: kv[0]))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=st.sampled_from(list(FUZZED_KEYS)).flatmap(fuzzed_settings))
 def test_fuzzed_config_exits_cleanly(case):
-    """Any calibration or camera setting exits 0, 1 or 2 with no traceback and
-    no RuntimeWarning; the motion makes flow and slits run and project take
-    the general closed form."""
+    """Any setting of the calibration, camera, shutter, flow, render or sfm
+    keys exits 0, 1 or 2 with no traceback and no RuntimeWarning; the motion
+    makes flow and slits run and project take the general closed form, and
+    render-checker runs at 160x120 and sfm-grid on one cell of one trial."""
     command, values = case
     argv = [command, "--set", "flow.grid=3", "--set", "motion.velocity_kmh=1 5 0",
             "--set", "motion.omega_rev_s=0 0 0.1",
-            *(a for key, value in values.items() for a in ("--set", f"{key}={value}"))]
+            *(a for s in BASE_SETTINGS.get(command, []) for a in ("--set", s)),
+            *(a for key, value in values for a in ("--set", f"{key}={value}"))]
     if command == "project":
         argv += ["--point", "0.5,0.2,5", "--point=-1,0.3,2"]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(argv + (["--out-dir", workdir] if command == "calibrate-sim" else []))
+        code = main(argv + (["--out-dir", workdir] if command in (
+            "calibrate-sim", "render-checker", "sfm-grid") else []))
     event(f"{command} exit {code}")
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -105,6 +105,14 @@ class TestGenerateProblem:
         with pytest.raises(ConfigError):
             generate_problem(cfg, seed=1)
 
+    @pytest.mark.parametrize("name", ["cloud_side", "attitude_noise_deg", "noise_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setting_rejected(self, name, value):
+        """A non-finite scene setting raises, naming it, before a generator
+        draw fails on it or an LM run meets its NaN pixels."""
+        with pytest.raises(ValueError, match=f"SceneConfig.{name} must be finite"):
+            replace(SceneConfig(), **{name: value})
+
     def test_camera2_looks_at_cloud(self, rs_problem):
         pose2 = rs_problem.poses[1]
         center = np.array([0.0, 0.0, 10.0])
@@ -424,6 +432,16 @@ class TestBatchedLM:
             sol = bundle_adjust(rs_problem, RS_MODEL)
             assert (sol.iterations, sol.termination, sol.converged) == (budget, "limit", False)
             assert len(sol.cost_history) == budget + 1
+
+    @pytest.mark.parametrize("pixel", [math.nan, math.inf])
+    def test_non_finite_pixel_ends_on_lambda(self, rs_problem, pixel):
+        """A non-finite pixel makes lambda NaN in the first round, and the run
+        ends there on the lambda criterion."""
+        pixels = rs_problem.pixels.copy()
+        pixels[0, 0, 0] = pixel
+        with np.errstate(all="ignore"):
+            sol = bundle_adjust(replace(rs_problem, pixels=pixels), RS_MODEL)
+        assert (sol.iterations, sol.termination) == (1, "lambda")
 
     def test_batch_takes_rolling_shutter_problems_first(self, rs_problem):
         """The scan-time kernel runs on a prefix of the rows, so a batch with a
