@@ -94,10 +94,12 @@ class RunConfig:
             for key, value in entries.items()
         }
         if path is not None:
-            parser = configparser.ConfigParser()
-            read = parser.read(path)
-            if not read:
-                raise ConfigError(f"config file not found: {path}")
+            parser = configparser.ConfigParser(interpolation=None)      # a value's % is text
+            try:
+                if not parser.read(path):
+                    raise ConfigError(f"config file not found: {path}")
+            except configparser.Error as exc:   # no section header, a duplicate key, ...
+                raise ConfigError(f"malformed config file: {exc}") from None
             for section in parser.sections():
                 for key, value in parser.items(section):
                     self.values[(section.lower(), key.lower())] = value
@@ -336,19 +338,16 @@ def cmd_sfm_grid(config: RunConfig, args) -> int:
         ("mean_rot_deg", "Rotation error (deg)", "plot_rotation.svg"),
         ("mean_trans_deg", "Translation direction error (deg)", "plot_translation.svg"),
     ]
+    curves = {}     # the rows of each (velocity, model) by sigma, in grid order within a sigma
+    for row in sorted(rows, key=lambda r: r["sigma_px"]):
+        curves.setdefault((row["velocity_kmh"], row["model"]), []).append(row)
     for mean_key, label, filename in metric_map:
-        panels = []
-        for velocity in velocities:
-            panel = plotsvg.Panel(title=f"{velocity:g} km/h",
-                                  x_label="noise sigma (px)", y_label=label)
-            for style, model in enumerate(sfm.MODELS):
-                cells = [r for r in rows
-                         if r["velocity_kmh"] == velocity and r["model"] == model]
-                cells.sort(key=lambda r: r["sigma_px"])
-                panel.series.append(plotsvg.Series(
-                    label=model, x=[c["sigma_px"] for c in cells],
-                    y=[c[mean_key] for c in cells], style=style))
-            panels.append(panel)
+        panels = [plotsvg.Panel(
+            title=f"{velocity:g} km/h", x_label="noise sigma (px)", y_label=label,
+            series=[plotsvg.Series(label=model, x=[r["sigma_px"] for r in curves[velocity, model]],
+                                   y=[r[mean_key] for r in curves[velocity, model]], style=style)
+                    for style, model in enumerate(sfm.MODELS)])
+            for velocity in velocities]
         plotsvg.write_figure(out / filename, panels, title=label,
                              comment_lines=_config_comments(config))
     return 0

@@ -8,7 +8,7 @@ ticks, and a shared legend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 PANEL_W = 240
@@ -32,7 +32,7 @@ class Series:
 @dataclass
 class Panel:
     title: str
-    series: list = field(default_factory=list)
+    series: list
     x_label: str = ""
     y_label: str = ""
 

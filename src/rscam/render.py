@@ -38,9 +38,11 @@ def _check_scene(omega_z_rev_s: float, plane_depth: float, square_size: float) -
 
 
 def _parity(bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """In place, 2 (s/2 - floor(s/2)) for s = floor(bx) + floor(by): s % 2 while |s| < 2**53."""
-    s = np.multiply(np.add(np.floor(bx, out=bx), np.floor(by, out=by), out=bx), 0.5, out=bx)
-    return np.multiply(np.subtract(s, np.floor(s, out=by), out=s), 2.0, out=s)
+    """In place, (floor(bx) + floor(by)) % 2 from the floors' own parities, exact past 2**53."""
+    for b in (bx, by):      # h - floor(h) for h = floor(b) / 2 is 0 or 1/2, at any size
+        h = np.multiply(np.floor(b, out=b), 0.5, out=b)
+        np.subtract(h, np.floor(h), out=h)
+    return np.multiply(np.abs(np.subtract(bx, by, out=bx), out=bx), 2.0, out=bx)
 
 
 def render_checkerboard(intrinsics: CameraIntrinsics, shutter: ShutterParams,

@@ -10,11 +10,11 @@ The default scene follows the benchmark protocol: 100 points in a 4 m cube
 about 10 m away, a 40 degree field of view at 640x480, 15 frames/second with
 the scan spanning the full frame period, camera row-velocity given in km/h,
 and i.i.d. Gaussian pixel noise.  Bundle adjustment is Levenberg-Marquardt
-on all reprojection residuals, camera 1 frozen and the baseline held (gauge,
-so the translation metric is direction-only), with an analytic Jacobian and
-steps from the 6x6 reduced camera system left after eliminating the 3x3
-point blocks.  One array-shaped LM runs every trial and model of a grid cell,
-each problem at its own lambda with the iterates of a run alone;
+on all reprojection residuals, camera 1 the identity and the baseline held
+(gauge, so the translation metric is direction-only), with an analytic
+Jacobian and steps from the 6x6 reduced camera system left after eliminating
+the 3x3 point blocks.  One array-shaped LM runs every trial and model of a
+grid cell, each problem at its own lambda with the iterates of a run alone;
 `bundle_adjust` is a batch of one, and a round keeps all rows' residuals and
 Jacobian blocks in one array.
 
@@ -71,6 +71,8 @@ class SceneConfig:
     def __post_init__(self):
         if bad := [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]:
             raise ValueError(f"SceneConfig.{bad[0]} must be finite, got {getattr(self, bad[0])}")
+        if self.noise_sigma < 0.0:
+            raise ValueError(f"SceneConfig.noise_sigma must be nonnegative, got {self.noise_sigma}")
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics.from_fov(self.fov_deg, self.width, self.height)
@@ -81,8 +83,9 @@ class SfmProblem:
     """Scene points seen in two views of one rolling-shutter camera, and their
     (noisy) pixels.
 
-    View j starts its frame at the world-to-camera pose poses[j] and translates
-    with the camera-frame velocity velocities[j] (2, 3), without spinning.
+    View j starts its frame at the world-to-camera pose poses[j] (poses[0] is
+    the identity, the gauge that `bundle_adjust` requires) and translates with
+    the camera-frame velocity velocities[j] (2, 3), without spinning.
     pixels[i, j] (N, 2, 2) is point i in view j; every point is imaged in-frame
     in both views by the generating rolling-shutter model before noise.
     """
@@ -154,7 +157,6 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
     shutter = ShutterParams.ideal(config.framerate, config.height)
     velocity = np.array([0.0, config.velocity_kmh * KMH_TO_MS, 0.0])
 
-    pose1 = Pose.identity()
     cloud_center = np.array([0.0, 0.0, config.cloud_distance])
     # Viewing direction of camera 2, inside a cone about camera 1's axis.
     cone = math.radians(config.view_cone_deg)
@@ -171,7 +173,7 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
     axis /= np.linalg.norm(axis)
     wobble = rotation_exp(axis * math.radians(rng.uniform(0.0, config.attitude_noise_deg)))
     r2 = wobble @ _look_at(center2, cloud_center)
-    poses = (pose1, Pose(r2, -r2 @ center2))
+    poses = (Pose.identity(), Pose(r2, -r2 @ center2))     # camera 1 is the gauge
 
     views, seen = [], np.ones(len(points), dtype=bool)
     for pose in poses:
@@ -193,33 +195,30 @@ def generate_problem(config: SceneConfig, seed) -> SfmProblem:
                       noise_sigma=config.noise_sigma, rng_seed=seed_t)
 
 
-def _initial_points(obs1: np.ndarray, obs2: np.ndarray, pose1: Pose, pose2: Pose,
+def _initial_points(obs1: np.ndarray, obs2: np.ndarray, pose2: Pose,
                     intrinsics: CameraIntrinsics) -> np.ndarray:
     """Starting points from pixel correspondences, regularized onto the camera-1 rays.
 
     Midpoint triangulation gives depths that are noisy in a 20:1
     depth-to-baseline scene; each point is placed on its camera-1 ray (camera
-    1 is the frozen gauge) at its midpoint depth clamped into a robust band
-    around the median, keeping every start point in front of both cameras
-    with smooth residuals.
+    1 is the identity gauge, so its rays are in world coordinates) at its
+    midpoint depth clamped into a robust band around the median, keeping every
+    start point in front of both cameras with smooth residuals.
     """
     k_inv = np.linalg.inv(intrinsics.K)
-    rays_cam = [(k_inv @ np.column_stack([obs, np.ones(len(obs))]).T).T for obs in (obs1, obs2)]
-    d1, d2 = (d / np.linalg.norm(d, axis=1, keepdims=True) for d in (
-        ray @ pose.rotation for ray, pose in zip(rays_cam, (pose1, pose2))))
-    c1, c2 = pose1.viewpoint(), pose2.viewpoint()
+    ray1, ray2 = ((k_inv @ np.column_stack([obs, np.ones(len(obs))]).T).T for obs in (obs1, obs2))
+    ray1 = np.ascontiguousarray(ray1)   # C order: einsum adds a transpose's rows in another order
+    d1, d2 = (d / np.linalg.norm(d, axis=1, keepdims=True) for d in (ray1, ray2 @ pose2.rotation))
+    c2 = pose2.viewpoint()
     dd = np.einsum("ij,ij->i", d1, d2)
-    rhs = c2 - c1
-    b1, b2 = d1 @ rhs, d2 @ rhs
+    b1, b2 = d1 @ c2, d2 @ c2
     det = np.maximum(1.0 - dd * dd, 1e-12)
     a, b = (b1 - dd * b2) / det, (dd * b1 - b2) / det
-    mid = 0.5 * (c1 + a[:, None] * d1 + c2 + b[:, None] * d2)
-    depth1 = (mid @ pose1.rotation.T + pose1.translation)[:, 2]
+    depth1 = (0.5 * (a[:, None] * d1 + c2 + b[:, None] * d2))[:, 2]
     positive = depth1[depth1 > 0]
     z_med = float(np.median(positive)) if positive.size else 1.0
     depths = np.clip(depth1, 0.1 * z_med, 10.0 * z_med)
-    p_cam = rays_cam[0] * (depths / rays_cam[0][:, 2])[:, None]
-    return (p_cam - pose1.translation) @ pose1.rotation
+    return ray1 * (depths / ray1[:, 2])[:, None]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,13 +246,12 @@ _N_CAM = 6      # camera parameters: camera 2's rotation vector and translation 
 class _Batch:
     """Constants of P bundle adjustments run together, imaged by one camera.  A
     row is one point of a problem, seen in both views, so row arrays (M, 2, ...)
-    carry the views.
+    carry the views.  Camera 1 is the identity gauge of every problem, so the
+    batch holds no camera.
     """
 
     owner: np.ndarray         # (M,) problem of each row, nondecreasing
     observed: np.ndarray      # (M, 2, 2) pixels in views 1 and 2
-    rotation: np.ndarray      # (M, 2, 3, 3) and (M, 2, 3): each row's cameras, the frozen
-    translation: np.ndarray   # camera 1 and the camera 2 that each `_residuals` writes
     velocity: np.ndarray      # (M, 2, 3) known linear velocity of each row's views
     baseline: np.ndarray      # (P,) gauge: camera 2's translation length
     rolling: np.ndarray       # (P,) rolling-shutter model, these first; pin-hole otherwise
@@ -275,8 +273,7 @@ class _Batch:
     def take(self, keep: np.ndarray) -> "_Batch":
         rows, owner = keep[self.owner], (np.cumsum(keep) - 1)[self.owner]
         return replace(self, owner=owner[rows], **{
-            name: getattr(self, name)[rows] for name in ("observed", "rotation", "translation",
-                                                         "velocity")},
+            name: getattr(self, name)[rows] for name in ("observed", "velocity")},
             **{name: getattr(self, name)[keep] for name in ("baseline", "rolling")})
 
 
@@ -286,16 +283,16 @@ def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> np.ndarray
     (M, 2, 2, _N_CAM + 4): by the camera [..., :_N_CAM], the residual
     [..., _N_CAM] and by the point [..., _N_CAM + 1:].  Along p = y + t v,
     y = R x + T: dp = (I + v g^T) dy, g = dt/dy from `scan_time_gradient`; the
-    pin-hole model is this with t = 0, g = 0.
+    pin-hole model is this with t = 0, g = 0.  Camera 1 is the identity, so in
+    view 1 y = x and dy/dx = I.  Nothing is written into the batch.
     """
     own, n, rs, v = batch.owner, _N_CAM, batch.n_rolling, batch.velocity
     intrinsics, shutter = batch.camera
     rotation2, left = rotation_exp_and_jacobian(cam[:, :3])
     translation2, d_translation = _translations(cam[:, 3:6], batch.baseline)
-    rotation, translation = batch.rotation, batch.translation
-    rotation[:, 1], translation[:, 1] = rotation2.take(own, axis=0), translation2.take(own, axis=0)
-    rx = np.einsum("mvij,mj->mvi", rotation, points)
-    y = rx + translation
+    rotation2 = rotation2.take(own, axis=0)
+    rx2 = np.einsum("mij,mj->mi", rotation2, points)
+    y = np.stack([points, rx2 + translation2.take(own, axis=0)], axis=1)
     ok = y[..., 2] > DEPTH_EPS
     if rs:      # both views of the rolling-shutter rows, as 2 rs paths
         times = solve_path_times(y[:rs].reshape(-1, 3), v[:rs].reshape(-1, 3), intrinsics,
@@ -317,10 +314,11 @@ def _residuals(batch: _Batch, cam: np.ndarray, points: np.ndarray) -> np.ndarray
     if not ok.all():
         residual[~ok], a[~ok] = 1e4, 0.0
     # d(R x) = -hat(R x) J_l(phi) d(phi), J_l the SO(3) left Jacobian (operands contiguous).
-    np.matmul(_cross(rx[:, 1, None].repeat(2, axis=1), a[:, 1].copy()),
+    np.matmul(_cross(rx2[:, None].repeat(2, axis=1), a[:, 1].copy()),
               left.take(own, axis=0), out=out[:, 1, :, :3])
     np.matmul(a[:, 1], d_translation.take(own, axis=0), out=out[:, 1, :, 3:6])
-    np.matmul(a, rotation, out=out[..., n + 1:])
+    out[:, 0, :, n + 1:] = a[:, 0]
+    np.matmul(a[:, 1], rotation2, out=out[:, 1, :, n + 1:])
     return out
 
 
@@ -459,7 +457,8 @@ def _initial_batch(problems, models):
     """The batch of the problems under their models, and LM's start: camera
     parameters (P, _N_CAM) and points (M, 3).  The problems share one camera,
     as a grid cell's do, and the rolling-shutter problems must come first.  A
-    problem listed once per model gets its start computed once.
+    problem listed once per model gets its start computed once.  ValueError if
+    a problem's camera 1 is not exactly the identity pose (the gauge).
     """
     starts = {}
     for problem, model in zip(problems, models):
@@ -470,6 +469,8 @@ def _initial_batch(problems, models):
         rng = np.random.default_rng((*problem.rng_seed, 7919))     # the start's noise
         axis, t_dir = (v / np.linalg.norm(v) for v in (rng.normal(size=3), rng.normal(size=3)))
         pose1, pose2 = problem.poses
+        if not (np.array_equal(pose1.rotation, np.eye(3)) and np.all(pose1.translation == 0.0)):
+            raise ValueError("camera 1 must be the identity pose, the gauge of bundle adjustment")
         baseline = float(np.linalg.norm(pose2.translation))
         if baseline < 1e-12:
             raise ConfigError("zero baseline: camera 2 sits at camera 1 (under-constrained)")
@@ -482,15 +483,12 @@ def _initial_batch(problems, models):
         # start from the perturbed values.
         starts[id(problem)] = (np.concatenate([rotation_log(rotation), translation]),
                                _initial_points(problem.pixels[:, 0], problem.pixels[:, 1],
-                                               pose1, pose2, problem.intrinsics))
+                                               pose2, problem.intrinsics))
     cams, points = zip(*(starts[id(problem)] for problem in problems))
     owner = np.repeat(np.arange(len(points)), [len(p) for p in points])
-    first, second = zip(*(problem.poses for problem in problems))
     batch = _Batch(owner=owner, observed=np.concatenate([p.pixels for p in problems]),
-                   rotation=np.array([p.rotation for p in first])[owner, None].repeat(2, 1),
-                   translation=np.array([p.translation for p in first])[owner, None].repeat(2, 1),
                    velocity=np.array([p.velocities for p in problems])[owner],
-                   baseline=np.array([np.linalg.norm(pose.translation) for pose in second]),
+                   baseline=np.array([np.linalg.norm(p.poses[1].translation) for p in problems]),
                    rolling=np.array([m == RS_MODEL for m in models]),
                    camera=(problems[0].intrinsics, problems[0].shutter))
     return batch, np.array(cams), np.concatenate(points)
@@ -524,15 +522,15 @@ def _bundle_adjust_batch(problems, models) -> list[SfmSolution]:
 def bundle_adjust(problem: SfmProblem, model: str = RS_MODEL) -> SfmSolution:
     """Levenberg-Marquardt refinement of camera 2 and the scene points.
 
-    Camera 1 is frozen (gauge).  The initial guess turns the true camera 2 by
-    INIT_ROTATION_DEG about a random axis, moves its translation by
-    INIT_TRANSLATION_FRAC of the baseline in a random direction, and
-    triangulates points from the observations; velocities are known model
-    inputs.  LM stops after MAX_ITERATIONS steps or on COST_TOLERANCE or
-    GRADIENT_TOLERANCE.  ConfigError if camera 2 sits at camera 1 (a zero
-    baseline is under-constrained).
-    Non-convergence is reported in the solution flags, never raised.  A batch
-    of one for the grid's batched LM.
+    Camera 1 is the gauge, exactly the identity pose (ValueError otherwise).
+    The initial guess turns the true camera 2 by INIT_ROTATION_DEG about a
+    random axis, moves its translation by INIT_TRANSLATION_FRAC of the
+    baseline in a random direction, and triangulates points from the
+    observations; velocities are known model inputs.  LM stops after
+    MAX_ITERATIONS steps or on COST_TOLERANCE or GRADIENT_TOLERANCE.
+    ConfigError if camera 2 sits at camera 1 (a zero baseline is
+    under-constrained).  Non-convergence is reported in the solution flags,
+    never raised.  A batch of one for the grid's batched LM.
     """
     return _bundle_adjust_batch([problem], [model])[0]
 

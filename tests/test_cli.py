@@ -471,6 +471,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "error: unknown config key render.square" in err
 
+    @pytest.mark.parametrize("body, message", [
+        ("velocity_kmh = 0 7.5 0\n", "File contains no section headers"),
+        ("[camera]\nwidth = 320\nwidth = 640\n", "option 'width' in section 'camera' already"),
+        ("[camera]\nfov_deg = 40%\n", "camera.fov_deg must be a number")],
+        ids=["no-header", "duplicate-key", "percent"])
+    def test_malformed_config_file_is_config_error(self, capsys, tmp_path, body, message):
+        """configparser's own refusals exit 1 with an error line, and a % is
+        text, not an interpolation."""
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(body)
+        code, out, err = run_cli(capsys, "project", "--config", str(cfg), "--point", "0,0,5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+
     def test_non_numeric_scan_rate_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "project", "--set", "shutter.scan_rate=abc",
                                  "--point", "0,0.2,5")
@@ -527,6 +541,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sfm-grid", "--out-dir", str(tmp_path),
                                "--set", "sfm.trials=1", "--set", f"sfm.sigmas_px={value}")
         assert code == 1 and "SceneConfig.noise_sigma must be finite" in err
+
+    def test_negative_noise_is_config_error(self, capsys, tmp_path):
+        """A negative sigma is refused, not run as a noiseless cell under its label."""
+        code, _, err = run_cli(capsys, "sfm-grid", "--out-dir", str(tmp_path),
+                               "--set", "sfm.velocities_kmh=5", "--set", "sfm.sigmas_px=-1 0",
+                               "--set", "sfm.trials=2")
+        assert code == 1 and "SceneConfig.noise_sigma must be nonnegative, got -1.0" in err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_singular_solve_is_numerical_failure(self, capsys, monkeypatch):
         """LinAlgError subclasses ValueError but is a numerical failure."""
@@ -643,7 +665,7 @@ def test_fuzzed_motion_exits_cleanly(command, velocity, omega, fronto):
 
 CONFIG_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-0", "5e-324", "1e-310", "1e308", "-1e308",
-                     "abc", "", "1 2", "0x10", "1", "2"]),
+                     "abc", "", "1 2", "0x10", "1", "2", "%", "%(x)s"]),
     st.floats(-500.0, 500.0).map(repr), st.integers(-3, 300).map(str))
 # Each command with the config keys it reads that are fuzzed through it.  A
 # count key allocates in proportion to its value before any check can refuse
@@ -660,9 +682,22 @@ COUNT_KEYS = {"squares", "samples_per_edge", "grid", "n_points", "trials", "n_fr
 COUNT_VALUES = st.one_of(st.sampled_from(["nan", "inf", "-0", "abc", "", "1 2", "2.5"]),
                          st.integers(-2, 4).map(str))
 BASE_SETTINGS = {
-    "render-checker": ["camera.width=160", "camera.height=120"],
-    "sfm-grid": ["sfm.velocities_kmh=5", "sfm.sigmas_px=1", "sfm.trials=1"],
+    "render-checker": {"camera.width": "160", "camera.height": "120"},
+    "sfm-grid": {"sfm.velocities_kmh": "5", "sfm.sigmas_px": "1", "sfm.trials": "1"},
 }
+# Raw --config bodies that configparser refuses or would interpolate: no
+# section header, a duplicate key, and a % with and without a name.
+CONFIG_BODIES = ["fov_deg = 40\n", "[camera]\nwidth = 160\nwidth = 120\n",
+                 "[camera]\nfov_deg = 40%\n", "[camera]\nfov_deg = %(x)s\n"]
+
+
+def ini_text(settings: dict) -> str:
+    """The settings {"section.key": value} as an INI file, one header per section."""
+    sections = {}
+    for target, value in settings.items():
+        section, key = target.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
 
 
 def fuzzed_settings(command):
@@ -673,22 +708,29 @@ def fuzzed_settings(command):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(case=st.sampled_from(list(FUZZED_KEYS)).flatmap(fuzzed_settings))
-def test_fuzzed_config_exits_cleanly(case):
+@given(case=st.sampled_from(list(FUZZED_KEYS)).flatmap(fuzzed_settings),
+       source=st.sampled_from(["--set", "--config"]) | st.sampled_from(CONFIG_BODIES))
+def test_fuzzed_config_exits_cleanly(case, source):
     """Any setting of the calibration, camera, shutter, flow, render or sfm
     keys exits 0, 1 or 2 with no traceback and no RuntimeWarning; the motion
     makes flow and slits run and project take the general closed form, and
-    render-checker runs at 160x120 and sfm-grid on one cell of one trial."""
+    render-checker runs at 160x120 and sfm-grid on one cell of one trial.  The
+    settings are --set overrides, a --config file, or overrides beside a
+    --config file of one of CONFIG_BODIES."""
     command, values = case
-    argv = [command, "--set", "flow.grid=3", "--set", "motion.velocity_kmh=1 5 0",
-            "--set", "motion.omega_rev_s=0 0 0.1",
-            *(a for s in BASE_SETTINGS.get(command, []) for a in ("--set", s)),
-            *(a for key, value in values for a in ("--set", f"{key}={value}"))]
+    chosen = {"flow.grid": "3", "motion.velocity_kmh": "1 5 0", "motion.omega_rev_s": "0 0 0.1",
+              **BASE_SETTINGS.get(command, {}), **dict(values)}
+    argv = [command] if source == "--config" else [
+        command, *(a for target, value in chosen.items() for a in ("--set", f"{target}={value}"))]
     if command == "project":
         argv += ["--point", "0.5,0.2,5", "--point=-1,0.3,2"]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        if source != "--set":
+            config = Path(workdir) / "run.ini"
+            config.write_text(ini_text(chosen) if source == "--config" else source)
+            argv += ["--config", str(config)]
         warnings.simplefilter("always")
         code = main(argv + (["--out-dir", workdir] if command in (
             "calibrate-sim", "render-checker", "sfm-grid") else []))

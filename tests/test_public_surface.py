@@ -44,9 +44,8 @@ def test_every_public_name_has_a_caller():
     assert not unreached, f"public names with no caller in src/ or perfbench/: {unreached}"
 
 
-# Defaulted parameters and fields that no call sets, kept on purpose: a list
-# that callers fill is not a setting.
-SETTINGS_ALLOWED = {"plotsvg:Panel.series"}
+# Defaulted parameters and fields that no call sets, kept on purpose.
+SETTINGS_ALLOWED = set()
 
 
 def settings(module: str, tree: ast.Module):

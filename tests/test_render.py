@@ -98,6 +98,17 @@ class TestRenderCheckerboard:
         assert np.abs(np.cos(theta)).min() < 1e-16
         assert_oracle_frame(k, s, omega, 0.5, 0.06)
 
+    @pytest.mark.parametrize("omega", [0.0, 0.25, 0.5, 1.0])
+    def test_color_of_cells_beyond_2_53(self, omega):
+        """A principal point 1e16-5e17 pixels off puts the board cells beyond
+        2**53, where the float sum of the two floors rounds: the color adds
+        their parities, as the oracle's integer sum does."""
+        s = ShutterParams.ideal(30.0, 8)
+        for cx in np.linspace(-1e16, -5e17, 20):
+            k = CameraIntrinsics(np.array([[1.0, 0.0, cx], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                                 1.0, 16, 8)
+            assert_oracle_frame(k, s, omega, 0.5, 0.06)
+
     def test_raster_every_column_side(self):
         """Rows whose cells step ~350,000 times in 90 columns, and a frame whose
         cells jump by 2 or more between adjacent columns, take every column."""

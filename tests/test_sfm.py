@@ -113,6 +113,13 @@ class TestGenerateProblem:
         with pytest.raises(ValueError, match=f"SceneConfig.{name} must be finite"):
             replace(SceneConfig(), **{name: value})
 
+    def test_negative_noise_rejected(self):
+        """A negative noise level raises, naming the field, rather than drawing no
+        noise under its label; -0.0 is no noise."""
+        with pytest.raises(ValueError, match="SceneConfig.noise_sigma must be nonnegative"):
+            SceneConfig(noise_sigma=-1.0)
+        assert SceneConfig(noise_sigma=-0.0).noise_sigma == 0.0
+
     def test_camera2_looks_at_cloud(self, rs_problem):
         pose2 = rs_problem.poses[1]
         center = np.array([0.0, 0.0, 10.0])
@@ -159,6 +166,14 @@ class TestBundleAdjust:
     def test_unknown_model_rejected(self, rs_problem):
         with pytest.raises(ValueError):
             bundle_adjust(rs_problem, "affine")
+
+    @pytest.mark.parametrize("pose1", [Pose(rotation_exp(np.array([0.0, 1e-3, 0.0])), np.zeros(3)),
+                                       Pose(np.eye(3), np.array([0.0, 0.0, 1e-3]))],
+                             ids=["turned", "shifted"])
+    def test_camera_1_off_the_gauge_rejected(self, rs_problem, pose1):
+        """Camera 1 is the identity gauge; bundle adjustment refuses any other."""
+        with pytest.raises(ValueError, match="camera 1 must be the identity pose"):
+            bundle_adjust(replace(rs_problem, poses=(pose1, rs_problem.poses[1])))
 
     def test_zero_baseline_is_config_error(self):
         """Camera 2 at camera 1 leaves the translation direction undefined."""
@@ -294,8 +309,8 @@ class TestJacobian:
     @pytest.mark.parametrize("model", MODELS)
     def test_start_behind_camera_keeps_cost_nonincreasing(self, rs_problem, model,
                                                           monkeypatch):
-        def behind_camera_2(obs1, obs2, pose1, pose2, intrinsics):
-            points = _initial_points(obs1, obs2, pose1, pose2, intrinsics)
+        def behind_camera_2(obs1, obs2, pose2, intrinsics):
+            points = _initial_points(obs1, obs2, pose2, intrinsics)
             points[0] = pose2.viewpoint() - pose2.rotation[2]
             return points
 
@@ -490,6 +505,20 @@ class TestBatchedLM:
             cam, points = cam + d_cam, points + d_point
             ones = [(one, cam[i:i + 1], points[batch.owner == i])
                     for i, (one, _, _) in enumerate(ones)]
+
+    def test_batch_constants_are_never_written(self):
+        """LM runs a 2-trial, 2-model cell on a batch whose arrays are all
+        read-only, with the iterates of the same run on a writeable batch."""
+        pairs = sorted(_grid_problems([7.5], [2.16], 2, 0), key=lambda pair: pair[1] != RS_MODEL)
+        batch, cam, points = sfm._initial_batch([p for p, _ in pairs], [m for _, m in pairs])
+        expected = sfm._levenberg_marquardt(batch, cam.copy(), points.copy())
+        for value in vars(batch).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        for got, want in zip(sfm._levenberg_marquardt(batch, cam, points), expected):
+            assert got[3:] == want[3:]
+            for a, b in zip(got[:3], want[:3]):
+                np.testing.assert_array_equal(a, b)
 
     def test_grid_triangulates_each_problem_once(self, monkeypatch):
         """run_experiment_grid lists each trial's problem once per model; its
