@@ -96,10 +96,14 @@ class RunConfig:
         if path is not None:
             parser = configparser.ConfigParser(interpolation=None)      # a value's % is text
             try:
-                if not parser.read(path):
-                    raise ConfigError(f"config file not found: {path}")
+                with open(path, encoding="utf-8") as file:
+                    parser.read_file(file)
+            except OSError as exc:              # missing, a directory, unreadable
+                raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
             except configparser.Error as exc:   # no section header, a duplicate key, ...
                 raise ConfigError(f"malformed config file: {exc}") from None
+            if defaults := parser.defaults():   # configparser merges these into every section
+                raise ConfigError(f"unknown config key default.{next(iter(defaults))}")
             for section in parser.sections():
                 for key, value in parser.items(section):
                     self.values[(section.lower(), key.lower())] = value

@@ -20,6 +20,8 @@ from .geometry import CameraIntrinsics, MotionState, Pose
 from .shutter import DEPTH_EPS, NO_SCAN_TIME, SINGULARITY, ShutterParams, solve_scan_times
 
 RASTER_BLOCK = 32           # pixel rows per array operation, to bound the raster's memory
+MAX_FRAME_PIXELS = 2 ** 24  # width * height: 128 MiB per float array of the frame
+MAX_LATTICE_POINTS = 2 ** 22    # board points: ~400 bytes each in the exact solver
 
 
 def spin_motion(omega_z_rev_s: float) -> MotionState:
@@ -62,11 +64,13 @@ def render_checkerboard(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     probes; it flips the color, and one np.repeat writes the runs.  A row with
     steps * ceil(log2 width) >= width, or cells beyond 2**52, takes every
     column instead.  Raises ValueError for a spin or depth that is not finite,
-    a square size that is not finite and positive, or row-end board
-    coordinates that overflow.
+    a square size that is not finite and positive, a frame of more than
+    MAX_FRAME_PIXELS pixels, or row-end board coordinates that overflow.
     """
     _check_scene(omega_z_rev_s, plane_depth, square_size)
     w, h = intrinsics.width, intrinsics.height
+    if w * h > MAX_FRAME_PIXELS:
+        raise ValueError(f"need width * height <= {MAX_FRAME_PIXELS}, got a {w}x{h} frame")
     k_inv = np.linalg.inv(intrinsics.K)
     vs = np.arange(h) + 0.5
     col_d = np.column_stack([np.arange(w) + 0.5, np.zeros(w), np.ones(w)]) @ k_inv.T
@@ -130,12 +134,16 @@ def project_board_lattice(intrinsics: CameraIntrinsics, shutter: ShutterParams,
     Returns (corner pixels, list of sampled polylines, max deflection in px):
     deflection is the largest perpendicular distance between a projected grid
     line and the straight segment joining its projected endpoints.  Raises
-    ValueError as render_checkerboard does, for samples_per_edge < 1, and for
-    a board too large for the solver's products to stay finite.
+    ValueError as render_checkerboard does, for samples_per_edge < 1, for more
+    than MAX_LATTICE_POINTS board points, and for a board too large for the
+    solver's products to stay finite.
     """
     _check_scene(omega_z_rev_s, plane_depth, square_size)
     if samples_per_edge < 1:
         raise ValueError(f"samples_per_edge must be at least 1, got {samples_per_edge}")
+    if (n := squares + 1) * (n + 2 * samples_per_edge) > MAX_LATTICE_POINTS:
+        raise ValueError(f"need at most {MAX_LATTICE_POINTS} board points, got {squares} "
+                         f"squares of {samples_per_edge} samples per edge")
     motion = spin_motion(omega_z_rev_s)
     if not math.isfinite(half := 0.5 * squares * square_size):
         raise ValueError(f"square_size={square_size:g} makes a board of {squares} squares infinite")

@@ -14,12 +14,15 @@ the scanline, i.e. at the scan time t_c solving
 where P(t) = K [R(t) | T(t)].  Depending on the motion and on whether P(t) is
 linearized in t, this constraint is linear, quadratic, or fully nonlinear in
 t_c (`classify_case`).  One batched kernel, `solve_scan_times`, solves it for
-N points: linearized, in closed form; exact, by brackets on a fixed sample
-grid over the frame window, refined together by the Illinois method.  As
-the exact path is a sum of 1, t, sin(|omega| t) and 1 - cos(|omega| t) terms,
-the grid's signs come from one matrix product per block of points and its
-depths from a second; the refinement keeps only the brackets still running.
-The scalar `project_rolling_shutter` is a batch of one.
+N points: linearized, in closed form; exact, on a certified grid.  In front of
+the camera the constraint is g = fy p_y + (cy + v0 - r t) p_z = 0, and with
+|g''| <= M an interval of width h holds no root where g keeps one sign beyond
+M h^2 / 8, and exactly one where it changes sign with a secant slope above
+M h.  From 9 samples, intervals are halved until so certified, with the depth
+in front by the same bound on p_z, or until M h^2 / 8 reaches g's rounding,
+where samples in front with opposite signs bracket a root; the Illinois method
+refines the brackets together until g is within its rounding.  The scalar
+`project_rolling_shutter` is a batch of one.
 
 For fronto-parallel motion (v_z = 0, omega about the optical axis only) the
 constraint is linear and the captured image point has a closed form equal to
@@ -45,11 +48,7 @@ from .geometry import CameraIntrinsics, MotionState, hat, row_dot
 
 DEPTH_EPS = 1e-9            # depth at or below which a point is behind the camera
 SINGULARITY_EPS = 1e-9      # |b| / f_y at or below which a linear constraint is singular
-EXACT_SAMPLES = 129         # bracketing grid of the exact model over the frame window
-EXACT_BLOCK = 512           # points per block of that grid, to bound its memory
 EXACT_MAX_STEPS = 100       # Illinois steps per bracket
-
-_UNIT_SAMPLES = np.linspace(0.0, 1.0, EXACT_SAMPLES)
 
 # Reason codes of ScanTimes.reason; REASONS gives each failure's error type.
 IMAGED, NO_SCAN_TIME, NEGATIVE_DEPTH, SINGULARITY = range(4)
@@ -157,7 +156,7 @@ def _exact_path(x: np.ndarray, motion: MotionState):
 
     The camera turns about a fixed axis n, so R(tau) R0 x = rx + sin(theta) k1
     + (1 - cos theta) k2 with theta = speed tau, k1 = n x rx, k2 = n x k1, and
-    p(tau) = [1, tau, sin theta, 1 - cos theta] @ coef (4, N, 3), as `_path_at` sums it.
+    p(tau) = [1, tau, sin theta, 1 - cos theta] @ coef (4, 3, N), as `_path_at` sums it.
     """
     rx = x @ motion.pose0.rotation.T
     speed = float(np.linalg.norm(motion.angular_velocity))
@@ -165,11 +164,11 @@ def _exact_path(x: np.ndarray, motion: MotionState):
     k1 = rx @ axis.T
     coef = np.array([rx + motion.pose0.translation, rx, k1, k1 @ axis.T])
     coef[1] = motion.linear_velocity
-    return coef, speed
+    return np.ascontiguousarray(coef.transpose(0, 2, 1)), speed
 
 
 def _path_at(tau, terms, speed):
-    """Positions on exact paths of terms (4, ..., c) at times tau broadcasting against them."""
+    """Positions on exact paths of terms (4, ...) at times tau broadcasting against terms[0]."""
     p = terms[0] + tau * terms[1]
     if speed == 0.0:
         return p
@@ -252,8 +251,8 @@ def solve_scan_times(points, motion: MotionState, intrinsics: CameraIntrinsics,
     coef, speed = _exact_path(x, motion)
     t, reason, twice = _exact_roots(coef, speed, intrinsics, shutter, frame_start,
                                     shutter.scan_duration(intrinsics.height))
-    return ScanTimes(t, reason, twice, _path_at(frame_start, coef, speed),
-                     _path_at((frame_start + t)[:, None], coef, speed))
+    return ScanTimes(t, reason, twice, _path_at(frame_start, coef, speed).T,
+                     _path_at(frame_start + t, coef, speed).T)
 
 
 def solve_path_times(start: np.ndarray, velocity: np.ndarray, intrinsics: CameraIntrinsics,
@@ -337,75 +336,76 @@ def _closed_form_roots(y, w, intrinsics, shutter, t_max, windowed):
 
 
 def _exact_roots(coef, speed, intrinsics, shutter, frame_start, t_max):
-    """Scan times of the exact paths of terms coef (4, N, 3): (t, reason, caught_twice)."""
-    fy, cy = intrinsics.focal_y, intrinsics.center_y
-    r, v0 = shutter.scan_rate, shutter.first_row
-    n = coef.shape[1]
+    """Scan times of the exact paths of terms coef (4, 3, N): (t, reason, caught_twice); past
+    64 intervals of a point, as where M h^2 / 8 is within `size`, the samples decide."""
+    fy, cy, r, v0 = intrinsics.focal_y, intrinsics.center_y, shutter.scan_rate, shutter.first_row
+    n, terms = coef.shape[2], coef[:, 1:3]     # (4, 2, N) of p_y, p_z
 
-    def residual(t, terms):     # terms (4, 2, ...) of (p_y, p_z), broadcasting against t
-        p_y, p_z = _path_at(frame_start + t, terms, speed)
-        front = p_z > DEPTH_EPS
-        return (fy * p_y + cy * p_z) / np.where(front, p_z, 1.0) - (r * t - v0), front
+    def constraint(t, path):    # g and p_z on paths (4, 2, ...) at t broadcasting against them
+        p_y, p_z = _path_at(frame_start + t, path, speed)
+        return fy * p_y + (cy + v0 - r * t) * p_z, p_z
 
-    # Bracket the roots on the sample grid, a block of points at a time.  In
-    # front of the camera the residual has the sign of g = fy p_y + (cy + v0
-    # - r t) p_z, one product [fy basis | sweep basis] @ [T_y; T_z] per block
-    # (p_z is a second).  g and the residual round within ~1e-15 of the size
-    # of g's terms, which |terms| bound; a point within 1e-12 of that size of
-    # 0 at a sample takes the residual on the grid instead, and only there is
-    # a sample a root, which is its own bracket.
-    tau = frame_start + (ts := t_max * _UNIT_SAMPLES)
-    basis = np.column_stack([np.ones_like(tau), tau, np.sin(speed * tau), 1 - np.cos(speed * tau)])
-    lhs = np.hstack([fy * basis, (cy + v0 - r * ts)[:, None] * basis])
-    yz = np.ascontiguousarray(coef[..., 1:3].transpose(2, 0, 1)).reshape(8, n)
-    terms = yz.reshape(2, 4, n).transpose(1, 0, 2)      # (4, 2, N) of p_y and p_z
-    scale = [fy, abs(cy) + abs(v0) + abs(r) * t_max]    # of g's p_y and p_z terms
-    bound = (1e-12 * np.outer(scale, [1.0, abs(frame_start) + t_max, 1.0, 2.0])).ravel()
-    behind, brackets = np.zeros(n, dtype=bool), []
-    for first in range(0, n, EXACT_BLOCK):
-        cols = slice(first, first + EXACT_BLOCK)
-        g, size = lhs @ yz[:, cols], bound @ np.abs(yz[:, cols])
-        back = ~(basis @ yz[4:, cols] > DEPTH_EPS)
-        np.copyto(g, np.nan, where=back)
-        if (k := np.flatnonzero(((g <= size) & (g >= -size)).any(axis=0))).size:
-            f, front = residual(ts, terms[:, :, first + k, None])
-            g[:, k], back[:, k] = np.where(front, f, np.nan).T, ~front.T
-            s, j = divmod(np.flatnonzero(g[:, k] == 0.0), len(k))
-            brackets.append((first + k[j], s, s))
-        behind[cols] = back.any(axis=0)
-        with np.errstate(over="ignore"):    # an overflowing product keeps its sign
-            s, k = divmod(np.flatnonzero(g[:-1] * g[1:] < 0.0), g.shape[1])
-        brackets.append((first + k, s, s + 1))
-    owner, s_a, s_b = (np.concatenate(parts) for parts in zip(*brackets))
-    path = terms[:, :, owner]
-    a, b = ends = ts[np.array([s_a, s_b])]
-    f_a, f_b = residual(ends, path[:, :, None])[0]
+    # g rounds within ~1e-15 of its terms, and its sign is sure above `size`, 1e-12 of them.
+    size = 1e-12 * (np.abs(terms).T @ [1.0, abs(frame_start) + t_max, 1.0, 2.0]
+                    @ [abs(fy), abs(cy) + abs(v0) + abs(r) * t_max])
+    # M h^2 / 8 and Mz h^2 / 8 at h = t_max / 8, from p'' = speed^2 (cos c3 - sin c2),
+    # p' = c1 + speed (cos c2 + sin c3) and g'' = fy p_y'' + (cy + v0 - r t) p_z'' - 2 r p_z'.
+    (turn_y, turn_z), q = np.abs(terms[2]) + np.abs(terms[3]), (t_max / 8.0) * (t_max / 64.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound that overflows certifies nothing
+        curve_z = speed * speed * turn_z * q
+        curve = max(abs(cy + v0), abs(cy + v0 - r * t_max)) * curve_z + q * (
+            abs(fy) * speed * speed * turn_y + 2 * abs(r) * (np.abs(terms[1, 1]) + speed * turn_z))
+    tau = frame_start + (ts := t_max * (np.arange(9) / 8.0))
+    basis = np.column_stack([np.ones(9), tau, np.sin(speed * tau), 1.0 - np.cos(speed * tau)])
+    z, g = basis @ coef[:, 2], (fy * basis) @ coef[:, 1]
+    g += (cy + v0 - r * ts)[:, None] * z
+    z -= DEPTH_EPS
+    behind = ~(z > 0.0).all(axis=0)
+    # z = p_z - DEPTH_EPS; intervals free of roots in front of the camera, or wholly behind, drop.
+    clear, low = z > curve_z, np.maximum(size, curve)
+    up, down, gone = (g > low) & clear, (g < -low) & clear, z < -curve_z
+    s, k = np.nonzero(~(up[:-1] & up[1:] | down[:-1] & down[1:] | gone[:-1] & gone[1:]))
+    ends, brackets, scale = np.array([ts[s], ts[s + 1]]), [(k[:0],) + (ts[:0],) * 6], 1.0
+    del g, z
+    while k.size:
+        g, p_z = constraint(ends, terms.take(k, axis=-1)[:, :, None])
+        t_a, t_b, g_a, g_b, z_a, z_b = side = np.concatenate([ends, g, p_z - DEPTH_EPS])
+        behind[k[~(z_a > 0.0) | ~(z_b > 0.0)]] = True
+        c, c_z, sure = curve[k] * scale, curve_z[k] * scale, size[k]
+        low, differ = np.minimum(np.abs(g_a), np.abs(g_b)), (g_a > 0.0) != (g_b > 0.0)
+        clear = (z_a > c_z) & (z_b > c_z)
+        bracket = (low > sure) & differ & clear & (np.abs(g_b - g_a) > 8.0 * c)
+        split = ~(bracket | (z_a < -c_z) & (z_b < -c_z) | (low > sure) & ~differ & (low > c)
+                  & (clear | ~((z_a > 0.0) & (z_b > 0.0))))
+        fine = split & ((c <= sure) | (np.bincount(k[split], minlength=n)[k] > 64))
+        brackets += [(k[m], *e.compress(m, axis=1)) for m, e in ((bracket, side), (fine, side), (
+            fine, side[[0, 0, 2, 2, 4, 4]]))]   # a fine interval is (a, b) and (a, a)
+        (t_a, t_b), k, scale = ends[:, split & ~fine], np.tile(k[split & ~fine], 2), 0.25 * scale
+        ends = np.array([np.hstack([t_a, t_m := 0.5 * (t_a + t_b)]), np.hstack([t_m, t_b])])
 
-    # Refine every bracket together: regula falsi with the Illinois halving of
-    # a retained end, and the midpoint when the secant point is not strictly
-    # inside.  The working arrays shrink on the steps where brackets stop; a
-    # stopped bracket writes out its last point and whether it is in front
-    # there, and one whose path went behind the camera is dropped.
-    last, alive, run = b.copy(), np.ones(len(owner), dtype=bool), np.flatnonzero(f_b != 0.0)
-    a, b, f_a, f_b, path = (x.take(run, axis=-1) for x in (a, b, f_a, f_b, path))
-    for _ in range(EXACT_MAX_STEPS):
-        if run.size == 0:
-            break
-        t = b - f_b * (b - a) / (f_b - f_a)
-        with np.errstate(over="ignore"):    # an overflowing product keeps its sign
+    # Brackets with ends in front and g of opposite signs, or a 0 at b, are refined;
+    # a stopped bracket writes out its last point, and one whose path went behind is dropped.
+    owner, a, b, g_a, g_b, z_a, z_b = (np.concatenate(parts) for parts in zip(*brackets))
+    with np.errstate(over="ignore"):    # an overflowing product keeps its sign
+        alive = (z_a > 0.0) & (z_b > 0.0) & ((g_b == 0.0) | (g_a * g_b < 0.0))
+        last, kept, run = b.copy(), alive.copy(), np.flatnonzero(alive & (g_b != 0.0))
+        state = np.array([a, b, g_a, g_b, 1e-2 * size[owner]])[:, run]
+        path = terms.take(owner[run], axis=-1)
+        for _ in range(EXACT_MAX_STEPS):
+            if run.size == 0:
+                break
+            a, b, g_a, g_b, tol = state
+            t = b - g_b * (b - a) / (g_b - g_a)
             t = np.where((t - a) * (t - b) < 0.0, t, 0.5 * (a + b))
-        f_t, front = residual(t, path)
-        with np.errstate(over="ignore"):
-            swap = f_t * f_b < 0.0
-        a, f_a = np.where(swap, b, a), np.where(swap, f_b, 0.5 * f_a)
-        going = front & (f_t != 0.0) & (np.abs(t - a) > 1e-14 * t_max)
-        b, f_b = t, f_t
-        if not going.all():
-            last[run[~going]], alive[run[~going]] = t[~going], front[~going]
-            run, a, b, f_a, f_b, path = (x.compress(going, axis=-1)
-                                         for x in (run, a, b, f_a, f_b, path))
-    last[run] = b
-    behind[owner[~alive]] = True
+            g_t, p_z = constraint(t, path)
+            front, swap = p_z > DEPTH_EPS, g_t * g_b < 0.0
+            state = np.array([np.where(swap, b, a), t, np.where(swap, g_b, 0.5 * g_a), g_t, tol])
+            going = front & (np.abs(g_t) > tol) & (np.abs(t - state[0]) > 1e-14 * t_max)
+            if not going.all():
+                last[run[~going]], alive[run[~going]] = t[~going], front[~going]
+                run, state, path = (x.compress(going, axis=-1) for x in (run, state, path))
+    last[run] = state[1]
+    behind[owner[kept & ~alive]] = True
 
     earliest, latest = np.full(n, np.inf), np.full(n, -np.inf)
     np.minimum.at(earliest, owner[alive], last[alive])

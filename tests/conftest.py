@@ -3,9 +3,13 @@
 The scan-time oracle here is deliberately independent of the solver under
 test: it evaluates the scanline-crossing residual through camera matrices
 K [R(t) | T(t)] of the moving camera and finds the root by dense scan plus
-plain bisection.  `exact_scan_times` is the exact solver with brackets from
-the residual itself on the sample grid, the oracle of the solver's brackets
-from one product per block.  The Jacobian oracle takes central differences
+plain bisection.  `exact_scan_times` is the exact solver's certified grid
+written out level by level, every interval's ends evaluated afresh on the
+camera-frame paths (`exact_paths`) with the curvature bounds of
+`curvature_bounds`: the oracle of the solver's products, interval arrays
+and refinement.  `grid_scan_times` brackets the residual's own signs on a
+uniform grid of any size, the fine reference of what a certified grid must
+not miss.  The Jacobian oracle takes central differences
 of the bundle-adjustment residuals.
 The single-point references write one point's arithmetic out with 1-D numpy
 calls; the batched helpers must reproduce them bit for bit.  The per-problem
@@ -31,9 +35,8 @@ import pytest
 
 from rscam import render, sfm
 from rscam.geometry import CameraIntrinsics, Pose, hat, rotation_exp, row_dot
-from rscam.shutter import (DEPTH_EPS, EXACT_BLOCK, EXACT_MAX_STEPS, EXACT_SAMPLES, IMAGED,
-                           NEGATIVE_DEPTH, NO_SCAN_TIME, SINGULARITY, ShutterParams,
-                           solve_scan_times)
+from rscam.shutter import (DEPTH_EPS, EXACT_MAX_STEPS, IMAGED, NEGATIVE_DEPTH, NO_SCAN_TIME,
+                           SINGULARITY, ShutterParams, solve_scan_times)
 
 
 def scan_time(point, motion, intrinsics, shutter, **options) -> float:
@@ -96,12 +99,12 @@ def bisect_scan_time(point, motion, intrinsics, shutter, linearized=True,
     raise AssertionError("oracle found no scan time in the frame window")
 
 
-def exact_scan_times(points, motion, intrinsics, shutter, frame_start=0.0):
-    """(t, reason, caught_twice, capture) of `solve_scan_times(..., exact=True)`,
-    bracketing on the residual's own signs over the sample grid, a block of
-    points at a time, then refining every bracket by the Illinois method."""
+def exact_paths(points, motion, frame_start=0.0):
+    """(at, (base, v, k1, k2, speed)): at(t, rows, cols) gives the camera-frame
+    positions of the points rows at frame times t, from R(tau) R0 x = rx +
+    sin(theta) k1 + (1 - cos theta) k2 about the fixed spin axis, theta =
+    |omega| tau, tau = frame_start + t."""
     x = np.atleast_2d(np.asarray(points, dtype=float))[:, :3]
-    n = len(x)
     rx = x @ motion.pose0.rotation.T
     base = rx + motion.pose0.translation
     v = motion.linear_velocity
@@ -110,63 +113,177 @@ def exact_scan_times(points, motion, intrinsics, shutter, frame_start=0.0):
     k1 = rx @ axis.T
     k2 = k1 @ axis.T
 
-    def at(tau, rows=slice(None), cols=slice(None)):
+    def at(t, rows=slice(None), cols=slice(None)):
+        tau = frame_start + t
         p = base[rows, cols] + tau * v[cols]
         if speed == 0.0:
             return p
         theta = speed * tau
         return (p + np.sin(theta) * k1[rows, cols]
                 + (1.0 - np.cos(theta)) * k2[rows, cols])
+    return at, (base, v, k1, k2, speed)
 
+
+def scan_residual(at, intrinsics, shutter):
+    """residual(t, rows): (pi_y - (r t - v0), g = fy p_y + (cy + v0 - r t) p_z,
+    p_z) of the points rows at times t; behind the camera pi_y divides by 1."""
+    fy, cy = intrinsics.focal_y, intrinsics.center_y
+    r, v0 = shutter.scan_rate, shutter.first_row
+
+    def residual(t, rows):
+        p = at(t[..., None], rows, slice(1, 3))
+        p_y, p_z = p[..., 0], p[..., 1]
+        row = (fy * p_y + cy * p_z) / np.where(p_z > DEPTH_EPS, p_z, 1.0)
+        return row - (r * t - v0), fy * p_y + (cy + v0 - r * t) * p_z, p_z
+    return residual
+
+
+def curvature_bounds(parts, intrinsics, shutter):
+    """(M, Mz): bounds on |g''| and |p_z''| over the frame window, for the
+    paths of `exact_paths` parts, with p' = v + speed (cos k1 + sin k2),
+    p'' = speed^2 (cos k2 - sin k1) and g'' = fy p_y'' + (cy + v0 - r t) p_z''
+    - 2 r p_z', whose middle factor is largest at a window end."""
+    base, v, k1, k2, speed = parts
     fy, cy = intrinsics.focal_y, intrinsics.center_y
     r, v0 = shutter.scan_rate, shutter.first_row
     t_max = shutter.scan_duration(intrinsics.height)
+    turn = np.abs(k1) + np.abs(k2)
+    bend_z = speed ** 2 * turn[:, 2]
+    return (abs(fy) * speed ** 2 * turn[:, 1]
+            + max(abs(cy + v0), abs(cy + v0 - r * t_max)) * bend_z
+            + 2.0 * abs(r) * (abs(v[2]) + speed * turn[:, 2])), bend_z
 
-    def residual(t, rows):
-        p = at((frame_start + t)[..., None], rows, slice(1, 3))
-        front = p[..., 1] > DEPTH_EPS
-        row = (fy * p[..., 0] + cy * p[..., 1]) / np.where(front, p[..., 1], 1.0)
-        return row - (r * t - v0), front
 
-    ts = t_max * np.linspace(0.0, 1.0, EXACT_SAMPLES)
-    behind = np.zeros(n, dtype=bool)
-    brackets = []
-    for first in range(0, n, EXACT_BLOCK):
-        rows = slice(first, first + EXACT_BLOCK)
-        f, front = residual(ts[:, None], rows)
-        behind[rows] = ~front.all(axis=0)
-        f[~front] = np.nan
-        s, k = np.nonzero(f == 0.0)
-        brackets.append((first + k, ts[s], ts[s], f[s, k], f[s, k]))
-        s, k = np.nonzero(f[:-1] * f[1:] < 0.0)
-        brackets.append((first + k, ts[s], ts[s + 1], f[s, k], f[s + 1, k]))
-    owner, a, b, f_a, f_b = (np.concatenate(parts) for parts in zip(*brackets))
-
+def illinois(value, owner, a, b, tol, t_max):
+    """(last point, in front there) of every bracket [a, b] of the points owner,
+    refined by the Illinois method on value(t, rows) = (v, p_z) until |v| is
+    within tol, the bracket is narrower than 1e-14 t_max, or EXACT_MAX_STEPS
+    run out; a bracket stops where its path is behind the camera."""
+    v_a, v_b = value(a, owner)[0], value(b, owner)[0]
     alive = np.ones(len(a), dtype=bool)
-    active = f_b != 0.0
+    active = v_b != 0.0
     for _ in range(EXACT_MAX_STEPS):
         k = np.flatnonzero(active)
         if k.size == 0:
             break
-        ak, bk, fak, fbk = a[k], b[k], f_a[k], f_b[k]
-        t = bk - fbk * (bk - ak) / (fbk - fak)
+        ak, bk, vak, vbk = a[k], b[k], v_a[k], v_b[k]
+        t = bk - vbk * (bk - ak) / (vbk - vak)
         t = np.where((t - ak) * (t - bk) < 0.0, t, 0.5 * (ak + bk))
-        ft, alive[k] = residual(t, owner[k])
-        swap = ft * fbk < 0.0
-        a[k], f_a[k] = np.where(swap, bk, ak), np.where(swap, fbk, 0.5 * fak)
-        b[k], f_b[k] = t, ft
-        active[k] = alive[k] & (ft != 0.0) & (np.abs(t - a[k]) > 1e-14 * t_max)
-    behind[owner[~alive]] = True
+        vt, pz = value(t, owner[k])
+        alive[k] = pz > DEPTH_EPS
+        swap = vt * vbk < 0.0
+        a[k], v_a[k] = np.where(swap, bk, ak), np.where(swap, vbk, 0.5 * vak)
+        b[k], v_b[k] = t, vt
+        active[k] = alive[k] & (np.abs(vt) > tol[k]) & (np.abs(t - a[k]) > 1e-14 * t_max)
+    return b, alive
 
+
+def scan_times(n, owner, t, alive, behind, t_max):
+    """(t, reason, caught_twice) of n points from the roots t of their brackets."""
+    behind = behind.copy()
+    behind[owner[~alive]] = True
     earliest = np.full(n, np.inf)
     latest = np.full(n, -np.inf)
-    np.minimum.at(earliest, owner[alive], b[alive])
-    np.maximum.at(latest, owner[alive], b[alive])
+    np.minimum.at(earliest, owner[alive], t[alive])
+    np.maximum.at(latest, owner[alive], t[alive])
     found = earliest < np.inf
     twice = found & (latest - earliest > 1e-9 * max(1.0, t_max))
     reason = np.where(found, IMAGED, np.where(behind, NEGATIVE_DEPTH, NO_SCAN_TIME))
-    t = np.where(found, earliest, 0.0)
-    return t, reason, twice, at((frame_start + t)[:, None])
+    return np.where(found, earliest, 0.0), reason, twice
+
+
+def exact_scan_times(points, motion, intrinsics, shutter, frame_start=0.0):
+    """(t, reason, caught_twice, capture) of `solve_scan_times(..., exact=True)`:
+    the certified grid written out level by level.  Both ends of every
+    interval are evaluated afresh on the camera-frame paths, and g = fy p_y +
+    (cy + v0 - r t) p_z there; with M >= |g''| and Mz >= |p_z''| from
+    `curvature_bounds`, an interval of width h is free of roots when g keeps a
+    sign above its rounding size and above M h^2 / 8, holds one root when g
+    changes sign with a secant slope above M h and the depth stays above
+    DEPTH_EPS + Mz h^2 / 8, and is halved otherwise.  Where M h^2 / 8 is
+    within the rounding size, or past 64 intervals of a point, g's own signs
+    at the ends bracket roots, and a g of 0 is one.  Every bracket is then
+    refined by the Illinois method on g."""
+    at, parts = exact_paths(points, motion, frame_start)
+    residual = scan_residual(at, intrinsics, shutter)
+    base, v, k1, k2, speed = parts
+    n = len(base)
+    fy, cy = intrinsics.focal_y, intrinsics.center_y
+    r, v0 = shutter.scan_rate, shutter.first_row
+    t_max = shutter.scan_duration(intrinsics.height)
+    bend, bend_z = curvature_bounds(parts, intrinsics, shutter)
+    terms = np.abs(base) + (abs(frame_start) + t_max) * np.abs(v) + np.abs(k1) + 2.0 * np.abs(k2)
+    size = 1e-12 * (abs(fy) * terms[:, 1] + (abs(cy) + abs(v0) + abs(r) * t_max) * terms[:, 2])
+
+    samples = t_max * (np.arange(9) / 8.0)
+    owner = np.repeat(np.arange(n), 8)
+    a, b = np.tile(samples[:-1], n), np.tile(samples[1:], n)
+    h = t_max / 8.0
+    behind = np.zeros(n, dtype=bool)
+    brackets = []
+    while owner.size:
+        (_, g_a, z_a), (_, g_b, z_b) = residual(a, owner), residual(b, owner)
+        front_a, front_b = z_a > DEPTH_EPS, z_b > DEPTH_EPS
+        behind[owner[~front_a | ~front_b]] = True
+        curve, curve_z = bend[owner] * h * h / 8.0, bend_z[owner] * h * h / 8.0
+        sure = np.minimum(np.abs(g_a), np.abs(g_b)) > size[owner]
+        same = (g_a > 0.0) == (g_b > 0.0)
+        in_front = (z_a - DEPTH_EPS > curve_z) & (z_b - DEPTH_EPS > curve_z)
+        one = (sure & ~same & in_front
+               & (np.abs(g_b - g_a) / h > bend[owner] * h))
+        none = (sure & same & (np.minimum(np.abs(g_a), np.abs(g_b)) > curve)
+                & (in_front | ~front_a | ~front_b))
+        gone = (z_a - DEPTH_EPS < -curve_z) & (z_b - DEPTH_EPS < -curve_z)
+        brackets.append((owner[one], a[one], b[one]))
+        rest = ~(one | none | gone)
+        crowded = np.bincount(owner[rest], minlength=n)[owner] > 64
+        fine = rest & ((curve <= size[owner]) | crowded)
+        g_a = np.where(front_a, g_a, np.nan)
+        g_b = np.where(front_b, g_b, np.nan)
+        for g, t in ((g_a, a), (g_b, b)):
+            zero = fine & (g == 0.0)
+            brackets.append((owner[zero], t[zero], t[zero]))
+        change = fine & (g_a * g_b < 0.0)
+        brackets.append((owner[change], a[change], b[change]))
+        keep = rest & ~fine
+        mid = 0.5 * (a + b)
+        owner = np.concatenate([owner[keep], owner[keep]])
+        a, b = np.concatenate([a[keep], mid[keep]]), np.concatenate([mid[keep], b[keep]])
+        h = 0.5 * h
+
+    owner, a, b = (np.concatenate(parts) for parts in zip(*brackets))
+    roots, alive = illinois(lambda t, rows: residual(t, rows)[1:], owner, a, b,
+                            1e-2 * size[owner], t_max)
+    t, reason, twice = scan_times(n, owner, roots, alive, behind, t_max)
+    return t, reason, twice, at(t[:, None])
+
+
+def grid_scan_times(points, motion, intrinsics, shutter, samples, block=16):
+    """(t, reason, caught_twice) of the exact model from brackets on a uniform
+    grid of `samples` residuals over the frame window (a point behind the
+    camera at a sample has none there), refined by the Illinois method to the
+    residual's 0 or a bracket of 1e-14 t_max, `block` points at a time."""
+    at, (base, *_) = exact_paths(points, motion)
+    residual = scan_residual(at, intrinsics, shutter)
+    n = len(base)
+    t_max = shutter.scan_duration(intrinsics.height)
+    ts = t_max * np.linspace(0.0, 1.0, samples)
+    behind = np.zeros(n, dtype=bool)
+    brackets = []
+    for first in range(0, n, block):
+        rows = np.arange(first, min(first + block, n))
+        f, _, z = residual(ts[:, None], rows)
+        front = z > DEPTH_EPS
+        behind[rows] = ~front.all(axis=0)
+        f[~front] = np.nan
+        s, k = np.nonzero(f == 0.0)
+        brackets.append((rows[k], ts[s], ts[s]))
+        s, k = np.nonzero(f[:-1] * f[1:] < 0.0)
+        brackets.append((rows[k], ts[s], ts[s + 1]))
+    owner, a, b = (np.concatenate(parts) for parts in zip(*brackets))
+    roots, alive = illinois(lambda t, rows: residual(t, rows)[::2], owner, a, b,
+                            np.zeros(len(owner)), t_max)
+    return scan_times(n, owner, roots, alive, behind, t_max)
 
 
 def grouped_jacobian(fun, x: np.ndarray, n_cam: int, point_cols: np.ndarray,

@@ -485,6 +485,23 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err
 
+    def test_default_section_key_is_reported_by_its_own_name(self, capsys, tmp_path):
+        """configparser would merge a [DEFAULT] section into every other one,
+        so its key is refused under its own section's name, not another's."""
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nseed = 3\n[camera]\nwidth = 640\n")
+        code, out, err = run_cli(capsys, "project", "--point", "0,0,5", "--config", str(cfg))
+        assert (code, out, err) == (1, "", "error: unknown config key default.seed\n")
+
+    @pytest.mark.parametrize("name, reason", [(".", "Is a directory"),
+                                              ("missing.ini", "No such file or directory")])
+    def test_unreadable_config_path_names_the_reason(self, capsys, tmp_path, name, reason):
+        """A --config path that is a directory, or is not there, exits 1 with
+        the reason the file cannot be read."""
+        path = tmp_path / name
+        code, out, err = run_cli(capsys, "project", "--point", "0,0,5", "--config", str(path))
+        assert (code, out, err) == (1, "", f"error: cannot read config file {path}: {reason}\n")
+
     def test_non_numeric_scan_rate_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "project", "--set", "shutter.scan_rate=abc",
                                  "--point", "0,0.2,5")
@@ -675,7 +692,7 @@ FUZZED_KEYS = {
     "project": [f"{s}.{k}" for s in ("camera", "shutter") for k in DEFAULTS[s]],
     "slits": [f"{s}.{k}" for s in ("camera", "shutter") for k in DEFAULTS[s]] + ["flow.grid"],
     "flow": [f"{s}.{k}" for s in ("camera", "shutter", "flow") for k in DEFAULTS[s]],
-    "render-checker": [f"render.{k}" for k in DEFAULTS["render"]],
+    "render-checker": [f"{s}.{k}" for s in ("render", "camera") for k in DEFAULTS[s]],
     "sfm-grid": [f"sfm.{k}" for k in DEFAULTS["sfm"]],
 }
 COUNT_KEYS = {"squares", "samples_per_edge", "grid", "n_points", "trials", "n_frames"}
@@ -714,7 +731,9 @@ def test_fuzzed_config_exits_cleanly(case, source):
     """Any setting of the calibration, camera, shutter, flow, render or sfm
     keys exits 0, 1 or 2 with no traceback and no RuntimeWarning; the motion
     makes flow and slits run and project take the general closed form, and
-    render-checker runs at 160x120 and sfm-grid on one cell of one trial.  The
+    render-checker runs at 160x120 unless its camera keys are drawn (the
+    exact kernel under odd intrinsics; the frame limit keeps any size small)
+    and sfm-grid on one cell of one trial.  The
     settings are --set overrides, a --config file, or overrides beside a
     --config file of one of CONFIG_BODIES."""
     command, values = case

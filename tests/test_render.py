@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import project_board_lattice_lines, render_checkerboard_rows
 from rscam.geometry import CameraIntrinsics
-from rscam.render import (overlay_markers, project_board_lattice, render_checkerboard,
-                          spin_motion)
+from rscam.render import (MAX_FRAME_PIXELS, overlay_markers, project_board_lattice,
+                          render_checkerboard, spin_motion)
 from rscam.shutter import ShutterParams
 
 
@@ -244,6 +244,29 @@ class TestRenderCheckerboard:
             with pytest.raises(ValueError, match="square_size"):
                 project_board_lattice(k, s, 0.5, depth, square, 8, 17)
         assert not caught
+
+    @pytest.mark.parametrize("width, height, squares, samples, named", [
+        (200000, 100000, 8, 17, "width \\* height <= 16777216, got a 200000x100000 frame"),
+        (4096, 4097, 8, 17, "width \\* height <= 16777216, got a 4096x4097 frame"),
+        (640, 480, 8, 10**9, "at most 4194304 board points, got 8 squares of 1000000000"),
+        (640, 480, 10**8, 17, "at most 4194304 board points, got 100000000 squares of 17"),
+        (640, 480, 2047, 1, "at most 4194304 board points, got 2047 squares of 1 "),
+    ])
+    def test_oversized_frame_or_lattice_raises_before_allocating(self, width, height, squares,
+                                                                 samples, named):
+        """A frame of more than MAX_FRAME_PIXELS pixels, or a lattice of more
+        than MAX_LATTICE_POINTS board points (2048^2 corners are the bound's
+        alone), raises naming the bound before any array is made."""
+        k, s = CameraIntrinsics.from_fov(40.0, width, height), ShutterParams.ideal(30.0, height)
+        call = (render_checkerboard, (k, s, 0.5, 0.5, 0.06)) if width * height > MAX_FRAME_PIXELS \
+            else (project_board_lattice, (k, s, 0.5, 0.5, 0.06, squares, samples))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=named):
+                call[0](*call[1])
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
 
     def test_forward_projection_lands_on_rendered_pattern(self):
         """Corners projected by the solver coincide with the inverse-rendered

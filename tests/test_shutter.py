@@ -10,7 +10,7 @@ from rscam import shutter as shutter_module
 from rscam.errors import NegativeDepth, NoScanTime, Singularity
 from rscam.geometry import (CameraIntrinsics, MotionState, Pose, hat, project_perspective,
                             rotation_exp)
-from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
+from rscam.shutter import (DEPTH_EPS, IMAGED, REASONS, RsProjection, ScanTimeCase,
                            ShutterParams, classify_case, drift_per_row, invert_fronto_parallel,
                            limit_line, normalized_scan, project_rolling_shutter,
                            scan_time_gradient, solve_path_times, solve_scan_times,
@@ -18,8 +18,9 @@ from rscam.shutter import (EXACT_BLOCK, REASONS, RsProjection, ScanTimeCase,
 from rscam.render import project_board_lattice, render_checkerboard, spin_motion
 
 import conftest
-from conftest import (bisect_scan_time, camera_matrix_at, drift_one, exact_scan_times,
-                      invert_one, rs_projection, scan_time, scanline_residual)
+from conftest import (bisect_scan_time, camera_matrix_at, curvature_bounds, drift_one,
+                      exact_paths, exact_scan_times, grid_scan_times, invert_one, rodrigues,
+                      rs_projection, scan_residual, scan_time, scanline_residual)
 
 
 @pytest.fixture
@@ -524,6 +525,27 @@ EXACT_MOTIONS = ("still", "optical axis", "general axis", "approaching")
 EXACT_POINTS = [(0.0, 0.0, 1.0), (0.0, 0.0, 2.5), (40.0, 0.0, 1.0)]
 
 
+def exact_motion(kind, v, w, identity_pose, backwards, first_row):
+    """(motion, shutter) of an exact-model draw: a motion of one of
+    EXACT_MOTIONS from velocity draws, and the kernel shutter scanning
+    either way."""
+    pose = (Pose.identity() if identity_pose
+            else Pose(rotation_exp([0.05, -0.1, 0.02]), [0.1, -0.2, 0.3]))
+    w = [10.0 * c for c in w]
+    if kind == "still":
+        w = [0.0, 0.0, 0.0]
+    elif kind == "optical axis":
+        v, w = [v[0], v[1], 0.0], [0.0, 0.0, w[2] or 20.0]
+    elif kind == "general axis":
+        w = [w[0] or 5.0, w[1], w[2]]
+    else:
+        v = [v[0], v[1], -40.0 - 20.0 * abs(v[2])]
+    rate = KERNEL_SHUTTER.scan_rate
+    return MotionState(pose, v, w), ShutterParams(
+        scan_rate=-rate if backwards else rate,
+        first_row=first_row - 48.0 if backwards else first_row, framerate=KERNEL_SHUTTER.framerate)
+
+
 class TestScanTimeKernel:
     @KERNEL_SETTINGS
     @given(kernel=st.sampled_from(KERNELS), v=velocity3, w=velocity3,
@@ -532,10 +554,10 @@ class TestScanTimeKernel:
     def test_batch_matches_single_points(self, kernel, v, w, points):
         """Each point of a batch gets the result it gets alone, and the scalar
         API raises the error its reason code names.  The batch repeats the
-        points past one block of the exact model's bracketing grid."""
+        points, whose intervals of the exact model's grid share its arrays."""
         case, exact = kernel
         motion = kernel_motion(case, v, w)
-        repeats = EXACT_BLOCK // len(points) + 1
+        repeats = 100 // len(points) + 1
         batch = solve_scan_times(points * repeats, motion, KERNEL_CAMERA,
                                  KERNEL_SHUTTER, exact=exact)
         assert batch.t.shape == batch.reason.shape == (len(points) * repeats,)
@@ -594,6 +616,15 @@ class TestScanTimeKernel:
         assert times.ok[0] and times.t[0] == 1.0
         with np.errstate(all="raise"):
             np.testing.assert_array_equal(scan_time_gradient(times, k, s), 0.0)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_empty_batch(self, exact):
+        """A batch of no points gives empty results under both models."""
+        motion = kernel_motion(ScanTimeCase.GENERAL_QUADRATIC, (0.2, 0.1, 1.0), (0.5, 0.3, 1.0))
+        times = solve_scan_times(np.zeros((0, 3)), motion, KERNEL_CAMERA, KERNEL_SHUTTER,
+                                 exact=exact)
+        assert times.t.shape == times.reason.shape == times.caught_twice.shape == (0,)
+        assert times.start.shape == times.capture.shape == (0, 3)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_batch_carries_every_reason(self, exact):
@@ -682,34 +713,21 @@ class TestScanTimeKernel:
            points=st.lists(st.sampled_from(EXACT_POINTS) | st.tuples(
                st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(-0.5, 4.0)),
                min_size=1, max_size=10),
-           blocks=st.sampled_from([0, 1, 2]))
+           repeats=st.sampled_from([1, 60, 120]))
     @example(kind="optical axis", v=(0.0, 0.0, 0.0), w=(0.0, 0.0, 0.0), identity_pose=True,
              backwards=False, first_row=0.0, frame_start=0.0, points=[(0.0, 0.0, 1.0)],
-             blocks=0)
+             repeats=1)
     def test_exact_matches_grid_bracketing(self, kind, v, w, identity_pose, backwards,
-                                           first_row, frame_start, points, blocks):
+                                           first_row, frame_start, points, repeats):
         """The exact model's scan times, reasons, double catches and capture
-        positions are bitwise those of brackets from the residual's own signs
-        on the sample grid (`conftest.exact_scan_times`): for one point and for
-        batches across blocks, scanning either way, from any frame start, with
-        points on the spin axis, passing behind the camera or never imaged."""
-        pose = (Pose.identity() if identity_pose
-                else Pose(rotation_exp([0.05, -0.1, 0.02]), [0.1, -0.2, 0.3]))
-        w = [10.0 * c for c in w]
-        if kind == "still":
-            w = [0.0, 0.0, 0.0]
-        elif kind == "optical axis":
-            v, w = [v[0], v[1], 0.0], [0.0, 0.0, w[2] or 20.0]
-        elif kind == "general axis":
-            w = [w[0] or 5.0, w[1], w[2]]
-        else:
-            v = [v[0], v[1], -40.0 - 20.0 * abs(v[2])]
-        motion = MotionState(pose, v, w)
-        rate = KERNEL_SHUTTER.scan_rate
-        shutter = ShutterParams(scan_rate=-rate if backwards else rate,
-                                first_row=first_row - 48.0 if backwards else first_row,
-                                framerate=KERNEL_SHUTTER.framerate)
-        batch = points * (blocks * EXACT_BLOCK // len(points) + 1)   # past `blocks` blocks
+        positions are bitwise those of the certified grid written out level by
+        level, with brackets from g's own signs, evaluated afresh, where the
+        samples decide (`conftest.exact_scan_times`): for one point and for
+        batches, scanning either way, from any frame start, with points on the
+        spin axis (the example's root falls on a sample), passing behind the
+        camera or never imaged."""
+        motion, shutter = exact_motion(kind, v, w, identity_pose, backwards, first_row)
+        batch = points * repeats
         times = solve_scan_times(batch, motion, KERNEL_CAMERA, shutter, exact=True,
                                  frame_start=frame_start)
         oracle = exact_scan_times(batch, motion, KERNEL_CAMERA, shutter, frame_start)
@@ -718,24 +736,26 @@ class TestScanTimeKernel:
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("omega", [0.81, 0.88, 0.94, 1.0])
-    def test_long_illinois_tails_match_oracle(self, omega):
-        """Render-lattice spins at which a few brackets still run after 20
-        Illinois steps, moving 3 to 7 points' scan times (the oracle cut at 20
-        steps tells), while the rest have stopped: the working arrays shrink
-        to those few, and every point keeps the oracle's bits."""
+    def test_lattice_step_budget(self, monkeypatch):
+        """Illinois stops at g's rounding level within 4 steps on the render
+        lattice: at every spin from 0.25 to 1.00 rev/s in steps of
+        0.01, EXACT_MAX_STEPS = 4 gives the bits of 100, and 3 moves scan
+        times at every spin."""
         k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
-        points, motion = render_lattice_points(), spin_motion(omega)
-        oracle = exact_scan_times(points, motion, k, s)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(conftest, "EXACT_MAX_STEPS", 20)
-            cut = exact_scan_times(points, motion, k, s)
-        assert 3 <= np.count_nonzero(cut[0] != oracle[0]) <= 7
-        assert_exact_equals_oracle(solve_scan_times(points, motion, k, s, exact=True), oracle)
+        points, spins = render_lattice_points(), np.arange(25, 101) / 100.0
+        full = [solve_scan_times(points, spin_motion(w), k, s, exact=True) for w in spins]
+        for steps in (4, 3):
+            monkeypatch.setattr(shutter_module, "EXACT_MAX_STEPS", steps)
+            cut = [solve_scan_times(points, spin_motion(w), k, s, exact=True) for w in spins]
+            same = [all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                        for f in ("t", "reason", "caught_twice", "capture"))
+                    for a, b in zip(full, cut)]
+            assert same == [steps == 4] * len(spins)
 
     def test_brackets_whose_paths_pass_behind_match_oracle(self):
-        """Spins of 2,000-30,000 rad/s about general axes swing points behind
-        the camera and back between two samples, so Illinois steps land
+        """Spins of 2,000-30,000 rad/s about general axes need more than 64
+        intervals a point, past which the grid decides; their points swing
+        behind the camera and back between two samples, so Illinois steps land
         behind it: those brackets stop, are dropped and mark their points as
         behind, as in the oracle, bit for bit."""
         rng = np.random.default_rng(1)
@@ -766,20 +786,88 @@ class TestScanTimeKernel:
             assert_exact_equals_oracle(times, exact_scan_times(points, motion, k, s, 0.01))
 
     def test_exact_kernel_peak_memory(self):
-        """The sample grid is held one block of points at a time, so 5,000
-        points peak at the grid of one block plus ~300 bytes per point of
-        paths, brackets and results (an unblocked grid alone would add 1,032),
-        and the render lattice peaks below the raster."""
+        """The 9-sample grid of every point is held at once, 144 bytes a point
+        of g and depth beside the paths, brackets and results: 5,000 points
+        peak within 400 bytes a point of 500 (a 129-sample grid alone would
+        take 2,064), and the render lattice peaks below the raster."""
         k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
         motion = MotionState(Pose.identity(), [0.3, -0.2, 0.5], [2.0, -1.0, 3.0])
         rng = np.random.default_rng(0)
         points = np.column_stack([rng.uniform(-1, 1, (5000, 2)), rng.uniform(0.3, 3.0, 5000)])
-        one_block, every_point = (traced_peak(solve_scan_times, points[:n], motion, k, s,
-                                              exact=True) for n in (EXACT_BLOCK, 5000))
+        few, every_point = (traced_peak(solve_scan_times, points[:n], motion, k, s, exact=True)
+                            for n in (500, 5000))
         assert every_point <= 2.5e6
-        assert every_point - one_block <= 400 * (5000 - EXACT_BLOCK)
+        assert every_point - few <= 400 * (5000 - 500)
         lattice = traced_peak(project_board_lattice, k, s, 0.5, 0.5, 0.06, 8, 17)
         assert lattice < traced_peak(render_checkerboard, k, s, 0.5, 0.5, 0.06)
+
+    def test_exact_matches_a_fine_grid(self):
+        """The certified grid misses no root that 12,801 samples catch.  Of 400
+        general motions from default_rng(5), 200 points each, a 129-sample grid
+        missed double catches in cases 16, 75, 169, 368 and 373 and captures in
+        21, 61, 130, 209, 241, 271, 326 (two), 338, 353 and 372.  There and in
+        the first 20 cases, reasons and double catches equal those of brackets
+        on a 12,801-sample grid, and scan times agree within 1e-10 t_max,
+        except where the kernel images a point that the fine grid does not: in
+        61 and 209 the root is ~1e-4 in front of the camera, a few
+        microseconds before the path goes behind it, and the residual changes
+        sign around it."""
+        k, s = CameraIntrinsics.from_fov(40.0, 640, 480), ShutterParams.ideal(30.0, 480)
+        t_max = s.scan_duration(480)
+        rng = np.random.default_rng(5)
+        cases = [(np.column_stack([rng.uniform(-1, 1, (200, 2)), rng.uniform(0.3, 3.0, 200)]),
+                  MotionState(Pose.identity(), rng.normal(0, 3, 3), rng.normal(0, 30, 3)))
+                 for _ in range(374)]
+        found_only_here = []
+        for case in (*range(20), 16, 21, 61, 75, 130, 169, 209, 241, 271, 326, 338, 353, 368,
+                     372, 373):
+            points, motion = cases[case]
+            times = solve_scan_times(points, motion, k, s, exact=True)
+            t, reason, twice = grid_scan_times(points, motion, k, s, 12801)
+            missed = times.ok & (reason != IMAGED)
+            found_only_here += [(case, i) for i in np.flatnonzero(missed)]
+            kept = ~missed
+            np.testing.assert_array_equal(times.reason[kept], reason[kept])
+            np.testing.assert_array_equal(times.caught_twice[kept], twice[kept])
+            assert np.all(np.abs(times.t - t)[kept] <= 1e-10 * t_max)
+            for i in np.flatnonzero(missed):
+                residual = scan_residual(exact_paths(points[i], motion)[0], k, s)
+                around = times.t[i] + np.array([-1e-9, 1e-9]) * t_max
+                f, _, depth = residual(around, np.zeros(2, int))
+                assert f[0] * f[1] < 0.0 and np.all(depth > DEPTH_EPS)
+        assert found_only_here == [(61, 36), (209, 36)]
+
+    @KERNEL_SETTINGS
+    @given(kind=st.sampled_from(EXACT_MOTIONS), v=velocity3, w=velocity3,
+           identity_pose=st.booleans(), backwards=st.booleans(),
+           frame_start=st.floats(-0.1, 0.1),
+           points=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                                     st.floats(-0.5, 4.0)), min_size=1, max_size=8))
+    def test_curvature_bound_holds_over_the_window(self, kind, v, w, identity_pose, backwards,
+                                                   frame_start, points):
+        """The bound M of the certified grid on |g''|, g = fy p_y + (cy + v0 -
+        r t) p_z the constraint times the depth, holds at 2,001 times across
+        the frame window, with g'' = fy p_y'' + (cy + v0 - r t) p_z'' - 2 r p_z'
+        from p' = hat(w) R(tau) R0 x + v and p'' = hat(w)^2 R(tau) R0 x,
+        R(tau) = exp(hat(w) tau) (`conftest.rodrigues`); so does its bound Mz
+        on |p_z''|.  M is `conftest.curvature_bounds`, which the bitwise pins
+        above hold the kernel to."""
+        motion, shutter = exact_motion(kind, v, w, identity_pose, backwards, 3.0)
+        k, t_max = KERNEL_CAMERA, shutter.scan_duration(KERNEL_CAMERA.height)
+        x = np.array(points)
+        bend, bend_z = curvature_bounds(exact_paths(x, motion, frame_start)[1], k, shutter)
+        t = np.linspace(0.0, t_max, 2001)
+        w_hat = hat(motion.angular_velocity)
+        turned = np.einsum("tij,jk,nk->tni",
+                           rodrigues(np.outer(frame_start + t, motion.angular_velocity)),
+                           motion.pose0.rotation, x)
+        speed = turned @ w_hat.T + motion.linear_velocity
+        accel = turned @ (w_hat @ w_hat).T
+        sweep = k.center_y + shutter.first_row - shutter.scan_rate * t
+        g2 = (k.focal_y * accel[..., 1] + sweep[:, None] * accel[..., 2]
+              - 2.0 * shutter.scan_rate * speed[..., 2])
+        assert np.all(np.abs(g2) <= bend * (1.0 + 1e-9) + 1e-9)
+        assert np.all(np.abs(accel[..., 2]) <= bend_z * (1.0 + 1e-9) + 1e-12)
 
 
 def render_lattice_points():
